@@ -54,22 +54,26 @@ class Truncation:
 
 @dataclass(frozen=True)
 class MdpSpec:
-    """Assembled cost table and sparse transition kernel.
+    """Assembled cost table and age-shift transition kernel.
 
-    ``cost_table`` has shape (tau_max, delta_max, 3). The kernel is stored as
-    fixed-width successor lists: ``succ_index[t, d, u]`` holds up to two flat
-    successor indices with probabilities ``succ_prob[t, d, u]`` (padding
-    entries carry probability 0). Flat index = (tau-1) * delta_max + (delta-1).
+    ``cost_table`` has shape (tau_max, delta_max, 3). Every transition is a
+    clamped age shift, stored as 0-based index vectors: idle moves (t, d) to
+    (``tau_idle[t]``, ``delta_up[d]``); transmit moves to (``tau_tx[t]``, 0)
+    with probability ``theta[t]`` and to (``tau_tx[t]``, ``delta_up[d]``)
+    otherwise; renew moves to (0, ``delta_renew[d]``).
+    Flat index = (tau-1) * delta_max + (delta-1).
     Immutable after construction; safe for concurrent read-only sweeps.
     """
 
     trunc: Truncation
     channel: ChannelModel
     mse: MseTable
-    theta: np.ndarray       # (tau_max,) reliability at each channel age
-    cost_table: np.ndarray  # (tau_max, delta_max, 3)
-    succ_index: np.ndarray  # (tau_max, delta_max, 3, 2) flat state indices
-    succ_prob: np.ndarray   # (tau_max, delta_max, 3, 2)
+    theta: np.ndarray        # (tau_max,) reliability at each channel age
+    cost_table: np.ndarray   # (tau_max, delta_max, 3)
+    tau_idle: np.ndarray     # (tau_max,) channel age after idle
+    tau_tx: np.ndarray       # (tau_max,) channel age after a transmission
+    delta_up: np.ndarray     # (delta_max,) information age after no delivery
+    delta_renew: np.ndarray  # (delta_max,) information age after a renewal
 
     @property
     def n_states(self) -> int:
@@ -108,12 +112,34 @@ class MdpSpec:
         """Successor states with probabilities (zero-probability entries omitted)."""
         self.state_index(s)
         u = _check_action(u)
-        out = []
-        for k in range(2):
-            p = float(self.succ_prob[s.tau - 1, s.delta - 1, u, k])
-            if p > 0.0:
-                out.append((self.state_at(int(self.succ_index[s.tau - 1, s.delta - 1, u, k])), p))
-        return out
+        t, d = s.tau - 1, s.delta - 1
+        if u == Action.TRANSMIT:
+            p_hit = float(self.theta[t])
+            branches = [((self.tau_tx[t], 0), p_hit), ((self.tau_tx[t], self.delta_up[d]), 1.0 - p_hit)]
+        elif u == Action.IDLE:
+            branches = [((self.tau_idle[t], self.delta_up[d]), 1.0)]
+        else:
+            branches = [((0, self.delta_renew[d]), 1.0)]
+        return [(AgeState(int(ti) + 1, int(di) + 1), p) for (ti, di), p in branches if p > 0.0]
+
+    def successors(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat successor indices of every state under an action grid.
+
+        Returns ``(hit, miss, p_hit)``, each of length ``n_states``: the chain
+        moves to ``hit`` with probability ``p_hit`` and to ``miss``
+        otherwise. Only transmit branches; idle and renew put their sole
+        successor in both slots with ``p_hit`` 1.
+        """
+        d_max = self.trunc.delta_max
+        actions = np.asarray(actions)
+        tx = actions == Action.TRANSMIT
+        renew = actions == Action.RENEW
+        tau = np.where(renew, 0, np.where(tx, self.tau_tx[:, None], self.tau_idle[:, None]))
+        delta = np.where(renew, self.delta_renew[None, :], self.delta_up[None, :])
+        miss = tau * d_max + delta
+        hit = np.where(tx, tau * d_max, miss)
+        p_hit = np.where(tx, self.theta[:, None], 1.0)
+        return hit.reshape(-1), miss.reshape(-1), p_hit.reshape(-1)
 
 
 def _check_action(u) -> int:
@@ -169,31 +195,12 @@ def build_mdp(
     cost[:, :, Action.RENEW] = renew_cost[np.newaxis, :]
 
     # Clamped age updates, 0-based.
-    ti = np.arange(t_max)[:, None]          # channel-age index
-    di = np.arange(d_max)[None, :]          # information-age index
-    tau_idle = np.minimum(ti + 1, t_max - 1)
-    tau_tx = np.minimum(ti + channel.tau_d, t_max - 1)
-    delta_up = np.minimum(di + 1, d_max - 1)
-    delta_renew = np.minimum(di + channel.delta_r, d_max - 1)
+    tau_idle = np.minimum(np.arange(t_max) + 1, t_max - 1)
+    tau_tx = np.minimum(np.arange(t_max) + channel.tau_d, t_max - 1)
+    delta_up = np.minimum(np.arange(d_max) + 1, d_max - 1)
+    delta_renew = np.minimum(np.arange(d_max) + channel.delta_r, d_max - 1)
 
-    def flat(t_idx, d_idx):
-        return (t_idx * d_max + d_idx).astype(np.int64)
-
-    succ_index = np.zeros((t_max, d_max, 3, 2), dtype=np.int64)
-    succ_prob = np.zeros((t_max, d_max, 3, 2))
-
-    succ_index[:, :, Action.IDLE, 0] = flat(tau_idle, delta_up)
-    succ_prob[:, :, Action.IDLE, 0] = 1.0
-
-    succ_index[:, :, Action.TRANSMIT, 0] = flat(tau_tx, np.zeros_like(di))
-    succ_prob[:, :, Action.TRANSMIT, 0] = theta[:, None]
-    succ_index[:, :, Action.TRANSMIT, 1] = flat(tau_tx, delta_up)
-    succ_prob[:, :, Action.TRANSMIT, 1] = 1.0 - theta[:, None]
-
-    succ_index[:, :, Action.RENEW, 0] = flat(np.zeros_like(ti), delta_renew)
-    succ_prob[:, :, Action.RENEW, 0] = 1.0
-
-    for arr in (theta, cost, succ_index, succ_prob):
+    for arr in (theta, cost, tau_idle, tau_tx, delta_up, delta_renew):
         arr.flags.writeable = False
     return MdpSpec(
         trunc=trunc,
@@ -201,6 +208,8 @@ def build_mdp(
         mse=mse,
         theta=theta,
         cost_table=cost,
-        succ_index=succ_index,
-        succ_prob=succ_prob,
+        tau_idle=tau_idle,
+        tau_tx=tau_tx,
+        delta_up=delta_up,
+        delta_renew=delta_renew,
     )

@@ -103,22 +103,15 @@ def simulate(
 
     n = mdp.n_states
     act_flat = policy.actions.reshape(-1).astype(np.int64)
-    rows = np.arange(n)
-    cost_flat = mdp.cost_table.reshape(n, 3)[rows, act_flat]
-    si = mdp.succ_index.reshape(n, 3, 2)
-    # Success branch only exists for transmit; for idle/renew the sole
-    # successor sits in slot 0.
-    succ_hit = si[rows, act_flat, 0]
-    succ_miss = np.where(act_flat == Action.TRANSMIT, si[rows, act_flat, 1], si[rows, act_flat, 0])
-    theta_flat = np.where(
-        act_flat == Action.TRANSMIT, mdp.succ_prob.reshape(n, 3, 2)[rows, act_flat, 0], 0.0
-    )
+    cost_flat = mdp.cost_table.reshape(n, 3)[np.arange(n), act_flat]
+    succ_hit, succ_miss, p_hit = mdp.successors(policy.actions)
 
     # Plain-python lists make the sequential hot loop ~3x faster than ndarray
-    # scalar indexing.
+    # scalar indexing. Idle and renew store their sole successor in both
+    # slots; testing is_tx first skips the slower numpy-scalar comparison.
     hit = succ_hit.tolist()
     miss = succ_miss.tolist()
-    theta = theta_flat.tolist()
+    theta = p_hit.tolist()
     is_tx = (act_flat == Action.TRANSMIT).tolist()
     draws = rng.random(epochs)
     traj = np.empty(epochs, dtype=np.int64)

@@ -80,10 +80,29 @@ class SolveResult:
     skipped_q_evals: int | None = None
 
 
+def _q_actions(mdp: MdpSpec, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q-values of idle, transmit and renew as three (tau_max, delta_max)
+    grids, read off the age-shift kernel."""
+    c = mdp.cost_table
+    theta = mdp.theta[:, None]
+    v_up = v[:, mdp.delta_up]  # v at (t, delta_up[d])
+    q_idle = c[:, :, Action.IDLE] + v_up[mdp.tau_idle]
+    q_tx = c[:, :, Action.TRANSMIT] + (
+        theta * v[mdp.tau_tx, :1] + (1.0 - theta) * v_up[mdp.tau_tx]
+    )
+    q_renew = c[:, :, Action.RENEW] + v[0, mdp.delta_renew]
+    return q_idle, q_tx, q_renew
+
+
 def q_backup(mdp: MdpSpec, v: np.ndarray) -> np.ndarray:
     """One-step lookahead Q(s, u) = c(s, u) + sum_s' P(s'|s, u) v(s')."""
-    vq = v.reshape(-1)[mdp.succ_index]
-    return mdp.cost_table + np.einsum("tduk,tduk->tdu", mdp.succ_prob, vq)
+    return np.stack(_q_actions(mdp, v), axis=2)
+
+
+def _bellman_residual(q_actions, v: np.ndarray, gain: float) -> float:
+    """Largest violation of the optimality equation, max |min_u Q - v - gain|."""
+    q_idle, q_tx, q_renew = q_actions
+    return float(np.abs(np.minimum(np.minimum(q_idle, q_tx), q_renew) - v - gain).max())
 
 
 def greedy_policy(q: np.ndarray) -> Policy:
@@ -102,8 +121,8 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
     v = np.zeros(mdp.shape)
     history: list[float] = []
     for n in range(1, opts.max_iter + 1):
-        q = q_backup(mdp, v)
-        vt = q.min(axis=2)
+        q_idle, q_tx, q_renew = q = _q_actions(mdp, v)
+        vt = np.minimum(np.minimum(q_idle, q_tx), q_renew)
         gain = float(vt.reshape(-1)[ref])
         v_new = vt - gain
         diff = v_new - v
@@ -116,6 +135,7 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
         history.append(span)
         v = v_new
         if span < opts.tol:
+            q = np.stack(q, axis=2)
             return SolveResult(
                 gain=gain,
                 v=v,
@@ -132,13 +152,12 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
     )
 
 
-def _chosen_successors(mdp: MdpSpec, actions_flat: np.ndarray):
-    n = mdp.n_states
-    rows = np.arange(n)
-    si = mdp.succ_index.reshape(n, 3, 2)[rows, actions_flat]   # (n, 2)
-    pr = mdp.succ_prob.reshape(n, 3, 2)[rows, actions_flat]    # (n, 2)
-    cost = mdp.cost_table.reshape(n, 3)[rows, actions_flat]    # (n,)
-    return si, pr, cost
+def _policy_chain(mdp: MdpSpec, policy: Policy):
+    """Flat successors, hit probability and cost of every state under a
+    policy."""
+    hit, miss, p_hit = mdp.successors(policy.actions)
+    cost = np.take_along_axis(mdp.cost_table, policy.actions[:, :, None].astype(np.intp), axis=2)
+    return hit, miss, p_hit, cost.reshape(-1)
 
 
 def policy_evaluate(
@@ -166,8 +185,7 @@ def policy_evaluate(
 
 def _evaluate_direct(mdp: MdpSpec, policy: Policy, ref: int) -> tuple[float, np.ndarray]:
     n = mdp.n_states
-    act = policy.actions.reshape(-1).astype(np.int64)
-    si, pr, b = _chosen_successors(mdp, act)
+    hit, miss, p_hit, b = _policy_chain(mdp, policy)
 
     # Unknowns: v at every non-reference state, then the gain (last column).
     col_of = np.arange(n, dtype=np.int64)
@@ -177,11 +195,11 @@ def _evaluate_direct(mdp: MdpSpec, policy: Policy, ref: int) -> tuple[float, np.
     rows = [np.arange(n)[diag_keep], np.arange(n)]
     cols = [col_of[diag_keep], np.full(n, n - 1, dtype=np.int64)]
     data = [np.ones(diag_keep.sum()), np.ones(n)]
-    for k in range(2):
-        keep = (pr[:, k] > 0) & (si[:, k] != ref)
+    for succ, p in ((hit, p_hit), (miss, 1.0 - p_hit)):
+        keep = (p > 0) & (succ != ref)
         rows.append(np.arange(n)[keep])
-        cols.append(col_of[si[keep, k]])
-        data.append(-pr[keep, k])
+        cols.append(col_of[succ[keep]])
+        data.append(-p[keep])
     m = sp.csc_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
@@ -231,13 +249,12 @@ def _condition_estimate(m: sp.csc_matrix, lu) -> float:
 def _evaluate_iterative(
     mdp: MdpSpec, policy: Policy, ref: int, tol: float, max_iter: int
 ) -> tuple[float, np.ndarray]:
-    act = policy.actions.reshape(-1).astype(np.int64)
-    si, pr, c = _chosen_successors(mdp, act)
+    hit, miss, p_hit, c = _policy_chain(mdp, policy)
     v = np.zeros(mdp.n_states)
     gain = 0.0
     span = np.inf
     for _ in range(max_iter):
-        w = c + (pr * v[si]).sum(axis=1)
+        w = c + (p_hit * v[hit] + (1.0 - p_hit) * v[miss])
         gain = float(w[ref])
         v_new = w - gain
         diff = v_new - v
@@ -264,45 +281,21 @@ def structured_policy_iteration(
     when the policy is unchanged. ``skipped_q_evals`` counts the Q-factor
     evaluations avoided by the shrinking action sets.
     """
-    t_max, d_max = mdp.shape
-    n = mdp.n_states
-    cost = mdp.cost_table.reshape(n, 3)
-    si = mdp.succ_index.reshape(n, 3, 2)
-    pr = mdp.succ_prob.reshape(n, 3, 2)
-
-    actions = np.zeros((t_max, d_max), dtype=np.int8)
+    actions = np.zeros(mdp.shape, dtype=np.int8)
     skipped = 0
     for sweep in range(1, opts.max_iter + 1):
         gain, v = policy_evaluate(mdp, Policy(actions=actions), opts.ref_state)
-        vf = v.reshape(-1)
-        new_actions = np.empty_like(actions)
-        for dj in range(d_max):
-            level = 0
-            for ti in range(t_max):
-                if level == 2:
-                    new_actions[ti, dj] = 2
-                    skipped += 3
-                    continue
-                flat = ti * d_max + dj
-                best_u, best_q = level, _q_state(cost, si, pr, vf, flat, level)
-                for u in range(level + 1, 3):
-                    qu = _q_state(cost, si, pr, vf, flat, u)
-                    if qu < best_q:
-                        best_u, best_q = u, qu
-                skipped += level
-                new_actions[ti, dj] = best_u
-                if best_u > level:
-                    level = best_u
+        q = _q_actions(mdp, v)
+        new_actions, skips = _monotone_improvement(*q)
+        skipped += skips
         if np.array_equal(new_actions, actions):
-            q = q_backup(mdp, v)
-            residual = float(np.abs(q.min(axis=2) - v - gain).max())
             return SolveResult(
                 gain=gain,
                 v=v,
                 policy=Policy(actions=actions),
                 iterations=sweep,
-                residual=residual,
-                q=q,
+                residual=_bellman_residual(q, v, gain),
+                q=np.stack(q, axis=2),
                 skipped_q_evals=skipped,
             )
         actions = new_actions
@@ -312,10 +305,20 @@ def structured_policy_iteration(
     )
 
 
-def _q_state(cost, si, pr, vf, flat: int, u: int) -> float:
-    i = si[flat, u]
-    p = pr[flat, u]
-    return float(cost[flat, u] + p[0] * vf[i[0]] + p[1] * vf[i[1]])
+def _monotone_improvement(q_idle, q_tx, q_renew) -> tuple[np.ndarray, int]:
+    """Improvement step of structured policy iteration, all information-age
+    columns at once.
+
+    Down each column the candidates start as {idle, transmit, renew}, shrink
+    to {transmit, renew} at the first cell whose argmin is not idle, and to
+    {renew} at the first later cell where renew beats transmit; ties go to
+    the smaller action. Each cell skips the Q evaluations its predecessor's
+    level rules out: 0 after idle, 1 after transmit, all 3 after renew.
+    """
+    started = np.logical_or.accumulate((q_tx < q_idle) | (q_renew < q_idle), axis=0)
+    renewed = np.logical_or.accumulate(started & (q_renew < q_tx), axis=0)
+    skipped = np.count_nonzero(started[:-1]) + 2 * np.count_nonzero(renewed[:-1])
+    return started.astype(np.int8) + renewed, int(skipped)
 
 
 BRUTE_FORCE_MAX_STATES = 12
@@ -339,14 +342,15 @@ def brute_force_optimal(
             f"(3^n policies); grid has {n}"
         )
     s0 = mdp.state_index(start)
-    cost = mdp.cost_table.reshape(n, 3)
-    si = mdp.succ_index.reshape(n, 3, 2)
-    pr = mdp.succ_prob.reshape(n, 3, 2)
+    # Successor tables indexed [action, state].
+    per_action = [mdp.successors(np.full(mdp.shape, u)) for u in range(3)]
+    hit, miss, p_hit = (np.stack(table) for table in zip(*per_action))
+    kernel = (mdp.cost_table.reshape(n, 3).T, hit, miss, p_hit, 1.0 - p_hit)
 
     best_gain = np.inf
     best_assignment: tuple[int, ...] | None = None
     for assignment in itertools.product((0, 1, 2), repeat=n):
-        g = _chain_average_cost(n, cost, si, pr, assignment, s0)
+        g = _chain_average_cost(n, kernel, np.array(assignment), s0)
         if g < best_gain:
             best_gain = g
             best_assignment = assignment
@@ -355,14 +359,13 @@ def brute_force_optimal(
     return float(best_gain), Policy(actions=actions)
 
 
-def _chain_average_cost(n, cost, si, pr, assignment, s0) -> float:
+def _chain_average_cost(n, kernel, assignment, s0) -> float:
+    cost, hit, miss, p_hit, p_miss = kernel
+    rows = np.arange(n)
+    c = cost[assignment, rows]
     p = np.zeros((n, n))
-    c = np.empty(n)
-    for s in range(n):
-        u = assignment[s]
-        c[s] = cost[s, u]
-        for k in range(2):
-            p[s, si[s, u, k]] += pr[s, u, k]
+    p[rows, hit[assignment, rows]] += p_hit[assignment, rows]
+    p[rows, miss[assignment, rows]] += p_miss[assignment, rows]
 
     # Transitive closure of the support graph.
     reach = p > 0
@@ -436,14 +439,19 @@ def threshold_heuristic(
     return best
 
 
-def _threshold_policy_actions(t_max, d_max, tau_renew, thresholds) -> np.ndarray:
-    actions = np.zeros((t_max, d_max), dtype=np.int8)
-    for ti in range(t_max):
-        if ti + 1 > tau_renew:
-            actions[ti, :] = 2
-        else:
-            actions[ti, thresholds[ti] - 1 :] = 1
+def _threshold_policy_actions(d_max, tau_renew, thresholds) -> np.ndarray:
+    actions = (np.arange(1, d_max + 1) >= np.array(thresholds)[:, None]).astype(np.int8)
+    actions[tau_renew:] = Action.RENEW
     return actions
+
+
+def _transmit_thresholds(q_idle, q_tx, tau_renew: int) -> list[int]:
+    """Restricted improvement step of the threshold heuristic: for each
+    channel age up to ``tau_renew``, the first information age where transmit
+    beats idle (delta_max if none), kept nonincreasing in the channel age."""
+    better = q_tx[:tau_renew] < q_idle[:tau_renew]
+    first = np.where(better.any(axis=1), better.argmax(axis=1) + 1, q_idle.shape[1])
+    return np.minimum.accumulate(first).tolist()
 
 
 # Improvement inside a restricted policy class can cycle between equal-gain
@@ -454,44 +462,29 @@ _THRESHOLD_SWEEP_CAP = 100
 
 def _threshold_solve_fixed(mdp: MdpSpec, opts: SolveOptions, tau_renew: int) -> SolveResult:
     t_max, d_max = mdp.shape
-    n = mdp.n_states
-    cost = mdp.cost_table.reshape(n, 3)
-    si = mdp.succ_index.reshape(n, 3, 2)
-    pr = mdp.succ_prob.reshape(n, 3, 2)
-
     thresholds = [1] * t_max
     seen: set[tuple[int, ...]] = set()
     best: tuple[float, np.ndarray, np.ndarray, int] | None = None
     sweep_cap = min(opts.max_iter, _THRESHOLD_SWEEP_CAP)
     for sweep in range(1, sweep_cap + 1):
         seen.add(tuple(thresholds))
-        actions = _threshold_policy_actions(t_max, d_max, tau_renew, thresholds)
+        actions = _threshold_policy_actions(d_max, tau_renew, thresholds)
         gain, v = policy_evaluate(mdp, Policy(actions=actions), opts.ref_state)
         if best is None or gain < best[0]:
             best = (gain, v, actions, sweep)
-        vf = v.reshape(-1)
-        new_thresholds = []
-        cap = d_max
-        for ti in range(min(tau_renew, t_max)):
-            thr = cap
-            for dj in range(cap):
-                flat = ti * d_max + dj
-                if _q_state(cost, si, pr, vf, flat, 1) < _q_state(cost, si, pr, vf, flat, 0):
-                    thr = dj + 1
-                    break
-            new_thresholds.append(thr)
-            cap = thr
-        new_thresholds.extend(thresholds[min(tau_renew, t_max) :])
+        q_idle, q_tx, _ = _q_actions(mdp, v)
+        new_thresholds = _transmit_thresholds(q_idle, q_tx, tau_renew) + thresholds[tau_renew:]
         if new_thresholds == thresholds or tuple(new_thresholds) in seen:
             break
         thresholds = new_thresholds
     assert best is not None
     gain, v, actions, sweep = best
+    q = _q_actions(mdp, v)
     return SolveResult(
         gain=gain,
         v=v,
         policy=Policy(actions=actions),
         iterations=sweep,
-        residual=0.0,
-        q=q_backup(mdp, v),
+        residual=_bellman_residual(q, v, gain),
+        q=np.stack(q, axis=2),
     )

@@ -88,3 +88,45 @@ def solve_case(beta, alpha=0.1, tau_d=6, delta_r=15, grid=80, tol=1e-9) -> Solve
     mdp = benchmark_mdp(beta, alpha, tau_d, delta_r, grid)
     opts = SolveOptions(tol=tol, max_iter=500_000)
     return SolvedCase(mdp=mdp, rvi=rvi_solve(mdp, opts), spi=structured_policy_iteration(mdp, opts))
+
+
+def scalar_spi_improvement(q: np.ndarray) -> tuple[np.ndarray, int]:
+    """Reference improvement step of structured policy iteration: a scalar
+    scan down every information-age column of a (tau_max, delta_max, 3)
+    Q array. Returns the new actions and the skipped Q-evaluation count."""
+    t_max, d_max, _ = q.shape
+    actions = np.empty((t_max, d_max), dtype=np.int8)
+    skipped = 0
+    for dj in range(d_max):
+        level = 0
+        for ti in range(t_max):
+            if level == 2:
+                actions[ti, dj] = 2
+                skipped += 3
+                continue
+            best_u, best_q = level, q[ti, dj, level]
+            for u in range(level + 1, 3):
+                if q[ti, dj, u] < best_q:
+                    best_u, best_q = u, q[ti, dj, u]
+            skipped += level
+            actions[ti, dj] = best_u
+            level = max(level, best_u)
+    return actions, skipped
+
+
+def scalar_transmit_thresholds(q: np.ndarray, tau_renew: int) -> list[int]:
+    """Reference improvement step of the threshold heuristic: per channel
+    age below ``tau_renew``, the first information age where transmit beats
+    idle, searched only up to the previous channel age's threshold."""
+    d_max = q.shape[1]
+    thresholds = []
+    cap = d_max
+    for ti in range(tau_renew):
+        thr = cap
+        for dj in range(cap):
+            if q[ti, dj, 1] < q[ti, dj, 0]:
+                thr = dj + 1
+                break
+        thresholds.append(thr)
+        cap = thr
+    return thresholds

@@ -79,6 +79,17 @@ class TestCost:
             mdp.cost(AgeState(1, 1), 3)
 
 
+def _assert_kernel_stochastic_in_grid(mdp):
+    """Every (state, action) row of the kernel sums to 1 over successors
+    that stay inside the grid."""
+    t_max, d_max = mdp.shape
+    for s in mdp.states():
+        for u in Action:
+            succ = mdp.transitions(s, u)
+            assert abs(sum(p for _, p in succ) - 1.0) < 1e-12
+            assert all(1 <= t.tau <= t_max and 1 <= t.delta <= d_max for t, _ in succ)
+
+
 class TestKernel:
     def test_idle_single_successor(self, mdp):
         assert mdp.transitions(AgeState(4, 7), Action.IDLE) == [(AgeState(5, 8), 1.0)]
@@ -102,12 +113,20 @@ class TestKernel:
         ]
 
     def test_kernel_stochastic_everywhere(self, mdp):
-        sums = mdp.succ_prob.sum(axis=3)
-        assert np.abs(sums - 1.0).max() < 1e-12
+        _assert_kernel_stochastic_in_grid(mdp)
 
     def test_renew_always_restores_channel(self, mdp):
-        taus = mdp.succ_index[:, :, Action.RENEW, 0] // mdp.trunc.delta_max
-        assert np.all(taus == 0)
+        for s in mdp.states():
+            assert [t.tau for t, _ in mdp.transitions(s, Action.RENEW)] == [1]
+
+    def test_successors_match_transitions(self, mdp):
+        actions = np.random.default_rng(3).integers(0, 3, size=mdp.shape)
+        hit, miss, p_hit = mdp.successors(actions)
+        for s in mdp.states():
+            i = mdp.state_index(s)
+            branches = [(hit[i], p_hit[i]), (miss[i], 1.0 - p_hit[i])]
+            got = [(mdp.state_at(int(j)), float(p)) for j, p in branches if p > 0]
+            assert got == mdp.transitions(s, int(actions[s.tau - 1, s.delta - 1]))
 
     def test_kernel_matches_age_update_rules(self, mdp):
         # The vectorized kernel must agree with the scalar age-update
@@ -175,11 +194,7 @@ class TestGridLayout:
             benchmark_channel(tau_d=2, delta_r=2),
             Truncation(tau_max, delta_max),
         )
-        assert np.abs(mdp.succ_prob.sum(axis=3) - 1.0).max() < 1e-12
-        succ_tau = mdp.succ_index // delta_max
-        succ_delta = mdp.succ_index % delta_max
-        assert succ_tau.min() >= 0 and succ_tau.max() < tau_max
-        assert succ_delta.min() >= 0 and succ_delta.max() < delta_max
+        _assert_kernel_stochastic_in_grid(mdp)
 
     def test_truncation_validation(self):
         with pytest.raises(DomainError):

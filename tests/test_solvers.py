@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import benchmark_channel, benchmark_system
+from helpers import (
+    benchmark_channel,
+    benchmark_system,
+    scalar_spi_improvement,
+    scalar_transmit_thresholds,
+)
 from wearsched import (
     Action,
     AgeState,
@@ -21,7 +28,7 @@ from wearsched import (
     structured_policy_iteration,
     threshold_heuristic,
 )
-from wearsched.solvers import _evaluate_iterative
+from wearsched.solvers import _evaluate_iterative, _monotone_improvement, _transmit_thresholds
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +75,82 @@ class TestQBackup:
             p * v[s2.tau - 1, s2.delta - 1] for s2, p in mdp.transitions(s, u)
         )
         assert q[s.tau - 1, s.delta - 1, u] == pytest.approx(expected, rel=1e-12)
+
+    @given(
+        tau_max=st.integers(1, 12),
+        delta_max=st.integers(1, 12),
+        tau_d=st.integers(2, 14),
+        delta_r=st.integers(2, 14),
+        curve=st.sampled_from(["dead", "perfect", "decaying"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_transitions(self, tau_max, delta_max, tau_d, delta_r, curve, seed):
+        theta = {"dead": (0.0, 0.0), "perfect": (1.0, 1.0), "decaying": (0.95, 0.1)}[curve]
+        mdp = build_mdp(
+            benchmark_system(0.9),
+            benchmark_channel(0.3, tau_d, delta_r, *theta),
+            Truncation(tau_max, delta_max),
+            require_headroom=False,
+        )
+        v = np.random.default_rng(seed).normal(scale=1e3, size=mdp.shape)
+        expected = np.empty(mdp.shape + (3,))
+        for s in mdp.states():
+            for u in Action:
+                cont = sum(p * v[s2.tau - 1, s2.delta - 1] for s2, p in mdp.transitions(s, u))
+                expected[s.tau - 1, s.delta - 1, u] = mdp.cost(s, u) + cont
+        np.testing.assert_array_equal(q_backup(mdp, v), expected)
+
+
+class TestVectorisedScans:
+    """The vectorised improvement steps against their scalar references."""
+
+    @staticmethod
+    def _q(shape, seed, ties):
+        rng = np.random.default_rng(seed)
+        if ties:  # few distinct values, so equal Q-factors are common
+            return rng.integers(0, 3, size=shape + (3,)).astype(float)
+        return rng.normal(size=shape + (3,))
+
+    @given(
+        tau_max=st.integers(1, 12),
+        delta_max=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+    )
+    def test_spi_scan_matches_scalar(self, tau_max, delta_max, seed, ties):
+        q = self._q((tau_max, delta_max), seed, ties)
+        actions, skipped = _monotone_improvement(q[:, :, 0], q[:, :, 1], q[:, :, 2])
+        ref_actions, ref_skipped = scalar_spi_improvement(q)
+        np.testing.assert_array_equal(actions, ref_actions)
+        assert skipped == ref_skipped
+
+    @given(
+        tau_max=st.integers(1, 12),
+        delta_max=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+        data=st.data(),
+    )
+    def test_threshold_scan_matches_scalar(self, tau_max, delta_max, seed, ties, data):
+        q = self._q((tau_max, delta_max), seed, ties)
+        tau_renew = data.draw(st.integers(0, tau_max))
+        got = _transmit_thresholds(q[:, :, 0], q[:, :, 1], tau_renew)
+        assert got == scalar_transmit_thresholds(q, tau_renew)
+
+    def test_scans_match_scalar_on_random_values(self, small_case):
+        # Q-factors backed up from random relative values, so the scans see
+        # the cost and kernel structure of a real instance.
+        mdp = small_case.mdp
+        for seed in range(5):
+            v = np.random.default_rng(seed).normal(scale=100.0, size=mdp.shape)
+            q = q_backup(mdp, v)
+            actions, skipped = _monotone_improvement(q[:, :, 0], q[:, :, 1], q[:, :, 2])
+            ref_actions, ref_skipped = scalar_spi_improvement(q)
+            np.testing.assert_array_equal(actions, ref_actions)
+            assert skipped == ref_skipped
+            for tau_renew in (0, 7, mdp.trunc.tau_max):
+                got = _transmit_thresholds(q[:, :, 0], q[:, :, 1], tau_renew)
+                assert got == scalar_transmit_thresholds(q, tau_renew)
 
 
 class TestRvi:
@@ -268,6 +351,13 @@ class TestThresholdHeuristic:
         assert np.all(res.policy.actions == 2)
         expected = mdp.channel.delta_r * mdp.mse.at(mdp.trunc.delta_max)
         assert res.gain == pytest.approx(expected, rel=1e-10)
+
+    def test_residual_is_bellman_residual(self, small_case):
+        # Renewing everywhere is far from optimal, so the optimality equation
+        # is visibly violated; the residual is read off the returned Q.
+        res = threshold_heuristic(small_case.mdp, SolveOptions(tol=1e-10), tau_renew=0)
+        assert res.residual > 0
+        assert res.residual == np.abs(res.q.min(axis=2) - res.v - res.gain).max()
 
     def test_invalid_threshold(self, small_case):
         with pytest.raises(DomainError):
