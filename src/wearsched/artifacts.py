@@ -5,11 +5,16 @@ CSV grids are written in row-major order (channel age outer, information age
 inner) with unix newlines; values use 17 significant digits so doubles
 round-trip exactly. Writers are deterministic: identical inputs produce
 byte-identical files.
+
+Readers accept the rows in any order and skip whitespace-only lines; every
+state of the grid must appear exactly once, and there are no comments.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,123 +27,115 @@ VALUE_HEADER = "tau,delta,value"
 Q_HEADER = "tau,delta,q_idle,q_transmit,q_renew"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _write_grid(path: str | Path, header: str, field_fmt: str, grid: np.ndarray) -> None:
+    """Write a (tau_max, delta_max, k) grid as one CSV line per state, one
+    channel age at a time."""
+    t_max, d_max, k = grid.shape
+    line_fmt = ",".join(["%d", "%d"] + [field_fmt] * k) + "\n"
+    row_fmt = line_fmt * d_max
+    deltas = range(1, d_max + 1)
+    with open(path, "w", newline="\n") as f:
+        f.write(header + "\n")
+        for ti in range(t_max):
+            fields = zip(itertools.repeat(ti + 1), deltas, *grid[ti].T.tolist())
+            f.write(row_fmt % tuple(itertools.chain.from_iterable(fields)))
 
 
 def write_policy_csv(path: str | Path, policy: Policy) -> None:
-    t_max, d_max = policy.shape
-    lines = [POLICY_HEADER]
-    acts = policy.actions
-    for ti in range(t_max):
-        for dj in range(d_max):
-            lines.append(f"{ti + 1},{dj + 1},{int(acts[ti, dj])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_grid(path, POLICY_HEADER, "%d", policy.actions[:, :, None])
 
 
 def write_value_csv(path: str | Path, v: np.ndarray) -> None:
-    t_max, d_max = v.shape
-    lines = [VALUE_HEADER]
-    for ti in range(t_max):
-        for dj in range(d_max):
-            lines.append(f"{ti + 1},{dj + 1},{_fmt(v[ti, dj])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_grid(path, VALUE_HEADER, "%.17g", v[:, :, None])
 
 
 def write_q_csv(path: str | Path, q: np.ndarray) -> None:
-    t_max, d_max, _ = q.shape
-    lines = [Q_HEADER]
-    for ti in range(t_max):
-        for dj in range(d_max):
-            row = q[ti, dj]
-            lines.append(f"{ti + 1},{dj + 1},{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_grid(path, Q_HEADER, "%.17g", q)
 
 
-def _read_grid_rows(path: str | Path, header: str, n_fields: int) -> list[tuple[int, int, list[str]]]:
+def _read_grid(path: str | Path, header: str, value_dtype: type) -> np.ndarray:
+    """Read a CSV grid written by ``_write_grid`` into a (tau_max, delta_max, k)
+    array of ``value_dtype``, where k is the number of value columns the
+    header names. The grid size is the largest state in the file."""
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise MissingArtifactError(f"artifact not found: {p}")
-    text = p.read_text()
-    lines = text.splitlines()
+    try:
+        lines = p.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ArtifactParseError(f"{p}: {exc}") from exc
     if not lines or lines[0].strip() != header:
         raise ArtifactParseError(f"{p}: expected header {header!r}")
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            raise ArtifactParseError(f"{p}:{ln}: expected {n_fields} fields, got {len(parts)}")
-        try:
-            tau, delta = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ArtifactParseError(f"{p}:{ln}: bad state coordinates") from exc
-        rows.append((tau, delta, parts[2:]))
-    if not rows:
+    names = header.split(",")
+    body = lines[1:]
+
+    # A line with the wrong comma count is either whitespace only (skipped)
+    # or malformed.
+    commas = np.fromiter(map(str.count, body, itertools.repeat(",")), np.int64, len(body))
+    ok = commas == len(names) - 1
+    for i in np.flatnonzero(~ok):
+        if body[i].strip():
+            raise ArtifactParseError(
+                f"{p}:{i + 2}: expected {len(names)} fields, got {commas[i] + 1}"
+            )
+    if not ok.all():
+        body = list(itertools.compress(body, ok))
+    if not body:
         raise ArtifactParseError(f"{p}: no data rows")
-    return rows
 
+    dtype = [(names[0], np.int64), (names[1], np.int64)] + [(n, value_dtype) for n in names[2:]]
+    try:
+        with warnings.catch_warnings():
+            # Older numpy releases read a float ("1.5") into an integer field
+            # with a DeprecationWarning instead of rejecting it.
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning) as exc:
+        raise ArtifactParseError(f"{p}: {exc}") from exc
 
-def _grid_shape(path, rows) -> tuple[int, int]:
-    t_max = max(r[0] for r in rows)
-    d_max = max(r[1] for r in rows)
+    tau, delta = rows[names[0]], rows[names[1]]
+    outside = np.flatnonzero((tau < 1) | (delta < 1))
+    if len(outside):
+        i = outside[0]
+        raise ArtifactParseError(f"{p}: state ({tau[i]},{delta[i]}) outside grid")
+    t_max, d_max = int(tau.max()), int(delta.max())
     if len(rows) != t_max * d_max:
         raise ArtifactParseError(
-            f"{path}: expected {t_max * d_max} rows for a {t_max}x{d_max} grid, got {len(rows)}"
+            f"{p}: expected {t_max * d_max} rows for a {t_max}x{d_max} grid, got {len(rows)}"
         )
-    return t_max, d_max
+    flat = (tau - 1) * d_max + (delta - 1)
+    missing = np.flatnonzero(np.bincount(flat, minlength=t_max * d_max) == 0)
+    if len(missing):
+        ti, dj = divmod(int(missing[0]), d_max)
+        raise ArtifactParseError(f"{p}: missing state ({ti + 1},{dj + 1})")
+
+    grid = np.empty((t_max * d_max, len(names) - 2), dtype=value_dtype)
+    grid[flat] = np.stack([rows[n] for n in names[2:]], axis=1)
+    return grid.reshape(t_max, d_max, -1)
+
+
+def _reject_nan(path: str | Path, grid: np.ndarray) -> None:
+    bad = np.argwhere(np.isnan(grid))
+    if len(bad):
+        raise ArtifactParseError(f"{path}: NaN at state ({bad[0][0] + 1},{bad[0][1] + 1})")
 
 
 def read_policy_csv(path: str | Path) -> Policy:
-    rows = _read_grid_rows(path, POLICY_HEADER, 3)
-    t_max, d_max = _grid_shape(path, rows)
-    acts = np.full((t_max, d_max), -1, dtype=np.int8)
-    for tau, delta, rest in rows:
-        try:
-            a = int(rest[0])
-        except ValueError as exc:
-            raise ArtifactParseError(f"{path}: bad action {rest[0]!r} at ({tau},{delta})") from exc
-        if not (1 <= tau <= t_max and 1 <= delta <= d_max):
-            raise ArtifactParseError(f"{path}: state ({tau},{delta}) outside grid")
-        acts[tau - 1, delta - 1] = a
-    if (acts < 0).any():
-        missing = np.argwhere(acts < 0)[0]
-        raise ArtifactParseError(
-            f"{path}: missing state ({missing[0] + 1},{missing[1] + 1})"
-        )
+    acts = _read_grid(path, POLICY_HEADER, np.int64)[:, :, 0]
     if not np.isin(acts, (0, 1, 2)).all():
         raise ArtifactParseError(f"{path}: actions must be 0, 1 or 2")
-    return Policy(actions=acts)
+    return Policy(actions=acts.astype(np.int8))
 
 
 def read_value_csv(path: str | Path) -> np.ndarray:
-    rows = _read_grid_rows(path, VALUE_HEADER, 3)
-    t_max, d_max = _grid_shape(path, rows)
-    v = np.full((t_max, d_max), np.nan)
-    for tau, delta, rest in rows:
-        try:
-            v[tau - 1, delta - 1] = float(rest[0])
-        except ValueError as exc:
-            raise ArtifactParseError(f"{path}: bad value {rest[0]!r} at ({tau},{delta})") from exc
-    if np.isnan(v).any():
-        missing = np.argwhere(np.isnan(v))[0]
-        raise ArtifactParseError(f"{path}: missing state ({missing[0] + 1},{missing[1] + 1})")
+    v = _read_grid(path, VALUE_HEADER, np.float64)[:, :, 0]
+    _reject_nan(path, v)
     return v
 
 
 def read_q_csv(path: str | Path) -> np.ndarray:
-    rows = _read_grid_rows(path, Q_HEADER, 5)
-    t_max, d_max = _grid_shape(path, rows)
-    q = np.full((t_max, d_max, 3), np.nan)
-    for tau, delta, rest in rows:
-        try:
-            q[tau - 1, delta - 1] = [float(x) for x in rest]
-        except ValueError as exc:
-            raise ArtifactParseError(f"{path}: bad Q row at ({tau},{delta})") from exc
-    if np.isnan(q).any():
-        missing = np.argwhere(np.isnan(q).any(axis=2))[0]
-        raise ArtifactParseError(f"{path}: missing state ({missing[0] + 1},{missing[1] + 1})")
+    q = _read_grid(path, Q_HEADER, np.float64)
+    _reject_nan(path, q)
     return q
 
 

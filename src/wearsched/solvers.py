@@ -15,11 +15,6 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceError, DomainError, EvaluationError, NumericalOverflowError
 from .mdp import Action, AgeState, MdpSpec
 
-# Above this state count, policy evaluation switches from a direct sparse
-# factorization to fixed-policy relative value iteration.
-DIRECT_SOLVE_MAX_STATES = 200_000
-
-
 @dataclass(frozen=True)
 class SolveOptions:
     """Solver options: span-seminorm stopping threshold, iteration cap, and
@@ -152,40 +147,21 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
     )
 
 
-def _policy_chain(mdp: MdpSpec, policy: Policy):
-    """Flat successors, hit probability and cost of every state under a
-    policy."""
-    hit, miss, p_hit = mdp.successors(policy.actions)
-    cost = np.take_along_axis(mdp.cost_table, policy.actions[:, :, None].astype(np.intp), axis=2)
-    return hit, miss, p_hit, cost.reshape(-1)
-
-
 def policy_evaluate(
-    mdp: MdpSpec,
-    policy: Policy,
-    ref_state: AgeState = AgeState(1, 1),
-    *,
-    iterative_tol: float = 1e-11,
-    iterative_max_iter: int = 2_000_000,
+    mdp: MdpSpec, policy: Policy, ref_state: AgeState = AgeState(1, 1)
 ) -> tuple[float, np.ndarray]:
     """Gain and relative value of a stationary policy.
 
     Solves gain + v(s) = c(s, policy(s)) + sum_s' P(s'|s) v(s') subject to
-    v(ref_state) = 0. Uses a direct sparse factorization up to
-    ``DIRECT_SOLVE_MAX_STATES`` states and fixed-policy relative value
-    iteration above that.
+    v(ref_state) = 0 with a direct sparse factorization.
     """
     if policy.shape != mdp.shape:
         raise DomainError(f"policy grid {policy.shape} does not match MDP grid {mdp.shape}")
     ref = mdp.state_index(ref_state)
-    if mdp.n_states > DIRECT_SOLVE_MAX_STATES:
-        return _evaluate_iterative(mdp, policy, ref, iterative_tol, iterative_max_iter)
-    return _evaluate_direct(mdp, policy, ref)
-
-
-def _evaluate_direct(mdp: MdpSpec, policy: Policy, ref: int) -> tuple[float, np.ndarray]:
     n = mdp.n_states
-    hit, miss, p_hit, b = _policy_chain(mdp, policy)
+    hit, miss, p_hit = mdp.successors(policy.actions)
+    cost = np.take_along_axis(mdp.cost_table, policy.actions[:, :, None].astype(np.intp), axis=2)
+    b = cost.reshape(-1)
 
     # Unknowns: v at every non-reference state, then the gain (last column).
     col_of = np.arange(n, dtype=np.int64)
@@ -244,28 +220,6 @@ def _condition_estimate(m: sp.csc_matrix, lu) -> float:
         return norm_m * float(spla.onenormest(inv_op))
     except Exception:
         return float("inf")
-
-
-def _evaluate_iterative(
-    mdp: MdpSpec, policy: Policy, ref: int, tol: float, max_iter: int
-) -> tuple[float, np.ndarray]:
-    hit, miss, p_hit, c = _policy_chain(mdp, policy)
-    v = np.zeros(mdp.n_states)
-    gain = 0.0
-    span = np.inf
-    for _ in range(max_iter):
-        w = c + (p_hit * v[hit] + (1.0 - p_hit) * v[miss])
-        gain = float(w[ref])
-        v_new = w - gain
-        diff = v_new - v
-        span = float(diff.max() - diff.min())
-        v = v_new
-        if span < tol:
-            return gain, v.reshape(mdp.shape)
-    raise ConvergenceError(
-        f"iterative policy evaluation did not reach span < {tol} in {max_iter} iterations",
-        residual=span,
-    )
 
 
 def structured_policy_iteration(

@@ -7,6 +7,7 @@ against a Riccati eigensolver route, both converged to 1e-12).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -159,3 +160,39 @@ def scalar_transmit_thresholds(q: np.ndarray, tau_renew: int) -> list[int]:
         thresholds.append(thr)
         cap = thr
     return thresholds
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def scalar_write_policy_csv(path, policy) -> None:
+    """Reference policy writer: one formatted line per state."""
+    t_max, d_max = policy.shape
+    lines = ["tau,delta,action"]
+    acts = policy.actions
+    for ti in range(t_max):
+        for dj in range(d_max):
+            lines.append(f"{ti + 1},{dj + 1},{int(acts[ti, dj])}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def scalar_write_value_csv(path, v: np.ndarray) -> None:
+    """Reference value writer: one formatted line per state."""
+    t_max, d_max = v.shape
+    lines = ["tau,delta,value"]
+    for ti in range(t_max):
+        for dj in range(d_max):
+            lines.append(f"{ti + 1},{dj + 1},{_fmt(v[ti, dj])}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def scalar_write_q_csv(path, q: np.ndarray) -> None:
+    """Reference Q-factor writer: one formatted line per state."""
+    t_max, d_max, _ = q.shape
+    lines = ["tau,delta,q_idle,q_transmit,q_renew"]
+    for ti in range(t_max):
+        for dj in range(d_max):
+            row = q[ti, dj]
+            lines.append(f"{ti + 1},{dj + 1},{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])}")
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from helpers import scalar_write_policy_csv, scalar_write_q_csv, scalar_write_value_csv
 from wearsched import ArtifactParseError, MissingArtifactError, Policy
 from wearsched.artifacts import (
     read_policy_csv,
@@ -74,3 +78,187 @@ def test_unparseable_value_raises(tmp_path):
     p.write_text("tau,delta,value\n1,1,abc\n")
     with pytest.raises(ArtifactParseError):
         read_value_csv(p)
+
+
+def test_wrong_field_count_names_the_line(tmp_path):
+    p = tmp_path / "p.csv"
+    p.write_text("tau,delta,action\n1,1,0\n1,2,1,5\n")
+    with pytest.raises(ArtifactParseError, match=r"p\.csv:3: expected 3 fields, got 4"):
+        read_policy_csv(p)
+
+
+def test_non_integer_coordinate_rejected(tmp_path):
+    p = tmp_path / "v.csv"
+    p.write_text("tau,delta,value\n1,1.5,0.25\n")
+    with pytest.raises(ArtifactParseError, match="v.csv"):
+        read_value_csv(p)
+
+
+def test_whitespace_only_lines_skipped(tmp_path):
+    p = tmp_path / "p.csv"
+    p.write_text("tau,delta,action\n1,1,0\n\n   \n1,2,1\n\t\n2,1,2\n2,2,1\n\n")
+    np.testing.assert_array_equal(read_policy_csv(p).actions, [[0, 1], [2, 1]])
+
+
+def test_shuffled_rows_round_trip(tmp_path):
+    rng = np.random.default_rng(3)
+    q = rng.normal(size=(7, 5, 3))
+    path = tmp_path / "q.csv"
+    write_q_csv(path, q)
+    header, *rows = path.read_text().splitlines()
+    rng.shuffle(rows)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    np.testing.assert_array_equal(read_q_csv(path), q)
+
+
+def test_duplicated_state_rejected(tmp_path):
+    p = tmp_path / "v.csv"
+    p.write_text("tau,delta,value\n1,1,0.5\n1,2,1.5\n2,1,2.5\n1,2,3.5\n")
+    with pytest.raises(ArtifactParseError, match="v.csv"):
+        read_value_csv(p)
+
+
+def test_trailing_comment_is_an_error(tmp_path):
+    p = tmp_path / "p.csv"
+    p.write_text("tau,delta,action\n1,1,0 # x\n")
+    with pytest.raises(ArtifactParseError, match="p.csv"):
+        read_policy_csv(p)
+
+
+def test_header_only_file_has_no_data_rows(tmp_path):
+    p = tmp_path / "q.csv"
+    p.write_text("tau,delta,q_idle,q_transmit,q_renew\n")
+    with pytest.raises(ArtifactParseError, match="no data rows"):
+        read_q_csv(p)
+
+
+# Doubles that stress the .17g formatting: signed zero, infinities, NaN,
+# subnormals, extreme exponents and integers.
+SPECIAL_DOUBLES = [
+    -0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.225e-308,
+    1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
+]
+doubles = st.one_of(
+    st.sampled_from(SPECIAL_DOUBLES),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**12), 10**12).map(float),
+)
+grid_shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+
+def assert_writers_match_references(tmp, acts, v, q):
+    for write, ref, grid in (
+        (write_policy_csv, scalar_write_policy_csv, Policy(actions=acts)),
+        (write_value_csv, scalar_write_value_csv, v),
+        (write_q_csv, scalar_write_q_csv, q),
+    ):
+        write(tmp / "new.csv", grid)
+        ref(tmp / "ref.csv", grid)
+        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+
+@given(data=st.data(), shape=grid_shapes)
+def test_writers_match_scalar_references(tmp_path_factory, data, shape):
+    assert_writers_match_references(
+        tmp_path_factory.mktemp("codec"),
+        data.draw(arrays(np.int8, shape, elements=st.integers(0, 2))),
+        data.draw(arrays(np.float64, shape, elements=doubles)),
+        data.draw(arrays(np.float64, (*shape, 3), elements=doubles)),
+    )
+
+
+def test_writers_match_scalar_references_320_by_3(tmp_path):
+    rng = np.random.default_rng(4)
+    assert_writers_match_references(
+        tmp_path,
+        rng.integers(0, 3, size=(320, 3)).astype(np.int8),
+        rng.normal(scale=1e6, size=(320, 3)) * 10.0 ** rng.integers(-200, 200, size=(320, 3)),
+        rng.normal(size=(320, 3, 3)) * 10.0 ** rng.integers(-20, 20, size=(320, 3, 3)),
+    )
+
+
+def test_value_reader_rejects_zero_coordinate(tmp_path):
+    # (0,1) must not wrap around to the last channel age.
+    p = tmp_path / "v.csv"
+    p.write_text("tau,delta,value\n1,1,0.5\n1,2,1.5\n0,1,2.5\n2,2,3.5\n")
+    with pytest.raises(ArtifactParseError, match=r"\(0,1\) outside grid"):
+        read_value_csv(p)
+
+
+def test_q_reader_rejects_zero_coordinate(tmp_path):
+    p = tmp_path / "q.csv"
+    p.write_text(
+        "tau,delta,q_idle,q_transmit,q_renew\n"
+        "1,1,1,2,3\n1,0,1,2,3\n2,1,1,2,3\n2,2,1,2,3\n"
+    )
+    with pytest.raises(ArtifactParseError, match=r"\(1,0\) outside grid"):
+        read_q_csv(p)
+
+
+@pytest.mark.parametrize("action", ["300", "-1", "3"])
+def test_out_of_range_action_rejected(tmp_path, action):
+    p = tmp_path / "p.csv"
+    p.write_text(f"tau,delta,action\n1,1,0\n1,2,{action}\n")
+    with pytest.raises(ArtifactParseError, match="actions must be"):
+        read_policy_csv(p)
+
+
+def test_undecodable_bytes_raise_parse_error(tmp_path):
+    p = tmp_path / "p.csv"
+    p.write_bytes(b"tau,delta,action\n1,1,\xff\n")
+    with pytest.raises(ArtifactParseError, match="p.csv"):
+        read_policy_csv(p)
+
+
+def test_directory_is_a_missing_artifact(tmp_path):
+    with pytest.raises(MissingArtifactError):
+        read_value_csv(tmp_path)
+
+
+MUTATION_ALPHABET = list(",.-+#e0123456789 \n\t\r\x00nai") + ["99999999999999999999", "1e999"]
+
+
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(["set", "insert", "delete"]),
+                  st.sampled_from(MUTATION_ALPHABET)),
+        min_size=1, max_size=4,
+    )
+)
+def test_mutated_files_read_or_raise_parse_error(tmp_path_factory, edits):
+    tmp = tmp_path_factory.mktemp("mutated")
+    rng = np.random.default_rng(5)
+    for write, read, grid in (
+        (write_policy_csv, read_policy_csv, Policy(actions=np.ones((3, 2), dtype=np.int8))),
+        (write_value_csv, read_value_csv, rng.normal(size=(3, 2))),
+        (write_q_csv, read_q_csv, rng.normal(size=(3, 2, 3))),
+    ):
+        write(tmp / "ok.csv", grid)
+        text = list((tmp / "ok.csv").read_text())
+        for pos, op, token in edits:
+            k = pos % len(text)
+            if op == "set":
+                text[k] = token
+            elif op == "insert":
+                text.insert(k, token)
+            elif len(text) > 1:
+                del text[k]
+        (tmp / "bad.csv").write_text("".join(text))
+        try:
+            read(tmp / "bad.csv")
+        except ArtifactParseError:
+            pass
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (read_value_csv, "tau,delta,value\n1,1,0.5\n1,2,nan\n"),
+        (read_q_csv, "tau,delta,q_idle,q_transmit,q_renew\n1,1,1,2,3\n1,2,1,nan,3\n"),
+    ],
+)
+def test_nan_rejected(tmp_path, read, text):
+    p = tmp_path / "g.csv"
+    p.write_text(text)
+    with pytest.raises(ArtifactParseError, match=r"NaN at state \(1,2\)"):
+        read(p)

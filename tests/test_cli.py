@@ -108,6 +108,19 @@ class TestVerify:
         assert code == 3
         assert payload["error"]["kind"] == "missing-artifact"
 
+    def test_out_of_range_action_exit_4(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_cli(capsys, "solve", "--config", cfg_path, "--out", out)
+        lines = (out / "policy.csv").read_text().splitlines()
+        lines[1] = "1,1,300"
+        (out / "bad.csv").write_text("\n".join(lines) + "\n")
+        code, payload = run_cli(
+            capsys, "verify", "--config", cfg_path, "--out", out,
+            "--policy", out / "bad.csv", "--value", out / "value.csv",
+        )
+        assert code == 4
+        assert payload["error"]["kind"] == "artifact-parse"
+
     def test_shipped_slow_decay_config_flags_aoi_only(self, tmp_path, capsys):
         # The slow-decay short-renewal setup is the canonical case where the
         # policy renews at low information age but transmits at high one.

@@ -29,7 +29,7 @@ from wearsched import (
     structured_policy_iteration,
     threshold_heuristic,
 )
-from wearsched.solvers import _evaluate_iterative, _monotone_improvement, _transmit_thresholds
+from wearsched.solvers import _monotone_improvement, _transmit_thresholds
 
 
 @pytest.fixture(scope="module")
@@ -228,14 +228,13 @@ class TestPolicyEvaluate:
         gain, _ = policy_evaluate(mdp, pol)
         assert gain == pytest.approx(res.gain, rel=1e-9)
 
-    def test_iterative_fallback_agrees_with_direct(self, small_case):
-        mdp = small_case.mdp
-        pol = small_case.rvi.policy
-        ref = mdp.state_index(AgeState(1, 1))
-        gain_d, v_d = policy_evaluate(mdp, pol)
-        gain_i, v_i = _evaluate_iterative(mdp, pol, ref, tol=1e-12, max_iter=10**6)
-        assert gain_i == pytest.approx(gain_d, abs=1e-8)
-        np.testing.assert_allclose(v_i, v_d, atol=1e-6)
+    def test_direct_solve_above_200k_states(self):
+        # Renew-everywhere is absorbed at (1, delta_max), so the gain is the
+        # cost of renewing there, whatever the grid size.
+        mdp = build_mdp(benchmark_system(1.0), benchmark_channel(), Truncation(450, 450))
+        assert mdp.n_states > 200_000
+        gain, _ = policy_evaluate(mdp, Policy(actions=np.full(mdp.shape, Action.RENEW, dtype=np.int8)))
+        assert gain == pytest.approx(mdp.cost_table[0, -1, Action.RENEW], rel=1e-12)
 
     def test_multichain_policy_raises(self):
         # A dead channel plus a policy with two absorbing loops of different
