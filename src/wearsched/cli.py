@@ -329,8 +329,17 @@ def run_sweep(
         raise ConfigError(field="sweep.axis", message=f"axis must be one of {SWEEP_AXES}")
     if not values:
         raise ConfigError(field="sweep.values", message="no sweep values given")
+    # Each point's directory, summary key and frontier rows carry its label.
+    labels = [f"{v:g}" for v in values]
+    repeated = sorted({x for x in labels if labels.count(x) > 1})
+    if repeated:
+        raise ConfigError(
+            field="sweep.values",
+            message=f"sweep values must have distinct labels; repeated: {', '.join(repeated)}",
+        )
+    label = dict(zip(values, labels))
     out_dir.mkdir(parents=True, exist_ok=True)
-    point_dirs = {v: out_dir / f"{axis}={v:g}" for v in values}
+    point_dirs = {v: out_dir / f"{axis}={label[v]}" for v in values}
 
     points: dict = {}
     if jobs > 1:
@@ -361,7 +370,7 @@ def run_sweep(
         fr = p["summary"]["frontier"]
         for dj, (tx, rn) in enumerate(zip(fr["transmit"], fr["renew"]), start=1):
             lines.append(
-                f"{axis},{v:g},{dj},{'' if tx is None else tx},{'' if rn is None else rn}"
+                f"{axis},{label[v]},{dj},{'' if tx is None else tx},{'' if rn is None else rn}"
             )
     (out_dir / "frontiers.csv").write_text("\n".join(lines) + "\n")
 
@@ -372,7 +381,7 @@ def run_sweep(
         "values": list(values),
         "base_config": cfg.echo(),
         "points": {
-            f"{v:g}": (
+            label[v]: (
                 {
                     "ok": p["ok"],
                     "directory": str(point_dirs[v].name),

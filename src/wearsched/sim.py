@@ -25,6 +25,8 @@ from .solvers import Policy
 
 # Number of contiguous batches used for the batch-means standard error.
 BATCH_COUNT = 32
+# Epochs drawn and stored per pass of the simulation loop.
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +71,25 @@ class SimStats:
         )
 
 
+def _fsum_counted(values: np.ndarray, counts: np.ndarray, sequence: np.ndarray) -> float:
+    """``math.fsum(sequence)`` for a sequence holding ``counts[i]`` copies of
+    ``values[i]``, in any order.
+
+    fsum returns the exact sum rounded once, so the same float follows from
+    the counts: each finite value is an integer over a power of two, and
+    Python's integer true division rounds correctly. Sequences that could
+    overflow, hold inf or NaN, or sum to zero go to fsum itself.
+    """
+    used = np.flatnonzero(counts)
+    vals = values[used]
+    if not np.all(np.isfinite(vals)) or np.abs(vals).max() >= 2.0**1000 / sequence.size:
+        return math.fsum(sequence)
+    ratios = [x.as_integer_ratio() for x in vals.tolist()]
+    den = max(d for _, d in ratios)
+    num = sum(k * m * (den // d) for (m, d), k in zip(ratios, counts[used].tolist()))
+    return num / den if num else math.fsum(sequence)  # fsum signs a zero total
+
+
 def replication_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """PCG64 generator for one replication; streams are split by seeding the
     generator with the entropy pair (seed, stream)."""
@@ -106,34 +127,37 @@ def simulate(
     cost_flat = mdp.cost_table.reshape(n, 3)[np.arange(n), act_flat]
     succ_hit, succ_miss, p_hit = mdp.successors(policy.actions)
 
-    # Plain-python lists make the sequential hot loop ~3x faster than ndarray
-    # scalar indexing. Idle and renew store their sole successor in both
-    # slots; testing is_tx first skips the slower numpy-scalar comparison.
+    # The hot loop touches only plain-python lists and floats: one uniform
+    # per epoch against a per-state threshold, theta for transmit and -1.0
+    # for idle and renew (whose sole successor sits in the miss slot), so
+    # ``u < threshold[s]`` alone picks the branch. Draws are taken and the
+    # visited states stored one chunk at a time, so no epoch-length list is
+    # ever built; PCG64 yields the same uniforms chunked as in one call.
     hit = succ_hit.tolist()
     miss = succ_miss.tolist()
-    theta = p_hit.tolist()
-    is_tx = (act_flat == Action.TRANSMIT).tolist()
-    draws = rng.random(epochs)
+    threshold = np.where(act_flat == Action.TRANSMIT, p_hit, -1.0).tolist()
     traj = np.empty(epochs, dtype=np.int64)
     s = start
-    for t in range(epochs):
-        traj[t] = s
-        if is_tx[s] and draws[t] < theta[s]:
-            s = hit[s]
-        else:
-            s = miss[s]
+    for lo in range(0, epochs, CHUNK):
+        visited = []
+        append = visited.append
+        for u in rng.random(min(CHUNK, epochs - lo)).tolist():
+            append(s)
+            s = hit[s] if u < threshold[s] else miss[s]
+        traj[lo : lo + len(visited)] = visited
 
     costs = cost_flat[traj]
-    actions = act_flat[traj]
-    slots = np.where(actions == Action.RENEW, mdp.channel.delta_r, 1)
-    tau_idx = traj // mdp.trunc.delta_max
-    delta_idx = traj % mdp.trunc.delta_max
+    visits = np.bincount(traj, minlength=n)
+    grid_visits = visits.reshape(mdp.shape)
+    action_counts = np.array([visits[act_flat == u].sum() for u in Action], dtype=np.int64)
+    slots = action_counts.sum() + (mdp.channel.delta_r - 1) * action_counts[Action.RENEW]
+    boundary = grid_visits[-1, :].sum() + grid_visits[:-1, -1].sum()
 
     # Exactly-rounded summation: with constant costs and a power-of-two epoch
     # count the average is bit-exact.
-    total_cost = math.fsum(costs)
+    total_cost = _fsum_counted(cost_flat, visits, costs)
     per_epoch = total_cost / epochs
-    per_slot = total_cost / int(slots.sum())
+    per_slot = total_cost / int(slots)
     batches = min(BATCH_COUNT, epochs)
     if batches >= 2:
         means = np.array([chunk.mean() for chunk in np.array_split(costs, batches)])
@@ -146,12 +170,10 @@ def simulate(
         per_epoch_avg_cost=per_epoch,
         per_slot_avg_cost=per_slot,
         std_error=std_error,
-        aoi_histogram=np.bincount(delta_idx, minlength=mdp.trunc.delta_max),
-        aoc_histogram=np.bincount(tau_idx, minlength=mdp.trunc.tau_max),
-        action_counts=np.bincount(actions, minlength=3),
-        boundary_hit_fraction=float(
-            np.mean((tau_idx == mdp.trunc.tau_max - 1) | (delta_idx == mdp.trunc.delta_max - 1))
-        ),
+        aoi_histogram=grid_visits.sum(axis=0),
+        aoc_histogram=grid_visits.sum(axis=1),
+        action_counts=action_counts,
+        boundary_hit_fraction=int(boundary) / epochs,
     )
 
 

@@ -9,6 +9,7 @@ interior region that excludes the rows/columns distorted by age clamping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -72,32 +73,29 @@ def _check_region(region: Region, shape: tuple[int, int]) -> None:
         raise DomainError(f"region {region} exceeds grid {shape}")
 
 
-def _axis_violations(arr: np.ndarray, region: Region, axis: str, rel_tol: float):
-    """Adjacent-pair decreases of ``arr`` along an age axis inside the region.
+def _adjacent(arr: np.ndarray, region: Region, axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """First and second states of every adjacent pair of ``arr`` along an
+    age axis inside the region (empty when the region spans one state)."""
+    sub = arr[region.tau_lo - 1 : region.tau_hi, region.delta_lo - 1 : region.delta_hi]
+    if axis == "aoc":
+        return sub[:-1], sub[1:]
+    return sub[:, :-1], sub[:, 1:]
 
-    Anchors each violation at the first state of the offending pair.
-    """
-    t0, t1 = region.tau_lo - 1, region.tau_hi  # half-open 0-based
-    d0, d1 = region.delta_lo - 1, region.delta_hi
-    sub = arr[t0:t1, d0:d1]
-    ax = 0 if axis == "aoc" else 1
-    if sub.shape[ax] < 2:
-        return []
-    lo = sub[:-1, :] if ax == 0 else sub[:, :-1]
-    hi = sub[1:, :] if ax == 0 else sub[:, 1:]
+
+def _listed(flagged: np.ndarray, amount: np.ndarray, region: Region, axis: str) -> list[Violation]:
+    """Violations at the flagged pairs, anchored at each pair's first state,
+    in row-major order, with plain-python fields."""
+    ti, di = np.nonzero(flagged)
+    taus, deltas = (ti + region.tau_lo).tolist(), (di + region.delta_lo).tolist()
+    return list(map(Violation._make, zip(taus, deltas, repeat(axis), amount[ti, di].astype(float).tolist())))
+
+
+def _axis_violations(arr: np.ndarray, region: Region, axis: str, rel_tol: float):
+    """Adjacent-pair decreases of ``arr`` along an age axis inside the region."""
+    lo, hi = _adjacent(arr, region, axis)
     drop = lo - hi
     tol = rel_tol * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-    out = []
-    for ti, di in np.argwhere(drop > tol):
-        out.append(
-            Violation(
-                tau=int(t0 + ti + 1),
-                delta=int(d0 + di + 1),
-                axis=axis,
-                magnitude=float(drop[ti, di]),
-            )
-        )
-    return out
+    return _listed(drop > tol, drop, region, axis)
 
 
 def check_value_monotone(
@@ -147,31 +145,10 @@ def check_submodular(
     _check_region(region, q.shape[:2])
     # Submodularity of Q in (age, u) for u in {0, 1} is equivalent to
     # Q(., transmit) - Q(., idle) nonincreasing along the age.
-    diff = q[:, :, 1] - q[:, :, 0]
-    t0, t1 = region.tau_lo - 1, region.tau_hi
-    d0, d1 = region.delta_lo - 1, region.delta_hi
-    sub = diff[t0:t1, d0:d1]
-    ax = 0 if pair_axis == "aoc" else 1
-    violations = []
-    if sub.shape[ax] >= 2:
-        lo = sub[:-1, :] if ax == 0 else sub[:, :-1]
-        hi = sub[1:, :] if ax == 0 else sub[:, 1:]
-        qreg = q[t0:t1, d0:d1, :]
-        qlo = qreg[:-1, :, :] if ax == 0 else qreg[:, :-1, :]
-        qhi = qreg[1:, :, :] if ax == 0 else qreg[:, 1:, :]
-        scale = 1.0 + np.maximum(
-            np.abs(qlo[:, :, :2]).max(axis=2), np.abs(qhi[:, :, :2]).max(axis=2)
-        )
-        excess = hi - lo
-        for ti, di in np.argwhere(excess > rel_tol * scale):
-            violations.append(
-                Violation(
-                    tau=int(t0 + ti + 1),
-                    delta=int(d0 + di + 1),
-                    axis=pair_axis,
-                    magnitude=float(excess[ti, di]),
-                )
-            )
+    lo, hi = _adjacent(q[:, :, 1] - q[:, :, 0], region, pair_axis)
+    qlo, qhi = _adjacent(np.abs(q[:, :, :2]).max(axis=2), region, pair_axis)
+    excess = hi - lo
+    violations = _listed(excess > rel_tol * (1.0 + np.maximum(qlo, qhi)), excess, region, pair_axis)
     return ViolationReport(
         kind=f"submodular-{pair_axis}", violations=tuple(violations), checked_region=region
     )

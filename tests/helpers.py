@@ -6,6 +6,7 @@ against a Riccati eigensolver route, both converged to 1e-12).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,16 +14,24 @@ import numpy as np
 
 from wearsched import (
     Action,
+    AgeState,
     ChannelModel,
+    DomainError,
     MdpSpec,
+    Policy,
+    Region,
+    SimStats,
     SolveOptions,
     SolveResult,
     SystemModel,
     Truncation,
+    Violation,
     build_mdp,
+    replication_rng,
     rvi_solve,
     structured_policy_iteration,
 )
+from wearsched.sim import BATCH_COUNT
 
 # Steady-state posterior covariance of the beta=0.9 benchmark system.
 PBAR_BETA_09 = np.array(
@@ -196,3 +205,139 @@ def scalar_write_q_csv(path, q: np.ndarray) -> None:
             row = q[ti, dj]
             lines.append(f"{ti + 1},{dj + 1},{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def scalar_simulate(
+    mdp: MdpSpec,
+    policy: Policy,
+    s0: AgeState = AgeState(1, 1),
+    epochs: int = 100_000,
+    seed: int = 0,
+    stream: int = 0,
+) -> SimStats:
+    """Reference simulator: one pass over all epochs with numpy-scalar reads
+    of the draws and stores into the trajectory, then full-length
+    post-processing of the trajectory and an fsum over the cost array."""
+    if epochs < 1:
+        raise DomainError(f"epochs must be >= 1, got {epochs}")
+    if policy.shape != mdp.shape:
+        raise DomainError(f"policy grid {policy.shape} does not match MDP grid {mdp.shape}")
+    start = mdp.state_index(s0)
+    rng = replication_rng(seed, stream)
+
+    n = mdp.n_states
+    act_flat = policy.actions.reshape(-1).astype(np.int64)
+    cost_flat = mdp.cost_table.reshape(n, 3)[np.arange(n), act_flat]
+    succ_hit, succ_miss, p_hit = mdp.successors(policy.actions)
+
+    hit = succ_hit.tolist()
+    miss = succ_miss.tolist()
+    theta = p_hit.tolist()
+    is_tx = (act_flat == Action.TRANSMIT).tolist()
+    draws = rng.random(epochs)
+    traj = np.empty(epochs, dtype=np.int64)
+    s = start
+    for t in range(epochs):
+        traj[t] = s
+        if is_tx[s] and draws[t] < theta[s]:
+            s = hit[s]
+        else:
+            s = miss[s]
+
+    costs = cost_flat[traj]
+    actions = act_flat[traj]
+    slots = np.where(actions == Action.RENEW, mdp.channel.delta_r, 1)
+    tau_idx = traj // mdp.trunc.delta_max
+    delta_idx = traj % mdp.trunc.delta_max
+
+    total_cost = math.fsum(costs)
+    per_epoch = total_cost / epochs
+    per_slot = total_cost / int(slots.sum())
+    batches = min(BATCH_COUNT, epochs)
+    if batches >= 2:
+        means = np.array([chunk.mean() for chunk in np.array_split(costs, batches)])
+        std_error = float(means.std(ddof=1) / np.sqrt(batches))
+    else:
+        std_error = 0.0
+
+    return SimStats(
+        epochs=epochs,
+        per_epoch_avg_cost=per_epoch,
+        per_slot_avg_cost=per_slot,
+        std_error=std_error,
+        aoi_histogram=np.bincount(delta_idx, minlength=mdp.trunc.delta_max),
+        aoc_histogram=np.bincount(tau_idx, minlength=mdp.trunc.tau_max),
+        action_counts=np.bincount(actions, minlength=3),
+        boundary_hit_fraction=float(
+            np.mean((tau_idx == mdp.trunc.tau_max - 1) | (delta_idx == mdp.trunc.delta_max - 1))
+        ),
+    )
+
+
+def _scalar_axis_violations(arr: np.ndarray, region: Region, axis: str, rel_tol: float):
+    """Reference violation list: adjacent-pair decreases along an age axis, one
+    ``Violation`` per flagged pair from per-element ``int``/``float`` calls."""
+    t0, t1 = region.tau_lo - 1, region.tau_hi  # half-open 0-based
+    d0, d1 = region.delta_lo - 1, region.delta_hi
+    sub = arr[t0:t1, d0:d1]
+    ax = 0 if axis == "aoc" else 1
+    if sub.shape[ax] < 2:
+        return []
+    lo = sub[:-1, :] if ax == 0 else sub[:, :-1]
+    hi = sub[1:, :] if ax == 0 else sub[:, 1:]
+    drop = lo - hi
+    tol = rel_tol * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+    out = []
+    for ti, di in np.argwhere(drop > tol):
+        out.append(
+            Violation(
+                tau=int(t0 + ti + 1),
+                delta=int(d0 + di + 1),
+                axis=axis,
+                magnitude=float(drop[ti, di]),
+            )
+        )
+    return out
+
+
+def scalar_value_violations(v: np.ndarray, region: Region, rel_tol: float) -> tuple:
+    """Reference violations of ``check_value_monotone``."""
+    return tuple(
+        _scalar_axis_violations(v, region, "aoi", rel_tol)
+        + _scalar_axis_violations(v, region, "aoc", rel_tol)
+    )
+
+
+def scalar_policy_violations(policy: Policy, axis: str, region: Region) -> tuple:
+    """Reference violations of ``check_policy_monotone``."""
+    return tuple(_scalar_axis_violations(policy.actions.astype(np.int64), region, axis, 0.0))
+
+
+def scalar_submodular_violations(q: np.ndarray, pair_axis: str, region: Region, rel_tol: float) -> tuple:
+    """Reference violations of ``check_submodular``."""
+    diff = q[:, :, 1] - q[:, :, 0]
+    t0, t1 = region.tau_lo - 1, region.tau_hi
+    d0, d1 = region.delta_lo - 1, region.delta_hi
+    sub = diff[t0:t1, d0:d1]
+    ax = 0 if pair_axis == "aoc" else 1
+    violations = []
+    if sub.shape[ax] >= 2:
+        lo = sub[:-1, :] if ax == 0 else sub[:, :-1]
+        hi = sub[1:, :] if ax == 0 else sub[:, 1:]
+        qreg = q[t0:t1, d0:d1, :]
+        qlo = qreg[:-1, :, :] if ax == 0 else qreg[:, :-1, :]
+        qhi = qreg[1:, :, :] if ax == 0 else qreg[:, 1:, :]
+        scale = 1.0 + np.maximum(
+            np.abs(qlo[:, :, :2]).max(axis=2), np.abs(qhi[:, :, :2]).max(axis=2)
+        )
+        excess = hi - lo
+        for ti, di in np.argwhere(excess > rel_tol * scale):
+            violations.append(
+                Violation(
+                    tau=int(t0 + ti + 1),
+                    delta=int(d0 + di + 1),
+                    axis=pair_axis,
+                    magnitude=float(excess[ti, di]),
+                )
+            )
+    return tuple(violations)

@@ -243,6 +243,31 @@ class TestSweep:
         assert all(p["ok"] for p in payload["points"].values())
 
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("values", ["0.9,0.9", "0.9,0.9000001,0.9"])
+    def test_colliding_labels_rejected_before_solving(self, cfg_path, tmp_path, capsys, values, jobs):
+        # 0.9000001 formats as "0.9" under the six significant digits of the
+        # point labels, so it would share beta=0.9/ and its summary key.
+        out = tmp_path / "sw"
+        code, payload = run_cli(
+            capsys, "sweep", "--config", cfg_path, "--out", out,
+            "--axis", "beta", "--values", values, "--jobs", jobs,
+        )
+        assert code == 2
+        assert payload["error"]["field"] == "sweep.values"
+        assert "0.9" in payload["error"]["message"]
+        assert not out.exists()
+
+    def test_near_values_with_distinct_labels_kept(self, cfg_path, tmp_path, capsys):
+        code, payload = run_cli(
+            capsys, "sweep", "--config", cfg_path, "--out", tmp_path / "sw",
+            "--axis", "beta", "--values", "0.9,0.900001",
+        )
+        assert code == 0
+        assert sorted(payload["points"]) == ["0.9", "0.900001"]
+        assert payload["points"]["0.900001"]["directory"] == "beta=0.900001"
+
+
 def test_config_echo_reruns_bit_identically(cfg_path, tmp_path, capsys):
     out1 = tmp_path / "first"
     _, payload = run_cli(capsys, "solve", "--config", cfg_path, "--out", out1)

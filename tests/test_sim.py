@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import benchmark_channel, benchmark_system
+from helpers import benchmark_channel, benchmark_mdp, benchmark_system, scalar_simulate
 from wearsched import (
     Action,
     AgeState,
     DomainError,
+    Policy,
+    SolveOptions,
     Truncation,
     boundary_renewal,
     build_mdp,
@@ -16,9 +20,11 @@ from wearsched import (
     policy_evaluate,
     replication_rng,
     simulate,
+    structured_policy_iteration,
     threshold_policy,
     transmit_always,
 )
+from wearsched.sim import CHUNK, _fsum_counted
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +109,111 @@ class TestSimulate:
             replication_rng(2**64)
         with pytest.raises(DomainError):
             replication_rng(5, stream=-2)
+
+
+class TestMatchesScalarLoop:
+    """The chunked, list-driven simulator against the per-epoch numpy-scalar
+    loop it replaced (``helpers.scalar_simulate``): every field bit-equal."""
+
+    @pytest.mark.parametrize("epochs", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    @settings(max_examples=15)
+    @given(
+        tau_max=st.integers(1, 12),
+        delta_max=st.integers(1, 12),
+        tau_d=st.integers(2, 14),
+        delta_r=st.integers(2, 14),
+        curve=st.sampled_from(["dead", "perfect", "decaying", "tie"]),
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_bit_identical(self, epochs, tau_max, delta_max, tau_d, delta_r, curve, seed, stream, data):
+        # "tie": the reliability equals the first uniform of the replication,
+        # so a transmission from s0 must fail (success needs u < theta).
+        u0 = replication_rng(seed, stream).random()
+        theta = {"dead": (0.0, 0.0), "perfect": (1.0, 1.0), "decaying": (0.95, 0.1), "tie": (u0, u0)}[curve]
+        mdp = build_mdp(
+            benchmark_system(0.9),
+            benchmark_channel(0.3, tau_d, delta_r, *theta),
+            Truncation(tau_max, delta_max),
+            require_headroom=False,
+        )
+        actions = np.random.default_rng(seed).integers(0, 3, size=mdp.shape).astype(np.int8)
+        policy = Policy(actions=actions)
+        s0 = AgeState(data.draw(st.integers(1, tau_max)), data.draw(st.integers(1, delta_max)))
+        got = simulate(mdp, policy, s0, epochs, seed, stream)
+        assert got == scalar_simulate(mdp, policy, s0, epochs, seed, stream)
+
+    def test_draw_equal_to_reliability_is_a_miss(self):
+        u0 = replication_rng(5, 0).random()
+        mdp = build_mdp(
+            benchmark_system(0.9), benchmark_channel(theta_max=u0, theta_min=u0), Truncation(30, 30)
+        )
+        stats = simulate(mdp, transmit_always(mdp.trunc), AgeState(1, 1), epochs=2, seed=5)
+        # The second epoch sits at information age 2, not back at 1.
+        assert stats.aoi_histogram[:2].tolist() == [1, 1]
+        assert stats == scalar_simulate(mdp, transmit_always(mdp.trunc), AgeState(1, 1), 2, 5)
+
+    def test_pinned_benchmark_marginal(self):
+        # benchmark-marginal at 40x40 under its SPI policy, seed 2024, as
+        # recorded with the per-epoch numpy-scalar loop.
+        mdp = benchmark_mdp(1.0, grid=40)
+        policy = structured_policy_iteration(mdp, SolveOptions(tol=1e-9, max_iter=500_000)).policy
+        expected = {
+            0: dict(
+                per_epoch_avg_cost=117.6491962120391,
+                per_slot_avg_cost=56.525915236992034,
+                std_error=0.23619079282231245,
+                boundary_hit_fraction=0.149703,
+                aoi_histogram=[123771, 123499, 122864, 121720, 117092, 92010, 82152, 53896, 32386, 31408]
+                + [0] * 11 + [23991, 22166, 3264, 33352, 4800, 3010, 2477, 1561, 925, 881]
+                + [0] * 8 + [2775],
+                aoc_histogram=[77239, 1, 1, 1, 1, 1, 77238, 69275, 69275, 69275, 69275, 1, 7964,
+                               3919, 3919, 3919, 69275, 22706, 26751, 23804, 1098, 5017, 47348,
+                               9296, 11464, 23153, 3042, 4238, 38529, 4571, 11086, 20110, 3042,
+                               3761, 34737, 4502, 11086, 20110, 3042, 146928],
+                action_counts=[386694, 536068, 77238],
+            ),
+            1: dict(
+                per_epoch_avg_cost=117.56274618701147,
+                per_slot_avg_cost=56.48893897213841,
+                std_error=0.18464564240655568,
+                boundary_hit_fraction=0.149573,
+                aoi_histogram=[123775, 123499, 122855, 121776, 117197, 92074, 82266, 53848, 32294, 31336]
+                + [0] * 11 + [23972, 22202, 3331, 33278, 4699, 2992, 2462, 1610, 930, 889]
+                + [0] * 8 + [2715],
+                aoc_histogram=[77226, 1, 1, 1, 1, 1, 77225, 69298, 69298, 69298, 69298, 1, 7927,
+                               3893, 3893, 3893, 69298, 22786, 26820, 23889, 1104, 4996, 47269,
+                               9203, 11378, 23224, 2995, 4240, 38519, 4709, 11006, 20230, 2995,
+                               3787, 34566, 4642, 11006, 20230, 2995, 146858],
+                action_counts=[386855, 535919, 77226],
+            ),
+        }
+        for stream, fields in expected.items():
+            stats = simulate(mdp, policy, epochs=1_000_000, seed=2024, stream=stream)
+            assert stats.epochs == 1_000_000
+            for name, value in fields.items():
+                got = getattr(stats, name)
+                assert (got.tolist() if isinstance(got, np.ndarray) else got) == value, name
+
+    @settings(max_examples=200)
+    @given(
+        values=st.lists(st.floats(), min_size=1, max_size=20),
+        data=st.data(),
+    )
+    def test_counted_sum_is_fsum(self, values, data):
+        counts = np.array(data.draw(st.lists(st.integers(0, 64), min_size=len(values), max_size=len(values))))
+        counts[0] += 1
+        values = np.array(values)
+        sequence = np.random.default_rng(0).permutation(np.repeat(values, counts))
+        try:
+            expected = math.fsum(sequence)
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                _fsum_counted(values, counts, sequence)
+            return
+        got = _fsum_counted(values, counts, sequence)
+        assert repr(got) == repr(expected)
 
 
 class TestTransmitAlways:

@@ -1,11 +1,17 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import scalar_policy_violations, scalar_submodular_violations, scalar_value_violations
 from wearsched import (
     DomainError,
     Policy,
     Region,
     ThresholdFrontier,
+    ViolationReport,
     check_policy_monotone,
     check_submodular,
     check_value_monotone,
@@ -13,6 +19,7 @@ from wearsched import (
     interior_region,
     threshold_frontier,
 )
+from wearsched.cli import _report_dict
 
 
 def region_of(case):
@@ -137,6 +144,88 @@ class TestSubmodular:
     def test_shape_validation(self):
         with pytest.raises(DomainError):
             check_submodular(np.zeros((4, 4)), "aoi", Region(1, 4, 1, 4))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf on purpose
+class TestMatchesScalarLists:
+    """The vectorised violation lists against the per-element loops they
+    replaced: equal tuples, plain-python fields, the same verify.json text."""
+
+    SPECIALS = np.array([0.0, 1.0, -1.0, 1e-9, np.nan, np.inf, -np.inf])
+
+    @classmethod
+    def _grid(cls, rng, shape):
+        # Half the entries from a few values (ties, NaN, +-inf), half normal.
+        special = rng.choice(cls.SPECIALS, size=shape)
+        return np.where(rng.random(shape) < 0.5, special, rng.normal(scale=10.0, size=shape))
+
+    @staticmethod
+    def _region(data, t_max, d_max):
+        tau_lo = data.draw(st.integers(1, t_max))
+        delta_lo = data.draw(st.integers(1, d_max))
+        return Region(
+            tau_lo, data.draw(st.integers(tau_lo, t_max)), delta_lo, data.draw(st.integers(delta_lo, d_max))
+        )
+
+    @staticmethod
+    def _assert_same(report, expected):
+        assert report.violations == expected
+        for v in report.violations:
+            assert type(v.tau) is int and type(v.delta) is int and type(v.magnitude) is float
+        reference = ViolationReport(report.kind, expected, report.checked_region)
+        assert json.dumps(_report_dict(report)) == json.dumps(_report_dict(reference))
+
+    @given(
+        t_max=st.integers(1, 12),
+        d_max=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        rel_tol=st.sampled_from([0.0, 1e-9, 1e-7, 0.5]),
+        data=st.data(),
+    )
+    def test_value_monotone(self, t_max, d_max, seed, rel_tol, data):
+        v = self._grid(np.random.default_rng(seed), (t_max, d_max))
+        region = self._region(data, t_max, d_max)
+        self._assert_same(
+            check_value_monotone(v, region, rel_tol), scalar_value_violations(v, region, rel_tol)
+        )
+
+    @given(
+        t_max=st.integers(1, 12),
+        d_max=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        axis=st.sampled_from(["aoc", "aoi"]),
+        data=st.data(),
+    )
+    def test_policy_monotone(self, t_max, d_max, seed, axis, data):
+        policy = Policy(actions=np.random.default_rng(seed).integers(0, 3, (t_max, d_max)).astype(np.int8))
+        region = self._region(data, t_max, d_max)
+        self._assert_same(
+            check_policy_monotone(policy, axis, region), scalar_policy_violations(policy, axis, region)
+        )
+
+    @given(
+        t_max=st.integers(1, 12),
+        d_max=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        axis=st.sampled_from(["aoc", "aoi"]),
+        rel_tol=st.sampled_from([0.0, 1e-7, 0.5]),
+        data=st.data(),
+    )
+    def test_submodular(self, t_max, d_max, seed, axis, rel_tol, data):
+        q = self._grid(np.random.default_rng(seed), (t_max, d_max, 3))
+        region = self._region(data, t_max, d_max)
+        self._assert_same(
+            check_submodular(q, axis, region, rel_tol), scalar_submodular_violations(q, axis, region, rel_tol)
+        )
+
+    def test_solved_instance(self, case_stable):
+        # Thousands of listed violations on a real Q grid (see the
+        # channel-age discrepancy above), full grid and interior.
+        q = case_stable.rvi.q
+        for region in (region_of(case_stable), full_region(case_stable.mdp.trunc)):
+            report = check_submodular(q, "aoc", region)
+            assert report.count() > 1000
+            self._assert_same(report, scalar_submodular_violations(q, "aoc", region, 1e-7))
 
 
 class TestThresholdFrontier:
