@@ -104,6 +104,7 @@ def _result_dict(res: SolveResult) -> dict:
         "lambda": res.gain,
         "iterations": res.iterations,
         "residual": res.residual,
+        "lambda_bounds": list(res.lambda_bounds),
         "skipped_q_evals": res.skipped_q_evals,
     }
 
@@ -485,6 +486,12 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise ConfigError(field="sweep.values", message=str(exc)) from exc
             if args.axis in ("tau_d", "delta_r"):
+                fractional = [f"{x:g}" for x in values if not x.is_integer()]
+                if fractional:
+                    raise ConfigError(
+                        field="sweep.values",
+                        message=f"{args.axis} takes integer values; got {', '.join(fractional)}",
+                    )
                 values = [int(v) for v in values]
             payload, code = run_sweep(cfg, out_dir, args.axis, values, args.jobs, args.emit_q)
     except Exception as exc:  # noqa: BLE001 - classified and reported below

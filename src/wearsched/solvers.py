@@ -15,10 +15,22 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceError, DomainError, EvaluationError, NumericalOverflowError
 from .mdp import Action, AgeState, MdpSpec
 
+# Differences of values of size M resolve only to about one unit in the last
+# place of M: RVI's stopping span is floored, and every lambda* bracket
+# widened, by this many of them.
+FLOAT_FLOOR_ULPS = 2
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Solver options: span-seminorm stopping threshold, iteration cap, and
-    the reference state used to anchor relative values."""
+    the reference state used to anchor relative values.
+
+    Relative value iteration stops at the first iterate v whose Bellman
+    difference Tv - v has span below ``max(tol, 2 * spacing(max|v|))``: the
+    span cannot shrink much below one unit in the last place of the values,
+    so a tolerance under that float resolution is met at the floor instead.
+    """
 
     tol: float = 1e-9
     max_iter: int = 200_000
@@ -64,7 +76,14 @@ class Policy:
 @dataclass(frozen=True)
 class SolveResult:
     """Solver output: optimal average cost, relative values anchored at the
-    reference state, the greedy policy, and convergence diagnostics."""
+    reference state, the greedy policy, and convergence diagnostics.
+
+    ``lambda_bounds`` is the bracket [min(Tv - v), max(Tv - v)] read off the
+    returned Q-factors, widened outward by the float resolution of Tv - v;
+    it contains the optimal average cost lambda* (Odoni 1969) whatever
+    policy the solver returns, so for the threshold heuristic it also bounds
+    the heuristic's gap to the optimum.
+    """
 
     gain: float
     v: np.ndarray           # (tau_max, delta_max), v[ref] == 0
@@ -72,6 +91,7 @@ class SolveResult:
     iterations: int
     residual: float
     q: np.ndarray           # (tau_max, delta_max, 3) Q-factors at v
+    lambda_bounds: tuple[float, float]
     skipped_q_evals: int | None = None
 
 
@@ -94,10 +114,32 @@ def q_backup(mdp: MdpSpec, v: np.ndarray) -> np.ndarray:
     return np.stack(_q_actions(mdp, v), axis=2)
 
 
-def _bellman_residual(q_actions, v: np.ndarray, gain: float) -> float:
-    """Largest violation of the optimality equation, max |min_u Q - v - gain|."""
+def _bracket(lo: float, hi: float, v: np.ndarray) -> tuple[float, float]:
+    """The bracket [lo, hi] = [min(Tv - v), max(Tv - v)] on lambda*, widened
+    outward by ``FLOAT_FLOOR_ULPS`` units in the last place of
+    max|v| + max(|lo|, |hi|), a bound on |Tv|: each difference Tv - v carries
+    rounding errors of about that size."""
+    eps = FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max() + max(abs(lo), abs(hi))))
+    return lo - eps, hi + eps
+
+
+def _finish(gain, v, policy, iterations, q_actions, **extra) -> SolveResult:
+    """Result of a policy-evaluation solver at its final (gain, v): the
+    bracket from the Q-factors at v, and as residual the largest violation
+    of the optimality equation, max |Tv - v - gain|."""
     q_idle, q_tx, q_renew = q_actions
-    return float(np.abs(np.minimum(np.minimum(q_idle, q_tx), q_renew) - v - gain).max())
+    diff = np.minimum(np.minimum(q_idle, q_tx), q_renew) - v
+    lo, hi = float(diff.min()), float(diff.max())
+    return SolveResult(
+        gain=gain,
+        v=v,
+        policy=policy,
+        iterations=iterations,
+        residual=max(hi - gain, gain - lo),
+        q=np.stack(q_actions, axis=2),
+        lambda_bounds=_bracket(lo, hi, v),
+        **extra,
+    )
 
 
 def greedy_policy(q: np.ndarray) -> Policy:
@@ -105,31 +147,37 @@ def greedy_policy(q: np.ndarray) -> Policy:
     return Policy(actions=np.argmin(q, axis=2))
 
 
+# Share of the Bellman difference each RVI step applies.
+RVI_DAMPING = 0.9
+
+
 def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
     """Relative value iteration for the optimal average cost.
 
-    Repeats: Q-backup, pointwise minimization, renormalization by the value
-    at the reference state; stops when the span seminorm of successive
-    relative-value differences drops below ``opts.tol``.
+    Repeats: Q-backup, pointwise minimization, the damped step
+    v <- v + RVI_DAMPING * (Tv - v) and renormalization by the value at the
+    reference state. Damping is the aperiodicity transform (Schweitzer 1971;
+    Puterman 1994, section 8.5.4): it keeps the fixed points and breaks the
+    near-periodic age cycles that slow the undamped iteration. Stops as
+    ``SolveOptions`` describes and returns that iterate, its gain Tv - v at
+    the reference state and its bracket on lambda*.
     """
     ref = mdp.state_index(opts.ref_state)
     v = np.zeros(mdp.shape)
     history: list[float] = []
     for n in range(1, opts.max_iter + 1):
         q_idle, q_tx, q_renew = q = _q_actions(mdp, v)
-        vt = np.minimum(np.minimum(q_idle, q_tx), q_renew)
-        gain = float(vt.reshape(-1)[ref])
-        v_new = vt - gain
-        diff = v_new - v
-        span = float(diff.max() - diff.min())
+        diff = np.minimum(np.minimum(q_idle, q_tx), q_renew) - v
+        lo, hi = float(diff.min()), float(diff.max())
+        span = hi - lo
         if not np.isfinite(span):
             raise NumericalOverflowError(
                 "relative value iteration produced non-finite values; the grid "
                 "truncation may be too small or the configuration unstable"
             )
         history.append(span)
-        v = v_new
-        if span < opts.tol:
+        gain = float(diff.reshape(-1)[ref])
+        if span < max(opts.tol, FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max()))):
             q = np.stack(q, axis=2)
             return SolveResult(
                 gain=gain,
@@ -138,7 +186,11 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
                 iterations=n,
                 residual=span,
                 q=q,
+                lambda_bounds=_bracket(lo, hi, v),
             )
+        diff -= gain
+        diff *= RVI_DAMPING
+        v += diff
     raise ConvergenceError(
         f"relative value iteration did not reach span < {opts.tol} in "
         f"{opts.max_iter} iterations (last span {history[-1]:.3e})",
@@ -243,15 +295,7 @@ def structured_policy_iteration(
         new_actions, skips = _monotone_improvement(*q)
         skipped += skips
         if np.array_equal(new_actions, actions):
-            return SolveResult(
-                gain=gain,
-                v=v,
-                policy=Policy(actions=actions),
-                iterations=sweep,
-                residual=_bellman_residual(q, v, gain),
-                q=np.stack(q, axis=2),
-                skipped_q_evals=skipped,
-            )
+            return _finish(gain, v, Policy(actions=actions), sweep, q, skipped_q_evals=skipped)
         actions = new_actions
     raise ConvergenceError(
         f"policy iteration did not terminate within {opts.max_iter} sweeps",
@@ -433,12 +477,4 @@ def _threshold_solve_fixed(mdp: MdpSpec, opts: SolveOptions, tau_renew: int) -> 
         thresholds = new_thresholds
     assert best is not None
     gain, v, actions, sweep = best
-    q = _q_actions(mdp, v)
-    return SolveResult(
-        gain=gain,
-        v=v,
-        policy=Policy(actions=actions),
-        iterations=sweep,
-        residual=_bellman_residual(q, v, gain),
-        q=np.stack(q, axis=2),
-    )
+    return _finish(gain, v, Policy(actions=actions), sweep, _q_actions(mdp, v))

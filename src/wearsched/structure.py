@@ -9,7 +9,8 @@ interior region that excludes the rows/columns distorted by age clamping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -59,10 +60,29 @@ class ViolationReport:
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return self.count() == 0
 
     def count(self) -> int:
         return len(self.violations)
+
+
+class _FlaggedReport(ViolationReport):
+    """The report a check returns: it keeps the flagged adjacent-pair masks,
+    counts them without listing, and builds the violation list on first use."""
+
+    def __init__(self, kind: str, region: Region, flags: list[tuple[np.ndarray, np.ndarray, str]]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "checked_region", region)
+        object.__setattr__(self, "_flags", flags)
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        return tuple(chain.from_iterable(
+            _listed(flagged, amount, self.checked_region, axis) for flagged, amount, axis in self._flags
+        ))
+
+    def count(self) -> int:
+        return sum(int(np.count_nonzero(flagged)) for flagged, _, _ in self._flags)
 
 
 def _check_region(region: Region, shape: tuple[int, int]) -> None:
@@ -90,12 +110,13 @@ def _listed(flagged: np.ndarray, amount: np.ndarray, region: Region, axis: str) 
     return list(map(Violation._make, zip(taus, deltas, repeat(axis), amount[ti, di].astype(float).tolist())))
 
 
-def _axis_violations(arr: np.ndarray, region: Region, axis: str, rel_tol: float):
-    """Adjacent-pair decreases of ``arr`` along an age axis inside the region."""
+def _axis_flags(arr: np.ndarray, region: Region, axis: str, rel_tol: float):
+    """Adjacent-pair decreases of ``arr`` along an age axis inside the region:
+    the flagged mask, the drops and the axis."""
     lo, hi = _adjacent(arr, region, axis)
     drop = lo - hi
     tol = rel_tol * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-    return _listed(drop > tol, drop, region, axis)
+    return drop > tol, drop, axis
 
 
 def check_value_monotone(
@@ -103,12 +124,8 @@ def check_value_monotone(
 ) -> ViolationReport:
     """Flag pairs where the relative value decreases in either age."""
     _check_region(region, v.shape)
-    violations = _axis_violations(v, region, "aoi", rel_tol) + _axis_violations(
-        v, region, "aoc", rel_tol
-    )
-    return ViolationReport(
-        kind="value-monotone", violations=tuple(violations), checked_region=region
-    )
+    flags = [_axis_flags(v, region, "aoi", rel_tol), _axis_flags(v, region, "aoc", rel_tol)]
+    return _FlaggedReport("value-monotone", region, flags)
 
 
 def check_policy_monotone(policy: Policy, axis: str, region: Region) -> ViolationReport:
@@ -121,10 +138,7 @@ def check_policy_monotone(policy: Policy, axis: str, region: Region) -> Violatio
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
     _check_region(region, policy.shape)
     acts = policy.actions.astype(np.int64)
-    violations = _axis_violations(acts, region, axis, rel_tol=0.0)
-    return ViolationReport(
-        kind=f"policy-monotone-{axis}", violations=tuple(violations), checked_region=region
-    )
+    return _FlaggedReport(f"policy-monotone-{axis}", region, [_axis_flags(acts, region, axis, 0.0)])
 
 
 def check_submodular(
@@ -148,10 +162,8 @@ def check_submodular(
     lo, hi = _adjacent(q[:, :, 1] - q[:, :, 0], region, pair_axis)
     qlo, qhi = _adjacent(np.abs(q[:, :, :2]).max(axis=2), region, pair_axis)
     excess = hi - lo
-    violations = _listed(excess > rel_tol * (1.0 + np.maximum(qlo, qhi)), excess, region, pair_axis)
-    return ViolationReport(
-        kind=f"submodular-{pair_axis}", violations=tuple(violations), checked_region=region
-    )
+    flagged = excess > rel_tol * (1.0 + np.maximum(qlo, qhi))
+    return _FlaggedReport(f"submodular-{pair_axis}", region, [(flagged, excess, pair_axis)])
 
 
 @dataclass(frozen=True)

@@ -258,6 +258,32 @@ class TestSweep:
         assert "0.9" in payload["error"]["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("axis,values", [("tau_d", "5,6.7"), ("delta_r", "15.5")])
+    def test_fractional_age_values_rejected_before_solving(
+        self, cfg_path, tmp_path, capsys, axis, values, jobs
+    ):
+        # Wear and renewal downtime are whole numbers of slots; truncating
+        # 6.7 would silently solve tau_d=6.
+        out = tmp_path / "sw"
+        code, payload = run_cli(
+            capsys, "sweep", "--config", cfg_path, "--out", out,
+            "--axis", axis, "--values", values, "--jobs", jobs,
+        )
+        assert code == 2
+        assert payload["error"]["field"] == "sweep.values"
+        assert values.split(",")[-1] in payload["error"]["message"]
+        assert not out.exists()
+
+    def test_integral_age_values_keep_integer_labels(self, cfg_path, tmp_path, capsys):
+        code, payload = run_cli(
+            capsys, "sweep", "--config", cfg_path, "--out", tmp_path / "sw",
+            "--axis", "tau_d", "--values", "5,6.0",
+        )
+        assert code == 0
+        assert payload["values"] == [5, 6]
+        assert sorted(payload["points"]) == ["5", "6"]
+
     def test_near_values_with_distinct_labels_kept(self, cfg_path, tmp_path, capsys):
         code, payload = run_cli(
             capsys, "sweep", "--config", cfg_path, "--out", tmp_path / "sw",

@@ -1,10 +1,14 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     benchmark_channel,
+    benchmark_mdp,
     benchmark_system,
     eventually_reachable,
     scalar_spi_improvement,
@@ -29,7 +33,11 @@ from wearsched import (
     structured_policy_iteration,
     threshold_heuristic,
 )
+from wearsched.artifacts import write_policy_csv
+from wearsched.config import load_config
 from wearsched.solvers import _monotone_improvement, _transmit_thresholds
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +199,69 @@ class TestRvi:
     def test_greedy_consistency(self, small_case):
         res = small_case.rvi
         np.testing.assert_array_equal(res.policy.actions, np.argmin(res.q, axis=2))
+
+    @settings(max_examples=150)
+    @given(
+        tau_max=st.integers(1, 12),
+        delta_max=st.integers(1, 12),
+        tau_d=st.integers(2, 14),
+        delta_r=st.integers(2, 14),
+        beta=st.sampled_from([0.5, 0.9, 1.0, 1.1]),
+        curve=st.sampled_from(["dead", "perfect", "decaying"]),
+    )
+    def test_bracket_contains_gains(self, tau_max, delta_max, tau_d, delta_r, beta, curve):
+        # [min(Tv - v), max(Tv - v)] brackets lambda* whatever v is, so each
+        # solver's bracket holds the exact gain of the optimal policy SPI
+        # finds; RVI's and SPI's also hold their own gains.
+        theta = {"dead": (0.0, 0.0), "perfect": (1.0, 1.0), "decaying": (0.95, 0.1)}[curve]
+        mdp = build_mdp(
+            benchmark_system(beta),
+            benchmark_channel(0.3, tau_d, delta_r, *theta),
+            Truncation(tau_max, delta_max),
+            require_headroom=False,
+        )
+        rvi = rvi_solve(mdp)
+        spi = structured_policy_iteration(mdp)
+        exact, _ = policy_evaluate(mdp, spi.policy)
+        lo, hi = rvi.lambda_bounds
+        assert lo <= rvi.gain <= hi
+        assert lo <= exact <= hi
+        assert hi - lo >= rvi.residual
+        spi_lo, spi_hi = spi.lambda_bounds
+        assert spi_lo <= spi.gain <= spi_hi
+        assert spi_lo <= exact <= spi_hi
+        heuristic_lo, heuristic_hi = threshold_heuristic(mdp).lambda_bounds
+        assert heuristic_lo <= exact <= heuristic_hi
+
+    def test_benchmark_policy_unchanged_by_damping(self, tmp_path):
+        # policy.csv of benchmark-marginal at 160x160, as undamped RVI wrote
+        # it in 1395 iterations; the benchmark gate pins the same digest.
+        cfg = load_config(
+            CONFIG_DIR / "benchmark-marginal.yaml",
+            overrides=["truncation.tau_max=160", "truncation.delta_max=160"],
+        )
+        mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
+        res = rvi_solve(mdp, cfg.solver.options())
+        write_policy_csv(tmp_path / "policy.csv", res.policy)
+        digest = hashlib.sha256((tmp_path / "policy.csv").read_bytes()).hexdigest()
+        assert digest == "6baca134120b5719349dae01587d727cb3f4a4f9ec3852cd21a9f77eb74dec57"
+        assert res.gain == pytest.approx(118.38262467824372, rel=1e-10)
+        assert res.iterations < 400
+
+    @pytest.mark.parametrize("beta,grid", [(1.05, 160), (1.1, 160), (1.1, 80)])
+    def test_float_floor_stops_large_value_instances(self, beta, grid):
+        # max|v| reaches 5e9 (beta=1.05) and 6e15 (beta=1.1) at 160x160 and
+        # 1.4e9 at 80x80, where a span of 1e-9 is below one unit in the last
+        # place of the values. At 80x80 the damped span levels off at about
+        # one such unit, so a floor of one unit would never be met.
+        mdp = benchmark_mdp(beta, grid=grid)
+        opts = SolveOptions(tol=1e-9, max_iter=500_000)
+        rvi = rvi_solve(mdp, opts)
+        assert rvi.iterations < 400
+        assert rvi.residual >= opts.tol
+        assert rvi.residual < 2 * np.spacing(np.abs(rvi.v).max())
+        lo, hi = rvi.lambda_bounds
+        assert lo <= structured_policy_iteration(mdp, opts).gain <= hi
 
     def test_options_validation(self):
         with pytest.raises(DomainError):

@@ -218,6 +218,15 @@ class TestMatchesScalarLists:
             check_submodular(q, axis, region, rel_tol), scalar_submodular_violations(q, axis, region, rel_tol)
         )
 
+    def test_counts_read_the_masks(self, case_stable):
+        # verify counts the full-grid violations only; the count and the
+        # verdict must not build the list, and must agree with it.
+        q = case_stable.rvi.q
+        report = check_submodular(q, "aoc", full_region(case_stable.mdp.trunc))
+        assert report.count() > 1000 and not report.passed
+        assert "violations" not in vars(report)
+        assert report.count() == len(report.violations)
+
     def test_solved_instance(self, case_stable):
         # Thousands of listed violations on a real Q grid (see the
         # channel-age discrepancy above), full grid and interior.
