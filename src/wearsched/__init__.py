@@ -3,14 +3,16 @@ channel that wears with time and use.
 
 The package builds the two-age average-cost MDP for a linear Gaussian system
 watched through a wearing channel, solves it (relative value iteration,
-structured policy iteration, exhaustive oracle, threshold heuristic),
-verifies the structural properties of solutions numerically, and validates
-them by Monte-Carlo simulation.
+structured policy iteration, threshold heuristic), verifies the structural
+properties of solutions numerically, and validates them by Monte-Carlo
+simulation. The MDP's kernel is one representation, the clamped age-shift
+index vectors of ``MdpSpec``; the command line (``wearsched.cli``) runs the
+solve, verify, simulate and sweep pipelines.
 """
 
 __version__ = "0.1.0"
 
-from .channel import ChannelModel, aoc_next, aoi_next, exponential_curve
+from .channel import ChannelModel
 from .errors import (
     ArtifactParseError,
     ConfigError,
@@ -38,7 +40,6 @@ from .solvers import (
     Policy,
     SolveOptions,
     SolveResult,
-    brute_force_optimal,
     greedy_policy,
     policy_evaluate,
     q_backup,
@@ -86,15 +87,11 @@ __all__ = [
     "Violation",
     "ViolationReport",
     "WearschedError",
-    "aoc_next",
-    "aoi_next",
     "boundary_renewal",
-    "brute_force_optimal",
     "build_mdp",
     "check_policy_monotone",
     "check_submodular",
     "check_value_monotone",
-    "exponential_curve",
     "full_region",
     "greedy_policy",
     "interior_region",

@@ -1,35 +1,24 @@
-"""Wearing channel: reliability curve and age-update rules.
+"""Wearing channel: the reliability-versus-age curve and the wear parameters.
 
 The channel ages by one slot per idle epoch, by ``tau_d`` slots per
 transmission, and resets to 1 on renewal (which occupies ``delta_r`` slots).
-Reliability is a nonincreasing function of the channel age, bounded between
-``theta_min`` and ``theta_max``.
+Reliability decays exponentially in the channel age, from ``theta_max``
+toward ``theta_min``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 
-# Channel ages sampled when validating a user-supplied reliability curve.
-_CURVE_CHECK_GRID = 10_000
-
-ReliabilityCurve = Callable[[np.ndarray], np.ndarray]
-
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Wear parameters plus the reliability-versus-age curve.
-
-    ``curve`` maps an array of ages (>= 1) to success probabilities; when None
-    the exponential decay curve
-    ``theta(tau) = (theta_max - theta_min) * exp(-alpha * tau) + theta_min``
-    is used. A custom curve is validated on a sampled grid: it must stay in
-    [theta_min, theta_max] and be nonincreasing.
+    """Wear parameters plus the reliability-versus-age curve
+    ``theta(tau) = (theta_max - theta_min) * exp(-alpha * tau) + theta_min``.
     """
 
     theta_max: float
@@ -37,7 +26,6 @@ class ChannelModel:
     alpha: float
     tau_d: int
     delta_r: int
-    curve: ReliabilityCurve | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.theta_min <= self.theta_max <= 1.0:
@@ -53,68 +41,13 @@ class ChannelModel:
             raise DomainError(f"delta_r must be an integer > 1, got {self.delta_r}")
         object.__setattr__(self, "tau_d", int(self.tau_d))
         object.__setattr__(self, "delta_r", int(self.delta_r))
-        if self.curve is not None:
-            grid = np.arange(1, _CURVE_CHECK_GRID + 1)
-            vals = np.asarray(self.curve(grid), dtype=float)
-            if vals.shape != grid.shape:
-                raise DomainError("reliability curve must be vectorized over ages")
-            if np.any(vals < self.theta_min - 1e-12) or np.any(vals > self.theta_max + 1e-12):
-                raise DomainError("reliability curve leaves [theta_min, theta_max]")
-            if np.any(np.diff(vals) > 1e-12):
-                raise DomainError("reliability curve must be nonincreasing in the age")
 
     def reliability(self, tau):
         """Success probability at channel age ``tau`` (scalar or array)."""
         arr = np.asarray(tau)
         if np.any(arr < 1):
             raise DomainError(f"channel age must be >= 1, got {tau}")
-        if self.curve is None:
-            vals = (self.theta_max - self.theta_min) * np.exp(-self.alpha * arr) + self.theta_min
-        else:
-            vals = np.asarray(self.curve(np.atleast_1d(arr)), dtype=float)
-            if np.isscalar(tau) or arr.ndim == 0:
-                return float(vals[0])
-            return vals
+        vals = (self.theta_max - self.theta_min) * np.exp(-self.alpha * arr) + self.theta_min
         if np.isscalar(tau) or arr.ndim == 0:
             return float(vals)
         return vals
-
-
-def aoc_next(ch: ChannelModel, tau: int, u: int, tau_max: int) -> int:
-    """Channel age after one decision epoch, clamped to ``tau_max``."""
-    if not 1 <= tau <= tau_max:
-        raise DomainError(f"channel age {tau} outside [1, {tau_max}]")
-    if u == 0:
-        return min(tau + 1, tau_max)
-    if u == 1:
-        return min(tau + ch.tau_d, tau_max)
-    if u == 2:
-        return 1
-    raise DomainError(f"invalid action {u!r}, expected 0, 1 or 2")
-
-
-def aoi_next(delta: int, u: int, success: bool, delta_r: int, delta_max: int) -> int:
-    """Information age after one decision epoch, clamped to ``delta_max``.
-
-    ``success`` may be True only for the transmit action.
-    """
-    if not 1 <= delta <= delta_max:
-        raise DomainError(f"information age {delta} outside [1, {delta_max}]")
-    if u not in (0, 1, 2):
-        raise DomainError(f"invalid action {u!r}, expected 0, 1 or 2")
-    if success and u != 1:
-        raise DomainError("a reception can only happen on a transmit action")
-    if u == 1 and success:
-        return 1
-    if u == 2:
-        return min(delta + delta_r, delta_max)
-    return min(delta + 1, delta_max)
-
-
-def exponential_curve(theta_max: float, theta_min: float, alpha: float) -> ReliabilityCurve:
-    """The default decay curve as a standalone callable (for custom-curve plumbing)."""
-
-    def curve(tau: np.ndarray) -> np.ndarray:
-        return (theta_max - theta_min) * np.exp(-alpha * np.asarray(tau)) + theta_min
-
-    return curve

@@ -13,6 +13,7 @@ import concurrent.futures
 import json
 import sys
 import time
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .artifacts import (
     write_q_csv,
     write_value_csv,
 )
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, validate_config_dict
 from .errors import (
     ArtifactParseError,
     ConfigError,
@@ -117,9 +118,14 @@ def _report_dict(report, max_listed: int = 50) -> dict:
         "checked_region": list(report.checked_region),
         "violations": [
             {"tau": v.tau, "delta": v.delta, "axis": v.axis, "magnitude": v.magnitude}
-            for v in report.violations[:max_listed]
+            for v in report.head(max_listed)
         ],
     }
+
+
+def _check_grid(name: str, shape: tuple, configured: tuple) -> None:
+    if shape != configured:
+        raise ArtifactParseError(f"{name} grid {shape} does not match configured grid {configured}")
 
 
 def _frontier_dict(policy: Policy) -> dict:
@@ -167,6 +173,18 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, emit_q: bool) -> dict:
     return summary
 
 
+# Every structural check verify runs, in report order, as kind -> call on
+# (policy, v, q, region). The check functions are looked up when called, so a
+# wrapper installed on this module's names sees every call.
+VERIFY_CHECKS = {
+    "value-monotone": lambda policy, v, q, region: check_value_monotone(v, region),
+    "policy-monotone-aoi": lambda policy, v, q, region: check_policy_monotone(policy, "aoi", region),
+    "policy-monotone-aoc": lambda policy, v, q, region: check_policy_monotone(policy, "aoc", region),
+    "submodular-aoc": lambda policy, v, q, region: check_submodular(q, "aoc", region),
+    "submodular-aoi": lambda policy, v, q, region: check_submodular(q, "aoi", region),
+}
+
+
 def run_verify(
     cfg: ExperimentConfig,
     out_dir: Path,
@@ -187,19 +205,10 @@ def run_verify(
             raise MissingArtifactError("verification from artifacts needs both --policy and --value")
         policy = read_policy_csv(policy_path)
         v = read_value_csv(value_path)
-        if policy.shape != mdp.shape:
-            raise ArtifactParseError(
-                f"policy grid {policy.shape} does not match configured grid {mdp.shape}"
-            )
-        if v.shape != mdp.shape:
-            raise ArtifactParseError(
-                f"value grid {v.shape} does not match configured grid {mdp.shape}"
-            )
+        _check_grid("policy", policy.shape, mdp.shape)
+        _check_grid("value", v.shape, mdp.shape)
         q = read_q_csv(q_path) if q_path else q_backup(mdp, v)
-        if q.shape != mdp.shape + (3,):
-            raise ArtifactParseError(
-                f"Q grid {q.shape} does not match configured grid {mdp.shape + (3,)}"
-            )
+        _check_grid("Q", q.shape, mdp.shape + (3,))
         lam = None
     else:
         res = _solve(cfg, mdp)
@@ -207,22 +216,10 @@ def run_verify(
 
     interior = interior_region(mdp.trunc, mdp.channel)
     full = full_region(mdp.trunc)
-    checks = [
-        check_value_monotone(v, interior),
-        check_policy_monotone(policy, "aoi", interior),
-        check_policy_monotone(policy, "aoc", interior),
-        check_submodular(q, "aoc", interior),
-        check_submodular(q, "aoi", interior),
-    ]
+    checks = [check(policy, v, q, interior) for check in VERIFY_CHECKS.values()]
     # Boundary-inclusive counts are informational only; clamping distorts the
     # dynamics there.
-    boundary_info = {
-        "value-monotone": check_value_monotone(v, full).count(),
-        "policy-monotone-aoi": check_policy_monotone(policy, "aoi", full).count(),
-        "policy-monotone-aoc": check_policy_monotone(policy, "aoc", full).count(),
-        "submodular-aoc": check_submodular(q, "aoc", full).count(),
-        "submodular-aoi": check_submodular(q, "aoi", full).count(),
-    }
+    boundary_info = {kind: check(policy, v, q, full).count() for kind, check in VERIFY_CHECKS.items()}
 
     report = {
         "tool": _tool_info(),
@@ -248,10 +245,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, policy_path: str | None =
     lam = None
     if policy_path:
         policy = read_policy_csv(policy_path)
-        if policy.shape != mdp.shape:
-            raise ArtifactParseError(
-                f"policy grid {policy.shape} does not match configured grid {mdp.shape}"
-            )
+        _check_grid("policy", policy.shape, mdp.shape)
         source = str(policy_path)
     else:
         res = _solve(cfg, mdp)
@@ -297,23 +291,23 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, policy_path: str | None =
 
 
 def _sweep_point(raw_config: dict, axis: str, value, out_dir: str, emit_q: bool) -> dict:
-    """One sweep point, isolated so it can run in a worker process."""
-    from .config import validate_config_dict
-
-    data = json.loads(json.dumps(raw_config))
-    if axis == "beta":
-        if "beta" not in data.get("system", {}):
-            raise ConfigError(
-                field="system.beta",
-                message="sweeping beta requires the parametric system family",
-            )
-        data["system"]["beta"] = value
-    else:
-        data["channel"][axis] = value
-    cfg = validate_config_dict(data)
-    point_dir = Path(out_dir)
-    summary = run_solve(cfg, point_dir, emit_q)
-    return summary
+    """Solve one sweep point, isolated so it can run in a worker process.
+    Returns ``{"ok": True, "summary": ...}``, or on any failure
+    ``{"ok": False, "error": ...}``, so one point cannot stop the sweep."""
+    try:
+        data = json.loads(json.dumps(raw_config))
+        if axis == "beta":
+            if "beta" not in data.get("system", {}):
+                raise ConfigError(
+                    field="system.beta",
+                    message="sweeping beta requires the parametric system family",
+                )
+            data["system"]["beta"] = value
+        else:
+            data["channel"][axis] = value
+        return {"ok": True, "summary": run_solve(validate_config_dict(data), Path(out_dir), emit_q)}
+    except Exception as exc:  # noqa: BLE001 - recorded as this point's error
+        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def run_sweep(
@@ -325,11 +319,16 @@ def run_sweep(
     emit_q: bool = False,
 ) -> tuple[dict, int]:
     """Solve once per sweep value; failures are recorded and do not stop the
-    sweep. Returns the combined summary and the exit code."""
+    sweep. With ``jobs`` > 1 the points run in a pool of
+    ``min(jobs, len(values))`` worker processes; either way the results are
+    collected in ``values`` order. Returns the combined summary and the exit
+    code."""
     if axis not in SWEEP_AXES:
         raise ConfigError(field="sweep.axis", message=f"axis must be one of {SWEEP_AXES}")
     if not values:
         raise ConfigError(field="sweep.values", message="no sweep values given")
+    if jobs < 1:
+        raise ConfigError(field="sweep.jobs", message=f"jobs must be at least 1, got {jobs}")
     # Each point's directory, summary key and frontier rows carry its label.
     labels = [f"{v:g}" for v in values]
     repeated = sorted({x for x in labels if labels.count(x) > 1})
@@ -342,25 +341,14 @@ def run_sweep(
     out_dir.mkdir(parents=True, exist_ok=True)
     point_dirs = {v: out_dir / f"{axis}={label[v]}" for v in values}
 
-    points: dict = {}
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = {
-                pool.submit(_sweep_point, cfg.echo(), axis, v, str(point_dirs[v]), emit_q): v
-                for v in values
-            }
-            for fut in concurrent.futures.as_completed(futs):
-                v = futs[fut]
-                try:
-                    points[v] = {"ok": True, "summary": fut.result()}
-                except Exception as exc:
-                    points[v] = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+    workers = min(jobs, len(values))
+    args = (repeat(cfg.echo()), repeat(axis), values, [str(point_dirs[v]) for v in values], repeat(emit_q))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_sweep_point, *args))
     else:
-        for v in values:
-            try:
-                points[v] = {"ok": True, "summary": _sweep_point(cfg.echo(), axis, v, str(point_dirs[v]), emit_q)}
-            except Exception as exc:
-                points[v] = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        outcomes = list(map(_sweep_point, *args))
+    points = dict(zip(values, outcomes))
 
     # Combined frontier table across sweep values.
     lines = ["axis,value,delta,transmit_threshold,renew_threshold"]
@@ -418,7 +406,7 @@ def _classify(exc: Exception) -> tuple[int, str]:
         return EXIT_ARTIFACT_PARSE, "artifact-parse"
     if isinstance(exc, (ConvergenceError, EvaluationError, NumericalOverflowError)):
         return EXIT_SOLVER, "solver"
-    if isinstance(exc, WearschedError):
+    if isinstance(exc, (WearschedError, concurrent.futures.BrokenExecutor)):
         return EXIT_SOLVER, "runtime"
     raise exc
 

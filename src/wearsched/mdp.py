@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,38 +90,6 @@ class MdpSpec:
             raise DomainError(f"state {s} outside grid {self.shape}")
         return (tau - 1) * self.trunc.delta_max + (delta - 1)
 
-    def state_at(self, index: int) -> AgeState:
-        d = self.trunc.delta_max
-        if not 0 <= index < self.n_states:
-            raise DomainError(f"flat index {index} outside [0, {self.n_states})")
-        return AgeState(index // d + 1, index % d + 1)
-
-    def states(self) -> Iterator[AgeState]:
-        """All grid states in the contractual row-major order."""
-        for tau in range(1, self.trunc.tau_max + 1):
-            for delta in range(1, self.trunc.delta_max + 1):
-                yield AgeState(tau, delta)
-
-    def cost(self, s: AgeState, u: Action | int) -> float:
-        """Per-epoch cost of action ``u`` in state ``s``."""
-        self.state_index(s)
-        u = _check_action(u)
-        return float(self.cost_table[s.tau - 1, s.delta - 1, u])
-
-    def transitions(self, s: AgeState, u: Action | int) -> list[tuple[AgeState, float]]:
-        """Successor states with probabilities (zero-probability entries omitted)."""
-        self.state_index(s)
-        u = _check_action(u)
-        t, d = s.tau - 1, s.delta - 1
-        if u == Action.TRANSMIT:
-            p_hit = float(self.theta[t])
-            branches = [((self.tau_tx[t], 0), p_hit), ((self.tau_tx[t], self.delta_up[d]), 1.0 - p_hit)]
-        elif u == Action.IDLE:
-            branches = [((self.tau_idle[t], self.delta_up[d]), 1.0)]
-        else:
-            branches = [((0, self.delta_renew[d]), 1.0)]
-        return [(AgeState(int(ti) + 1, int(di) + 1), p) for (ti, di), p in branches if p > 0.0]
-
     def successors(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat successor indices of every state under an action grid.
 
@@ -140,12 +108,6 @@ class MdpSpec:
         hit = np.where(tx, tau * d_max, miss)
         p_hit = np.where(tx, self.theta[:, None], 1.0)
         return hit.reshape(-1), miss.reshape(-1), p_hit.reshape(-1)
-
-
-def _check_action(u) -> int:
-    if u not in (0, 1, 2):
-        raise DomainError(f"invalid action {u!r}, expected 0, 1 or 2")
-    return int(u)
 
 
 def build_mdp(

@@ -1,11 +1,9 @@
 """Average-cost solvers: relative value iteration, policy evaluation/iteration
-with monotone action-set pruning, an exhaustive oracle for desk-scale grids,
-and the renew-above-a-threshold heuristic.
+with monotone action-set pruning, and the renew-above-a-threshold heuristic.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,17 +282,27 @@ def structured_policy_iteration(
     channel age; once transmit is chosen the remaining candidates shrink to
     {transmit, renew}, and once renew is chosen the action is fixed without
     further Q evaluations. Starts from the idle-everywhere policy and stops
-    when the policy is unchanged. ``skipped_q_evals`` counts the Q-factor
-    evaluations avoided by the shrinking action sets.
+    when the policy is unchanged. Rounding noise in tied Q-factors can make
+    the improvement step cycle among equal-gain policies, so it also stops
+    when the step returns a policy it has already evaluated, and then
+    returns the evaluated policy with the lowest gain. ``skipped_q_evals``
+    counts the Q-factor evaluations avoided by the shrinking action sets.
     """
     actions = np.zeros(mdp.shape, dtype=np.int8)
     skipped = 0
+    seen: set[bytes] = set()
+    best = None
     for sweep in range(1, opts.max_iter + 1):
         gain, v = policy_evaluate(mdp, Policy(actions=actions), opts.ref_state)
         q = _q_actions(mdp, v)
+        if best is None or gain < best[0]:
+            best = (gain, v, actions, q)
+        seen.add(actions.tobytes())
         new_actions, skips = _monotone_improvement(*q)
         skipped += skips
-        if np.array_equal(new_actions, actions):
+        if new_actions.tobytes() in seen:
+            if not np.array_equal(new_actions, actions):
+                gain, v, actions, q = best
             return _finish(gain, v, Policy(actions=actions), sweep, q, skipped_q_evals=skipped)
         actions = new_actions
     raise ConvergenceError(
@@ -317,98 +325,6 @@ def _monotone_improvement(q_idle, q_tx, q_renew) -> tuple[np.ndarray, int]:
     renewed = np.logical_or.accumulate(started & (q_renew < q_tx), axis=0)
     skipped = np.count_nonzero(started[:-1]) + 2 * np.count_nonzero(renewed[:-1])
     return started.astype(np.int8) + renewed, int(skipped)
-
-
-BRUTE_FORCE_MAX_STATES = 12
-
-
-def brute_force_optimal(
-    mdp: MdpSpec, start: AgeState = AgeState(1, 1)
-) -> tuple[float, Policy]:
-    """Exhaustive minimum over all deterministic stationary policies.
-
-    Each policy is scored by exact stationary analysis of its induced chain
-    from ``start``: recurrent classes are found by reachability, each class
-    gain comes from its stationary distribution, and transient states
-    contribute through absorption probabilities. Guarded to tiny grids
-    (the enumeration has 3^n policies).
-    """
-    n = mdp.n_states
-    if n > BRUTE_FORCE_MAX_STATES:
-        raise DomainError(
-            f"brute-force enumeration is limited to {BRUTE_FORCE_MAX_STATES} states "
-            f"(3^n policies); grid has {n}"
-        )
-    s0 = mdp.state_index(start)
-    # Successor tables indexed [action, state].
-    per_action = [mdp.successors(np.full(mdp.shape, u)) for u in range(3)]
-    hit, miss, p_hit = (np.stack(table) for table in zip(*per_action))
-    kernel = (mdp.cost_table.reshape(n, 3).T, hit, miss, p_hit, 1.0 - p_hit)
-
-    best_gain = np.inf
-    best_assignment: tuple[int, ...] | None = None
-    for assignment in itertools.product((0, 1, 2), repeat=n):
-        g = _chain_average_cost(n, kernel, np.array(assignment), s0)
-        if g < best_gain:
-            best_gain = g
-            best_assignment = assignment
-    assert best_assignment is not None
-    actions = np.array(best_assignment, dtype=np.int8).reshape(mdp.shape)
-    return float(best_gain), Policy(actions=actions)
-
-
-def _chain_average_cost(n, kernel, assignment, s0) -> float:
-    cost, hit, miss, p_hit, p_miss = kernel
-    rows = np.arange(n)
-    c = cost[assignment, rows]
-    p = np.zeros((n, n))
-    p[rows, hit[assignment, rows]] += p_hit[assignment, rows]
-    p[rows, miss[assignment, rows]] += p_miss[assignment, rows]
-
-    # Transitive closure of the support graph.
-    reach = p > 0
-    np.fill_diagonal(reach, True)
-    while True:
-        nxt = reach | (reach @ reach)
-        if np.array_equal(nxt, reach):
-            break
-        reach = nxt
-
-    reachable = reach[s0]
-    recurrent = np.all(~reach | reach.T, axis=1)  # reach(i) subset of reach^{-1}(i)
-
-    # Group mutually-reaching recurrent states into classes.
-    classes: list[np.ndarray] = []
-    seen = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if reachable[i] and recurrent[i] and not seen[i]:
-            members = np.where(reach[i] & reach[:, i] & recurrent)[0]
-            seen[members] = True
-            classes.append(members)
-
-    gains = np.array([_class_gain(p, c, idx) for idx in classes])
-    for ci, idx in enumerate(classes):
-        if s0 in idx:
-            return float(gains[ci])
-
-    transient = np.where(reachable & ~recurrent)[0]
-    a = np.eye(len(transient)) - p[np.ix_(transient, transient)]
-    b = np.stack([p[np.ix_(transient, idx)].sum(axis=1) for idx in classes], axis=1)
-    h = np.linalg.solve(a, b)
-    weights = h[list(transient).index(s0)]
-    return float(weights @ gains)
-
-
-def _class_gain(p, c, idx) -> float:
-    if len(idx) == 1:
-        return float(c[idx[0]])
-    sub = p[np.ix_(idx, idx)]
-    a = sub.T - np.eye(len(idx))
-    a[-1, :] = 1.0
-    rhs = np.zeros(len(idx))
-    rhs[-1] = 1.0
-    dist = np.linalg.solve(a, rhs)
-    return float(dist @ c[idx])
 
 
 def threshold_heuristic(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -65,10 +65,14 @@ class ViolationReport:
     def count(self) -> int:
         return len(self.violations)
 
+    def head(self, limit: int | None) -> tuple[Violation, ...]:
+        """The first ``limit`` violations (all of them when None)."""
+        return self.violations[:limit]
+
 
 class _FlaggedReport(ViolationReport):
     """The report a check returns: it keeps the flagged adjacent-pair masks,
-    counts them without listing, and builds the violation list on first use."""
+    counts them without listing, and builds violations only when read."""
 
     def __init__(self, kind: str, region: Region, flags: list[tuple[np.ndarray, np.ndarray, str]]):
         object.__setattr__(self, "kind", kind)
@@ -77,9 +81,14 @@ class _FlaggedReport(ViolationReport):
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
-        return tuple(chain.from_iterable(
-            _listed(flagged, amount, self.checked_region, axis) for flagged, amount, axis in self._flags
-        ))
+        return self.head(None)
+
+    def head(self, limit: int | None) -> tuple[Violation, ...]:
+        listed: list[Violation] = []
+        for flagged, amount, axis in self._flags:
+            rest = None if limit is None else limit - len(listed)
+            listed += _listed(flagged, amount, self.checked_region, axis, rest)
+        return tuple(listed)
 
     def count(self) -> int:
         return sum(int(np.count_nonzero(flagged)) for flagged, _, _ in self._flags)
@@ -102,10 +111,14 @@ def _adjacent(arr: np.ndarray, region: Region, axis: str) -> tuple[np.ndarray, n
     return sub[:, :-1], sub[:, 1:]
 
 
-def _listed(flagged: np.ndarray, amount: np.ndarray, region: Region, axis: str) -> list[Violation]:
-    """Violations at the flagged pairs, anchored at each pair's first state,
-    in row-major order, with plain-python fields."""
+def _listed(
+    flagged: np.ndarray, amount: np.ndarray, region: Region, axis: str, limit: int | None
+) -> list[Violation]:
+    """The first ``limit`` (all when None) violations at the flagged pairs,
+    anchored at each pair's first state, in row-major order, with
+    plain-python fields."""
     ti, di = np.nonzero(flagged)
+    ti, di = ti[:limit], di[:limit]
     taus, deltas = (ti + region.tau_lo).tolist(), (di + region.delta_lo).tolist()
     return list(map(Violation._make, zip(taus, deltas, repeat(axis), amount[ti, di].astype(float).tolist())))
 

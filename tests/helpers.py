@@ -1,7 +1,8 @@
 """Shared builders for the two-dimensional benchmark family used across the
-test suite, plus frozen oracle values computed with independent methods
-before the implementation existed (fixed-point iteration cross-checked
-against a Riccati eigensolver route, both converged to 1e-12).
+test suite, frozen oracle values computed with independent methods before
+the implementation existed (fixed-point iteration cross-checked against a
+Riccati eigensolver route, both converged to 1e-12), and the scalar and
+exhaustive references that the package is checked against.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -99,6 +101,135 @@ def solve_case(beta, alpha=0.1, tau_d=6, delta_r=15, grid=80, tol=1e-9) -> Solve
     mdp = benchmark_mdp(beta, alpha, tau_d, delta_r, grid)
     opts = SolveOptions(tol=tol, max_iter=500_000)
     return SolvedCase(mdp=mdp, rvi=rvi_solve(mdp, opts), spi=structured_policy_iteration(mdp, opts))
+
+
+def aoc_next(ch: ChannelModel, tau: int, u: int, tau_max: int) -> int:
+    """Channel age after one decision epoch, clamped to ``tau_max``."""
+    if not 1 <= tau <= tau_max:
+        raise DomainError(f"channel age {tau} outside [1, {tau_max}]")
+    if u == 0:
+        return min(tau + 1, tau_max)
+    if u == 1:
+        return min(tau + ch.tau_d, tau_max)
+    if u == 2:
+        return 1
+    raise DomainError(f"invalid action {u!r}, expected 0, 1 or 2")
+
+
+def aoi_next(delta: int, u: int, success: bool, delta_r: int, delta_max: int) -> int:
+    """Information age after one decision epoch, clamped to ``delta_max``.
+
+    ``success`` may be True only for the transmit action.
+    """
+    if not 1 <= delta <= delta_max:
+        raise DomainError(f"information age {delta} outside [1, {delta_max}]")
+    if u not in (0, 1, 2):
+        raise DomainError(f"invalid action {u!r}, expected 0, 1 or 2")
+    if success and u != 1:
+        raise DomainError("a reception can only happen on a transmit action")
+    if u == 1 and success:
+        return 1
+    if u == 2:
+        return min(delta + delta_r, delta_max)
+    return min(delta + 1, delta_max)
+
+
+def states(mdp: MdpSpec) -> Iterator[AgeState]:
+    """All grid states in the contractual row-major order."""
+    for tau in range(1, mdp.trunc.tau_max + 1):
+        for delta in range(1, mdp.trunc.delta_max + 1):
+            yield AgeState(tau, delta)
+
+
+def _checked_action(mdp: MdpSpec, s: AgeState, u) -> int:
+    mdp.state_index(s)
+    if u not in (0, 1, 2):
+        raise DomainError(f"invalid action {u!r}, expected 0, 1 or 2")
+    return int(u)
+
+
+def scalar_cost(mdp: MdpSpec, s: AgeState, u) -> float:
+    """Reference per-epoch cost of action ``u`` in state ``s``."""
+    return float(mdp.cost_table[s.tau - 1, s.delta - 1, _checked_action(mdp, s, u)])
+
+
+def scalar_transitions(mdp: MdpSpec, s: AgeState, u) -> list[tuple[AgeState, float]]:
+    """Reference kernel: the successor states of one (state, action) pair
+    with their probabilities, zero-probability branches omitted."""
+    u = _checked_action(mdp, s, u)
+    t, d = s.tau - 1, s.delta - 1
+    if u == Action.TRANSMIT:
+        p_hit = float(mdp.theta[t])
+        branches = [((mdp.tau_tx[t], 0), p_hit), ((mdp.tau_tx[t], mdp.delta_up[d]), 1.0 - p_hit)]
+    elif u == Action.IDLE:
+        branches = [((mdp.tau_idle[t], mdp.delta_up[d]), 1.0)]
+    else:
+        branches = [((0, mdp.delta_renew[d]), 1.0)]
+    return [(AgeState(int(ti) + 1, int(di) + 1), p) for (ti, di), p in branches if p > 0.0]
+
+
+BRUTE_FORCE_MAX_STATES = 12
+_ORACLE_CHUNK = 4096  # policies scored per batch
+
+
+def brute_force_optimal(mdp: MdpSpec, start: AgeState = AgeState(1, 1)) -> tuple[float, Policy]:
+    """Exhaustive minimum over all deterministic stationary policies, each
+    scored by ``policy_gains`` from ``start``; of equal minima the first in
+    ``itertools.product((0, 1, 2), repeat=n)`` order wins. Guarded to tiny
+    grids (the enumeration has 3^n policies)."""
+    n = mdp.n_states
+    if n > BRUTE_FORCE_MAX_STATES:
+        raise DomainError(
+            f"brute-force enumeration is limited to {BRUTE_FORCE_MAX_STATES} states "
+            f"(3^n policies); grid has {n}"
+        )
+    s0 = mdp.state_index(start)
+    digits = 3 ** np.arange(n - 1, -1, -1)
+    best_gain, best = np.inf, None
+    for lo in range(0, 3**n, _ORACLE_CHUNK):
+        assignments = np.arange(lo, min(lo + _ORACLE_CHUNK, 3**n))[:, None] // digits % 3
+        gains = policy_gains(mdp, assignments, s0)
+        i = int(np.argmin(gains))
+        if gains[i] < best_gain:
+            best_gain, best = float(gains[i]), assignments[i]
+    return best_gain, Policy(actions=best.reshape(mdp.shape))
+
+
+def policy_gains(mdp: MdpSpec, assignments: np.ndarray, s0: int) -> np.ndarray:
+    """Average cost from flat state ``s0`` of each policy in an (m, n_states)
+    array of flat action assignments, by exact analysis of its chain.
+
+    A state is recurrent when every state it reaches also reaches it
+    (reachability closed by boolean squaring). One linear system per policy
+    gives the stationary distributions of all its recurrent classes: each
+    class's smallest member trades its balance equation for the class's
+    normalisation row, and transient states are pinned to 0. Transient
+    states take the absorption-weighted class gains,
+    (I - diag(transient) P) G = g_rec.
+    """
+    m, n = assignments.shape
+    rows, policies = np.arange(n), np.arange(m)[:, None]
+    per_action = [mdp.successors(np.full(mdp.shape, u)) for u in Action]
+    hit, miss, p_hit = (np.stack(table)[assignments, rows] for table in zip(*per_action))
+    p = np.zeros((m, n, n))
+    p[policies, rows, hit] = p_hit
+    p[policies, rows, miss] += 1.0 - p_hit
+    c = mdp.cost_table.reshape(n, 3)[rows, assignments]
+
+    reach = (p > 0) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):  # paths of up to 2^k >= n - 1 steps
+        reach = reach @ reach
+    back = reach.transpose(0, 2, 1)
+    recurrent = np.all(~reach | back, axis=2)
+    same_class = reach & back & recurrent[:, :, None]
+    leader = recurrent & (same_class.argmax(axis=2) == rows)
+
+    eye = np.eye(n)
+    balance = np.where(recurrent[:, :, None], p.transpose(0, 2, 1) - eye, eye)
+    pi = np.linalg.solve(np.where(leader[:, :, None], same_class, balance), leader[:, :, None] * 1.0)
+    g_rec = same_class @ (pi[:, :, 0] * c)[:, :, None]
+    gain = np.linalg.solve(eye - ~recurrent[:, :, None] * p, g_rec)
+    return gain[:, s0, 0]
 
 
 def eventually_reachable(mdp: MdpSpec) -> np.ndarray:

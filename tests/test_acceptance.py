@@ -20,13 +20,18 @@ import time
 
 import numpy as np
 
-from helpers import benchmark_channel, benchmark_mdp, benchmark_system, eventually_reachable
+from helpers import (
+    benchmark_channel,
+    benchmark_mdp,
+    benchmark_system,
+    brute_force_optimal,
+    eventually_reachable,
+)
 from wearsched import (
     Policy,
     SolveOptions,
     Truncation,
     boundary_renewal,
-    brute_force_optimal,
     build_mdp,
     check_policy_monotone,
     check_submodular,

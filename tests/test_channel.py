@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wearsched import ChannelModel, DomainError, aoc_next, aoi_next, exponential_curve
+from helpers import aoc_next, aoi_next
+from wearsched import ChannelModel, DomainError
 
 
 def make_channel(**kw):
@@ -54,21 +55,6 @@ class TestReliability:
         assert np.all(np.diff(vals) <= 1e-15)
         assert np.all(vals >= theta_min - 1e-12)
         assert np.all(vals <= theta_max + 1e-12)
-
-
-class TestCustomCurve:
-    def test_valid_curve_accepted(self):
-        curve = exponential_curve(0.9, 0.1, 0.2)
-        ch = make_channel(theta_max=0.9, theta_min=0.1, curve=curve)
-        assert ch.reliability(3) == pytest.approx(0.8 * math.exp(-0.6) + 0.1, rel=1e-12)
-
-    def test_increasing_curve_rejected(self):
-        with pytest.raises(DomainError, match="nonincreasing"):
-            make_channel(curve=lambda tau: np.asarray(tau) / 10**5)
-
-    def test_out_of_range_curve_rejected(self):
-        with pytest.raises(DomainError, match="leaves"):
-            make_channel(theta_min=0.5, curve=lambda tau: np.full(np.shape(tau), 0.2))
 
 
 class TestChannelValidation:

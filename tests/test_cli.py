@@ -1,10 +1,13 @@
+import concurrent.futures
 import json
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 import yaml
 
-from wearsched.cli import main
+from wearsched import check_submodular, interior_region
+from wearsched.cli import _report_dict, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -34,6 +37,21 @@ def cfg_path(tmp_path):
     p = tmp_path / "cfg.yaml"
     p.write_text(CONFIG)
     return p
+
+
+class InProcessPool:
+    """Stand-in for the sweep's process pool that runs the points in this
+    process and starts no worker: a real pool forks all its workers at the
+    first submit."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict]:
@@ -235,12 +253,56 @@ class TestSweep:
         assert not payload["points"]["0.9"]["ok"]
 
     def test_parallel_jobs(self, cfg_path, tmp_path, capsys):
+        # beta=0.9 finishes first, yet the points are listed in --values order.
         code, payload = run_cli(
             capsys, "sweep", "--config", cfg_path, "--out", tmp_path / "swj",
-            "--axis", "beta", "--values", "0.9,1.0", "--jobs", "2",
+            "--axis", "beta", "--values", "1.0,0.9", "--jobs", "2",
         )
         assert code == 0
         assert all(p["ok"] for p in payload["points"].values())
+        summary = json.loads((tmp_path / "swj" / "sweep_summary.json").read_text())
+        assert list(payload["points"]) == list(summary["points"]) == ["1", "0.9"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected_before_solving(self, cfg_path, tmp_path, capsys, jobs):
+        out = tmp_path / "sw"
+        code, payload = run_cli(
+            capsys, "sweep", "--config", cfg_path, "--out", out,
+            "--axis", "beta", "--values", "0.9", "--jobs", jobs,
+        )
+        assert code == 2
+        assert payload["error"]["field"] == "sweep.jobs"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "jobs,values,pools", [("500", "0.9,1.0", [2]), ("2", "0.9", []), ("1", "0.9,1.0", [])]
+    )
+    def test_pool_sized_by_point_count(self, cfg_path, tmp_path, capsys, monkeypatch, jobs, values, pools):
+        sizes = []
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor",
+            lambda max_workers: sizes.append(max_workers) or InProcessPool(),
+        )
+        code, payload = run_cli(
+            capsys, "sweep", "--config", cfg_path, "--out", tmp_path / "sw",
+            "--axis", "beta", "--values", values, "--jobs", jobs,
+        )
+        assert code == 0
+        assert sizes == pools
+        assert list(payload["points"]) == [f"{float(v):g}" for v in values.split(",")]
+
+    def test_broken_pool_is_a_runtime_error(self, cfg_path, tmp_path, capsys, monkeypatch):
+        class BrokenPool(InProcessPool):
+            def map(self, fn, *iterables):
+                raise BrokenProcessPool("a worker process died")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: BrokenPool())
+        code, payload = run_cli(
+            capsys, "sweep", "--config", cfg_path, "--out", tmp_path / "sw",
+            "--axis", "beta", "--values", "0.9,1.0", "--jobs", "2",
+        )
+        assert code == 5
+        assert payload["error"]["kind"] == "runtime"
 
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -292,6 +354,15 @@ class TestSweep:
         assert code == 0
         assert sorted(payload["points"]) == ["0.9", "0.900001"]
         assert payload["points"]["0.900001"]["directory"] == "beta=0.900001"
+
+
+def test_report_lists_only_the_shown_violations(case_stable):
+    mdp = case_stable.mdp
+    report = check_submodular(case_stable.rvi.q, "aoc", interior_region(mdp.trunc, mdp.channel))
+    listed = _report_dict(report)["violations"]
+    assert "violations" not in report.__dict__  # the full list was never built
+    assert report.count() > 50
+    assert listed == [v._asdict() for v in report.violations[:50]]
 
 
 def test_config_echo_reruns_bit_identically(cfg_path, tmp_path, capsys):

@@ -3,16 +3,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import benchmark_channel, benchmark_mdp, benchmark_system, eventually_reachable
-from wearsched import (
-    Action,
-    AgeState,
-    DomainError,
-    Truncation,
+from helpers import (
     aoc_next,
     aoi_next,
-    build_mdp,
+    benchmark_channel,
+    benchmark_mdp,
+    benchmark_system,
+    eventually_reachable,
+    scalar_cost,
+    scalar_transitions,
+    states,
 )
+from wearsched import Action, AgeState, DomainError, Truncation, build_mdp
 
 
 @pytest.fixture(scope="module")
@@ -30,30 +32,30 @@ class TestCost:
     def test_idle_and_transmit_pay_current_mse(self, mdp):
         f = mdp.mse
         for s in (AgeState(5, 3), AgeState(1, 1), AgeState(40, 17)):
-            assert mdp.cost(s, Action.IDLE) == pytest.approx(f.at(s.delta), rel=1e-14)
-            assert mdp.cost(s, Action.TRANSMIT) == pytest.approx(f.at(s.delta), rel=1e-14)
+            assert scalar_cost(mdp, s, Action.IDLE) == pytest.approx(f.at(s.delta), rel=1e-14)
+            assert scalar_cost(mdp, s, Action.TRANSMIT) == pytest.approx(f.at(s.delta), rel=1e-14)
 
     def test_transmission_not_additively_penalized(self, mdp):
-        assert mdp.cost(AgeState(1, 1), Action.TRANSMIT) == pytest.approx(
+        assert scalar_cost(mdp, AgeState(1, 1), Action.TRANSMIT) == pytest.approx(
             mdp.mse.at(1), rel=1e-14
         )
 
     def test_renewal_lump_sum_two_slots(self, mdp_dr2):
         f = mdp_dr2.mse
-        assert mdp_dr2.cost(AgeState(4, 3), Action.RENEW) == pytest.approx(
+        assert scalar_cost(mdp_dr2, AgeState(4, 3), Action.RENEW) == pytest.approx(
             f.at(3) + f.at(4), rel=1e-14
         )
 
     def test_renewal_lump_sum_clamps_at_grid_edge(self, mdp):
         d_max = mdp.trunc.delta_max
         expected = mdp.channel.delta_r * mdp.mse.at(d_max)
-        assert mdp.cost(AgeState(5, d_max), Action.RENEW) == pytest.approx(expected, rel=1e-14)
+        assert scalar_cost(mdp, AgeState(5, d_max), Action.RENEW) == pytest.approx(expected, rel=1e-14)
 
     def test_renewal_lump_sum_general(self, mdp):
         f, dr, d_max = mdp.mse, mdp.channel.delta_r, mdp.trunc.delta_max
         for delta in (1, 10, 30, 39):
             expected = sum(f.at(min(delta + r, d_max)) for r in range(dr))
-            assert mdp.cost(AgeState(2, delta), Action.RENEW) == pytest.approx(expected, rel=1e-13)
+            assert scalar_cost(mdp, AgeState(2, delta), Action.RENEW) == pytest.approx(expected, rel=1e-13)
 
     def test_cost_constant_in_channel_age(self, mdp):
         table = mdp.cost_table
@@ -70,22 +72,22 @@ class TestCost:
 
     def test_out_of_grid_state_rejected(self, mdp):
         with pytest.raises(DomainError):
-            mdp.cost(AgeState(0, 1), Action.IDLE)
+            scalar_cost(mdp, AgeState(0, 1), Action.IDLE)
         with pytest.raises(DomainError):
-            mdp.cost(AgeState(1, 41), Action.IDLE)
+            scalar_cost(mdp, AgeState(1, 41), Action.IDLE)
 
     def test_invalid_action_rejected(self, mdp):
         with pytest.raises(DomainError):
-            mdp.cost(AgeState(1, 1), 3)
+            scalar_cost(mdp, AgeState(1, 1), 3)
 
 
 def _assert_kernel_stochastic_in_grid(mdp):
     """Every (state, action) row of the kernel sums to 1 over successors
     that stay inside the grid."""
     t_max, d_max = mdp.shape
-    for s in mdp.states():
+    for s in states(mdp):
         for u in Action:
-            succ = mdp.transitions(s, u)
+            succ = scalar_transitions(mdp, s, u)
             assert abs(sum(p for _, p in succ) - 1.0) < 1e-12
             assert all(1 <= t.tau <= t_max and 1 <= t.delta <= d_max for t, _ in succ)
 
@@ -98,7 +100,7 @@ def _channel_mdp(theta):
 
 def _reachable_states(mdp):
     reach = eventually_reachable(mdp)
-    return reach, {s for s in mdp.states() if reach[s.tau - 1, s.delta - 1]}
+    return reach, {s for s in states(mdp) if reach[s.tau - 1, s.delta - 1]}
 
 
 class TestEventuallyReachable:
@@ -108,13 +110,13 @@ class TestEventuallyReachable:
         _, inside = _reachable_states(mdp)
         for u in Action:
             for s in inside:
-                assert all(t in inside for t, _ in mdp.transitions(s, u)), (s, u)
+                assert all(t in inside for t, _ in scalar_transitions(mdp, s, u)), (s, u)
 
     @pytest.mark.parametrize("theta", [None, 1.0, 0.0])
     def test_every_state_has_a_predecessor_inside(self, theta):
         mdp = _channel_mdp(theta)
         _, inside = _reachable_states(mdp)
-        image = {t for s in inside for u in Action for t, _ in mdp.transitions(s, u)}
+        image = {t for s in inside for u in Action for t, _ in scalar_transitions(mdp, s, u)}
         assert image == inside
 
     def test_benchmark_channel_smallest_channel_age(self):
@@ -127,21 +129,21 @@ class TestEventuallyReachable:
 
 class TestKernel:
     def test_idle_single_successor(self, mdp):
-        assert mdp.transitions(AgeState(4, 7), Action.IDLE) == [(AgeState(5, 8), 1.0)]
+        assert scalar_transitions(mdp, AgeState(4, 7), Action.IDLE) == [(AgeState(5, 8), 1.0)]
 
     def test_renew_single_successor(self, mdp):
         dr = mdp.channel.delta_r
-        assert mdp.transitions(AgeState(9, 3), Action.RENEW) == [(AgeState(1, 3 + dr), 1.0)]
+        assert scalar_transitions(mdp, AgeState(9, 3), Action.RENEW) == [(AgeState(1, 3 + dr), 1.0)]
 
     def test_transmit_two_successors(self, mdp):
         theta = mdp.channel.reliability(4)
-        got = mdp.transitions(AgeState(4, 7), Action.TRANSMIT)
+        got = scalar_transitions(mdp, AgeState(4, 7), Action.TRANSMIT)
         assert got == [(AgeState(10, 1), pytest.approx(theta)), (AgeState(10, 8), pytest.approx(1 - theta))]
 
     def test_transmit_clamped_at_both_bounds(self, mdp):
         t_max, d_max = mdp.shape
         theta = mdp.channel.reliability(t_max)
-        got = mdp.transitions(AgeState(t_max, d_max), Action.TRANSMIT)
+        got = scalar_transitions(mdp, AgeState(t_max, d_max), Action.TRANSMIT)
         assert got == [
             (AgeState(t_max, 1), pytest.approx(theta)),
             (AgeState(t_max, d_max), pytest.approx(1 - theta)),
@@ -151,17 +153,18 @@ class TestKernel:
         _assert_kernel_stochastic_in_grid(mdp)
 
     def test_renew_always_restores_channel(self, mdp):
-        for s in mdp.states():
-            assert [t.tau for t, _ in mdp.transitions(s, Action.RENEW)] == [1]
+        for s in states(mdp):
+            assert [t.tau for t, _ in scalar_transitions(mdp, s, Action.RENEW)] == [1]
 
     def test_successors_match_transitions(self, mdp):
         actions = np.random.default_rng(3).integers(0, 3, size=mdp.shape)
         hit, miss, p_hit = mdp.successors(actions)
-        for s in mdp.states():
+        order = list(states(mdp))
+        for s in order:
             i = mdp.state_index(s)
             branches = [(hit[i], p_hit[i]), (miss[i], 1.0 - p_hit[i])]
-            got = [(mdp.state_at(int(j)), float(p)) for j, p in branches if p > 0]
-            assert got == mdp.transitions(s, int(actions[s.tau - 1, s.delta - 1]))
+            got = [(order[j], float(p)) for j, p in branches if p > 0]
+            assert got == scalar_transitions(mdp, s, int(actions[s.tau - 1, s.delta - 1]))
 
     def test_kernel_matches_age_update_rules(self, mdp):
         # The vectorized kernel must agree with the scalar age-update
@@ -171,14 +174,14 @@ class TestKernel:
         for _ in range(200):
             s = AgeState(int(rng.integers(1, t_max + 1)), int(rng.integers(1, d_max + 1)))
             for u in (0, 2):
-                succ = mdp.transitions(s, u)
+                succ = scalar_transitions(mdp, s, u)
                 assert len(succ) == 1
                 expected = AgeState(
                     aoc_next(ch, s.tau, u, t_max),
                     aoi_next(s.delta, u, False, ch.delta_r, d_max),
                 )
                 assert succ[0][0] == expected
-            succ = dict(mdp.transitions(s, 1))
+            succ = dict(scalar_transitions(mdp, s, 1))
             tau_next = aoc_next(ch, s.tau, 1, t_max)
             hit = AgeState(tau_next, aoi_next(s.delta, 1, True, ch.delta_r, d_max))
             miss = AgeState(tau_next, aoi_next(s.delta, 1, False, ch.delta_r, d_max))
@@ -191,18 +194,17 @@ class TestKernel:
             benchmark_channel(theta_max=1.0, theta_min=1.0, tau_d=2, delta_r=2),
             Truncation(6, 6),
         )
-        assert mdp.transitions(AgeState(1, 3), Action.TRANSMIT) == [(AgeState(3, 1), 1.0)]
+        assert scalar_transitions(mdp, AgeState(1, 3), Action.TRANSMIT) == [(AgeState(3, 1), 1.0)]
 
 
 class TestGridLayout:
     def test_row_major_enumeration(self, mdp):
-        states = list(mdp.states())
-        assert states[0] == AgeState(1, 1)
-        assert states[1] == AgeState(1, 2)
-        assert states[mdp.trunc.delta_max] == AgeState(2, 1)
+        order = list(states(mdp))
+        assert order[0] == AgeState(1, 1)
+        assert order[1] == AgeState(1, 2)
+        assert order[mdp.trunc.delta_max] == AgeState(2, 1)
         for i in (0, 57, 841, mdp.n_states - 1):
-            assert mdp.state_index(states[i]) == i
-            assert mdp.state_at(i) == states[i]
+            assert mdp.state_index(order[i]) == i
 
     def test_headroom_enforced(self):
         with pytest.raises(DomainError, match="headroom"):
@@ -220,7 +222,7 @@ class TestGridLayout:
         assert mdp.n_states == 1
         # With full clamping every action self-loops.
         for u in (0, 1, 2):
-            assert all(s == AgeState(1, 1) for s, _ in mdp.transitions(AgeState(1, 1), u))
+            assert all(s == AgeState(1, 1) for s, _ in scalar_transitions(mdp, AgeState(1, 1), u))
 
     @given(tau_max=st.integers(3, 12), delta_max=st.integers(3, 12))
     def test_kernel_stochastic_on_random_grids(self, tau_max, delta_max):

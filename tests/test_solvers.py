@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    BRUTE_FORCE_MAX_STATES,
     benchmark_channel,
     benchmark_mdp,
     benchmark_system,
+    brute_force_optimal,
     eventually_reachable,
+    policy_gains,
+    scalar_cost,
     scalar_spi_improvement,
+    scalar_transitions,
     scalar_transmit_thresholds,
+    states,
 )
 from wearsched import (
     Action,
@@ -23,7 +30,6 @@ from wearsched import (
     Policy,
     SolveOptions,
     Truncation,
-    brute_force_optimal,
     build_mdp,
     greedy_policy,
     policy_evaluate,
@@ -80,8 +86,8 @@ class TestQBackup:
         q = q_backup(mdp, v)
         s = AgeState(int(rng.integers(1, 31)), int(rng.integers(1, 31)))
         u = int(rng.integers(0, 3))
-        expected = mdp.cost(s, u) + sum(
-            p * v[s2.tau - 1, s2.delta - 1] for s2, p in mdp.transitions(s, u)
+        expected = scalar_cost(mdp, s, u) + sum(
+            p * v[s2.tau - 1, s2.delta - 1] for s2, p in scalar_transitions(mdp, s, u)
         )
         assert q[s.tau - 1, s.delta - 1, u] == pytest.approx(expected, rel=1e-12)
 
@@ -103,10 +109,10 @@ class TestQBackup:
         )
         v = np.random.default_rng(seed).normal(scale=1e3, size=mdp.shape)
         expected = np.empty(mdp.shape + (3,))
-        for s in mdp.states():
+        for s in states(mdp):
             for u in Action:
-                cont = sum(p * v[s2.tau - 1, s2.delta - 1] for s2, p in mdp.transitions(s, u))
-                expected[s.tau - 1, s.delta - 1, u] = mdp.cost(s, u) + cont
+                cont = sum(p * v[s2.tau - 1, s2.delta - 1] for s2, p in scalar_transitions(mdp, s, u))
+                expected[s.tau - 1, s.delta - 1, u] = scalar_cost(mdp, s, u) + cont
         np.testing.assert_array_equal(q_backup(mdp, v), expected)
 
 
@@ -349,6 +355,25 @@ class TestStructuredPolicyIteration:
     def test_reference_value_zero(self, small_case):
         assert small_case.spi.v[0, 0] == 0.0
 
+    def test_stops_when_tied_policies_cycle(self):
+        # On a dead channel idling everywhere and transmitting on column
+        # delta=2 have the same gain, and rounding noise in Q(transmit) -
+        # Q(idle) flips the improvement step between them every sweep.
+        mdp = build_mdp(
+            benchmark_system(0.5),
+            benchmark_channel(tau_d=10, delta_r=5, theta_max=0.0, theta_min=0.0),
+            Truncation(5, 4),
+            require_headroom=False,
+        )
+        res = structured_policy_iteration(mdp, SolveOptions(max_iter=50))
+        lo, hi = rvi_solve(mdp).lambda_bounds
+        assert lo <= res.gain <= hi
+        assert res.gain == policy_evaluate(mdp, res.policy)[0]
+        # The gains are bit-equal, so the first policy evaluated is the
+        # lowest-gain one: idling everywhere.
+        assert res.iterations == 2
+        assert res.policy == Policy(actions=np.zeros(mdp.shape, dtype=np.int8))
+
     def test_bellman_residual_at_fixed_point(self, small_case):
         # Exact policy evaluation leaves only floating-point noise in the
         # optimality-equation residual.
@@ -395,8 +420,38 @@ class TestBruteForce:
         assert policy.action_at(1, 1) in (Action.IDLE, Action.TRANSMIT)
 
     def test_refuses_large_grids(self, small_case):
-        with pytest.raises(DomainError, match="12"):
+        with pytest.raises(DomainError, match=str(BRUTE_FORCE_MAX_STATES)):
             brute_force_optimal(small_case.mdp)
+
+    @pytest.mark.parametrize(
+        "tau_max,delta_max,theta",
+        [(t, d, theta) for t, d in [(1, 1), (2, 2), (6, 1)] for theta in [(0.0, 0.0), (1.0, 1.0), (0.95, 0.1)]]
+        + [(2, 3, (0.95, 0.1))],
+    )
+    def test_policy_gains_match_policy_evaluate(self, tau_max, delta_max, theta):
+        # Every policy on the grid, so multichain chains, transient starts
+        # and single-state classes all occur; policy_evaluate accepts the
+        # unichain ones (and refuses the rest). The 6x1 grid has paths of
+        # five steps, which the reachability closure must see.
+        mdp = build_mdp(
+            benchmark_system(0.9),
+            benchmark_channel(0.3, 2, 3, *theta),
+            Truncation(tau_max, delta_max),
+            require_headroom=False,
+        )
+        n = mdp.n_states
+        assignments = np.array(list(itertools.product((0, 1, 2), repeat=n)))
+        gains = policy_gains(mdp, assignments, 0)
+        assert np.isfinite(gains).all()
+        accepted = 0
+        for actions, gain in zip(assignments, gains):
+            try:
+                expected, _ = policy_evaluate(mdp, Policy(actions=actions.reshape(mdp.shape)))
+            except EvaluationError:
+                continue
+            accepted += 1
+            assert gain == pytest.approx(expected, rel=1e-12)
+        assert accepted > 0
 
     def test_perfect_channel_policy_achieves_first_age_mse(self):
         mdp = build_mdp(
