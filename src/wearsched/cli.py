@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 import time
 from itertools import repeat
@@ -44,6 +45,7 @@ from .sim import simulate
 from .solvers import (
     Policy,
     SolveResult,
+    load_evaluator,
     q_backup,
     rvi_solve,
     structured_policy_iteration,
@@ -327,6 +329,11 @@ def run_sweep(
         raise ConfigError(field="sweep.axis", message=f"axis must be one of {SWEEP_AXES}")
     if not values:
         raise ConfigError(field="sweep.values", message="no sweep values given")
+    non_finite = [f"{v:g}" for v in values if not math.isfinite(v)]
+    if non_finite:
+        raise ConfigError(
+            field="sweep.values", message=f"sweep values must be finite; got {', '.join(non_finite)}"
+        )
     if jobs < 1:
         raise ConfigError(field="sweep.jobs", message=f"jobs must be at least 1, got {jobs}")
     # Each point's directory, summary key and frontier rows carry its label.
@@ -344,6 +351,8 @@ def run_sweep(
     workers = min(jobs, len(values))
     args = (repeat(cfg.echo()), repeat(axis), values, [str(point_dirs[v]) for v in values], repeat(emit_q))
     if workers > 1:
+        # Loaded once here, the evaluator's modules reach every forked worker.
+        load_evaluator()
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_point, *args))
     else:

@@ -9,6 +9,7 @@ change an experiment.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -110,6 +111,8 @@ def _number(section: dict, path: str, key: str, default=None, *, integer=False, 
     v = section[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise _field_error(f"{path}.{key}", f"expected a number, got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise _field_error(f"{path}.{key}", f"expected a finite number, got {v!r}")
     if integer and int(v) != v:
         raise _field_error(f"{path}.{key}", f"expected an integer, got {v!r}")
     if minimum is not None and (v <= minimum if strict_min else v < minimum):

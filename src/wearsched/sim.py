@@ -57,19 +57,6 @@ class SimStats:
         if not 0.0 <= self.boundary_hit_fraction <= 1.0:
             raise DomainError("boundary_hit_fraction must lie in [0, 1]")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimStats)
-            and self.epochs == other.epochs
-            and self.per_epoch_avg_cost == other.per_epoch_avg_cost
-            and self.per_slot_avg_cost == other.per_slot_avg_cost
-            and (self.std_error == other.std_error or (np.isnan(self.std_error) and np.isnan(other.std_error)))
-            and np.array_equal(self.aoi_histogram, other.aoi_histogram)
-            and np.array_equal(self.aoc_histogram, other.aoc_histogram)
-            and np.array_equal(self.action_counts, other.action_counts)
-            and self.boundary_hit_fraction == other.boundary_hit_fraction
-        )
-
 
 def _fsum_counted(values: np.ndarray, counts: np.ndarray, sequence: np.ndarray) -> float:
     """``math.fsum(sequence)`` for a sequence holding ``counts[i]`` copies of

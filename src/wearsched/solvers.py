@@ -5,13 +5,15 @@ with monotone action-set pruning, and the renew-above-a-threshold heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DomainError, EvaluationError, NumericalOverflowError
 from .mdp import Action, AgeState, MdpSpec
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 # Differences of values of size M resolve only to about one unit in the last
 # place of M: RVI's stopping span is floored, and every lambda* bracket
@@ -203,8 +205,13 @@ def policy_evaluate(
     """Gain and relative value of a stationary policy.
 
     Solves gain + v(s) = c(s, policy(s)) + sum_s' P(s'|s) v(s') subject to
-    v(ref_state) = 0 with a direct sparse factorization.
+    v(ref_state) = 0 with a direct sparse factorization. scipy is imported
+    here, at the first evaluation, so that commands which evaluate no policy
+    never load it.
     """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
     if policy.shape != mdp.shape:
         raise DomainError(f"policy grid {policy.shape} does not match MDP grid {mdp.shape}")
     ref = mdp.state_index(ref_state)
@@ -226,12 +233,12 @@ def policy_evaluate(
         rows.append(np.arange(n)[keep])
         cols.append(col_of[succ[keep]])
         data.append(-p[keep])
-    m = sp.csc_matrix(
+    m = csc_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
 
     try:
-        lu = spla.splu(m)
+        lu = splu(m)
         x = lu.solve(b)
     except RuntimeError as exc:  # exactly singular factorization
         raise EvaluationError(
@@ -259,17 +266,26 @@ def policy_evaluate(
     return float(x[-1]), v.reshape(mdp.shape)
 
 
-def _condition_estimate(m: sp.csc_matrix, lu) -> float:
+def _condition_estimate(m: scipy.sparse.csc_matrix, lu) -> float:
+    from scipy.sparse.linalg import LinearOperator, onenormest
+
     try:
         norm_m = float(np.abs(m).sum(axis=0).max())
-        inv_op = spla.LinearOperator(
+        inv_op = LinearOperator(
             m.shape,
             matvec=lu.solve,
             rmatvec=lambda y: lu.solve(y, trans="T"),
         )
-        return norm_m * float(spla.onenormest(inv_op))
+        return norm_m * float(onenormest(inv_op))
     except Exception:
         return float("inf")
+
+
+def load_evaluator() -> None:
+    """Import the modules ``policy_evaluate`` needs. A process that forks
+    workers which evaluate policies calls this first, so that the workers
+    inherit the modules instead of each importing them."""
+    import scipy.sparse.linalg  # noqa: F401
 
 
 def structured_policy_iteration(

@@ -405,6 +405,21 @@ def scalar_simulate(
     )
 
 
+def sim_stats_equal(a: SimStats, b: SimStats) -> bool:
+    """Every field of two simulation results bit-equal; a NaN standard error
+    equals a NaN standard error."""
+    return (
+        a.epochs == b.epochs
+        and a.per_epoch_avg_cost == b.per_epoch_avg_cost
+        and a.per_slot_avg_cost == b.per_slot_avg_cost
+        and (a.std_error == b.std_error or (np.isnan(a.std_error) and np.isnan(b.std_error)))
+        and np.array_equal(a.aoi_histogram, b.aoi_histogram)
+        and np.array_equal(a.aoc_histogram, b.aoc_histogram)
+        and np.array_equal(a.action_counts, b.action_counts)
+        and a.boundary_hit_fraction == b.boundary_hit_fraction
+    )
+
+
 def _scalar_axis_violations(arr: np.ndarray, region: Region, axis: str, rel_tol: float):
     """Reference violation list: adjacent-pair decreases along an age axis, one
     ``Violation`` per flagged pair from per-element ``int``/``float`` calls."""

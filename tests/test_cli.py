@@ -1,5 +1,8 @@
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -9,7 +12,8 @@ import yaml
 from wearsched import check_submodular, interior_region
 from wearsched.cli import _report_dict, main
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 CONFIG = """
 system:
@@ -95,6 +99,25 @@ class TestSolve:
         assert code == 2
         assert payload["error"]["kind"] == "config"
         assert "theta_min" in payload["error"]["field"]
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "solver.tol=.nan",
+            "solver.tol=.inf",
+            "simulate.epochs=.inf",
+            "truncation.tau_max=.inf",
+            "solver.max_iter=.nan",
+            "simulate.seed=.nan",
+        ],
+    )
+    def test_non_finite_number_exit_2(self, cfg_path, tmp_path, capsys, override):
+        out = tmp_path / "x"
+        code, payload = run_cli(capsys, "solve", "--config", cfg_path, "--out", out, "--set", override)
+        assert code == 2
+        assert payload["error"]["kind"] == "config"
+        assert payload["error"]["field"] == override.split("=")[0]
+        assert not out.exists()
 
 
 class TestVerify:
@@ -263,6 +286,22 @@ class TestSweep:
         summary = json.loads((tmp_path / "swj" / "sweep_summary.json").read_text())
         assert list(payload["points"]) == list(summary["points"]) == ["1", "0.9"]
 
+    def test_pooled_policy_evaluation_matches_serial(self, cfg_path, tmp_path, capsys):
+        # The threshold heuristic evaluates policies, so each forked worker
+        # runs policy_evaluate with the modules the parent loaded.
+        outs = {}
+        for jobs in ("1", "2"):
+            outs[jobs] = out = tmp_path / f"jobs{jobs}"
+            code, _ = run_cli(
+                capsys, "sweep", "--config", cfg_path, "--out", out,
+                "--set", "solver.method=threshold-heuristic",
+                "--set", "truncation.tau_max=20", "--set", "truncation.delta_max=20",
+                "--axis", "beta", "--values", "1.0,0.9", "--jobs", jobs,
+            )
+            assert code == 0
+        for name in ("sweep_summary.json", "beta=1/policy.csv", "beta=0.9/policy.csv"):
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected_before_solving(self, cfg_path, tmp_path, capsys, jobs):
         out = tmp_path / "sw"
@@ -337,6 +376,17 @@ class TestSweep:
         assert values.split(",")[-1] in payload["error"]["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis,values", [("beta", "nan,0.9"), ("alpha", "0.1,inf"), ("beta", "0.9,-inf")])
+    def test_non_finite_values_rejected_before_solving(self, cfg_path, tmp_path, capsys, axis, values):
+        # A NaN point would also print as a bare NaN token, which is not JSON.
+        out = tmp_path / "sw"
+        code, payload = run_cli(
+            capsys, "sweep", "--config", cfg_path, "--out", out, "--axis", axis, "--values", values,
+        )
+        assert code == 2
+        assert payload["error"]["field"] == "sweep.values"
+        assert not out.exists()
+
     def test_integral_age_values_keep_integer_labels(self, cfg_path, tmp_path, capsys):
         code, payload = run_cli(
             capsys, "sweep", "--config", cfg_path, "--out", tmp_path / "sw",
@@ -375,3 +425,56 @@ def test_config_echo_reruns_bit_identically(cfg_path, tmp_path, capsys):
     assert code == 0
     assert (out1 / "policy.csv").read_bytes() == (out2 / "policy.csv").read_bytes()
     assert (out1 / "value.csv").read_bytes() == (out2 / "value.csv").read_bytes()
+
+
+# Runs CLI commands in a fresh interpreter and prints, as one JSON list, the
+# scipy modules loaded after importing the CLI and after each command.
+COLD_START = """
+import contextlib, io, json, sys
+import wearsched.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = [scipy_modules()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+    loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def scipy_after(*commands) -> list[list[str]]:
+    """Scipy modules loaded in a new process after ``import wearsched.cli``
+    and after each of ``commands``; this process may already hold scipy."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps([[str(a) for a in c] for c in commands])],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestColdStart:
+    def test_commands_without_policy_evaluation_load_no_scipy(self, cfg_path, tmp_path):
+        run = tmp_path / "run"
+        common = ["--config", cfg_path, "--set", "simulate.replications=1"]
+        loaded = scipy_after(
+            ["solve", *common, "--out", run, "--emit-q"],
+            ["verify", *common, "--out", tmp_path / "verify", "--policy", run / "policy.csv",
+             "--value", run / "value.csv", "--q", run / "q.csv"],
+            ["simulate", *common, "--out", tmp_path / "sim", "--policy", run / "policy.csv"],
+        )
+        assert loaded == [[], [], [], []]
+
+    def test_policy_evaluation_loads_scipy(self, cfg_path, tmp_path):
+        # The guard above can fail: an SPI solve does load the evaluator.
+        before, after = scipy_after(
+            ["solve", "--config", cfg_path, "--out", tmp_path / "spi", "--set", "solver.method=spi"]
+        )
+        assert before == []
+        assert "scipy.sparse.linalg" in after

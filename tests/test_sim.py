@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import benchmark_channel, benchmark_mdp, benchmark_system, scalar_simulate
+from helpers import benchmark_channel, benchmark_mdp, benchmark_system, scalar_simulate, sim_stats_equal
 from wearsched import (
     Action,
     AgeState,
@@ -52,13 +52,13 @@ class TestSimulate:
         mdp, pol = small_case.mdp, small_case.rvi.policy
         a = simulate(mdp, pol, epochs=5000, seed=99)
         b = simulate(mdp, pol, epochs=5000, seed=99)
-        assert a == b
+        assert sim_stats_equal(a, b)
 
     def test_streams_differ(self, small_case):
         mdp, pol = small_case.mdp, small_case.rvi.policy
         a = simulate(mdp, pol, epochs=5000, seed=99, stream=0)
         b = simulate(mdp, pol, epochs=5000, seed=99, stream=1)
-        assert a != b
+        assert not sim_stats_equal(a, b)
 
     def test_counts_consistent(self, small_case):
         mdp, pol = small_case.mdp, small_case.rvi.policy
@@ -142,7 +142,7 @@ class TestMatchesScalarLoop:
         policy = Policy(actions=actions)
         s0 = AgeState(data.draw(st.integers(1, tau_max)), data.draw(st.integers(1, delta_max)))
         got = simulate(mdp, policy, s0, epochs, seed, stream)
-        assert got == scalar_simulate(mdp, policy, s0, epochs, seed, stream)
+        assert sim_stats_equal(got, scalar_simulate(mdp, policy, s0, epochs, seed, stream))
 
     def test_draw_equal_to_reliability_is_a_miss(self):
         u0 = replication_rng(5, 0).random()
@@ -152,7 +152,7 @@ class TestMatchesScalarLoop:
         stats = simulate(mdp, transmit_always(mdp.trunc), AgeState(1, 1), epochs=2, seed=5)
         # The second epoch sits at information age 2, not back at 1.
         assert stats.aoi_histogram[:2].tolist() == [1, 1]
-        assert stats == scalar_simulate(mdp, transmit_always(mdp.trunc), AgeState(1, 1), 2, 5)
+        assert sim_stats_equal(stats, scalar_simulate(mdp, transmit_always(mdp.trunc), AgeState(1, 1), 2, 5))
 
     def test_pinned_benchmark_marginal(self):
         # benchmark-marginal at 40x40 under its SPI policy, seed 2024, as
