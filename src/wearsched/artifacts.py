@@ -53,45 +53,89 @@ def write_q_csv(path: str | Path, q: np.ndarray) -> None:
     _write_grid(path, Q_HEADER, "%.17g", q)
 
 
-def _read_grid(path: str | Path, header: str, value_dtype: type) -> np.ndarray:
-    """Read a CSV grid written by ``_write_grid`` into a (tau_max, delta_max, k)
-    array of ``value_dtype``, where k is the number of value columns the
-    header names. The grid size is the largest state in the file."""
-    p = Path(path)
-    if not p.is_file():
-        raise MissingArtifactError(f"artifact not found: {p}")
+def _loadtxt(lines, dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        # Older numpy releases read a float ("1.5") into an integer field
+        # with a DeprecationWarning instead of rejecting it.
+        warnings.simplefilter("error", DeprecationWarning)
+        # Input with no data rows is reported by the callers.
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _text_lines(f, block: int = 1 << 16):
+    """Yield the lines of a text file in lists, one block of text at a time,
+    split as ``str.splitlines`` splits the whole text: a cut right after a
+    newline is a line boundary."""
+    carry = ""
+    for text in iter(lambda: f.read(block), ""):
+        text = carry + text
+        cut = text.rfind("\n") + 1
+        carry = text[cut:]
+        yield text[:cut].splitlines()
+    yield carry.splitlines()
+
+
+def _stream_rows(p: Path, header: str, dtype) -> np.ndarray | None:
+    """The data rows of a well-formed file, parsed as the file is read; None
+    when the file is not well formed, e.g. has whitespace-only lines."""
+    try:
+        with open(p) as f:
+            lines = itertools.chain.from_iterable(_text_lines(f))
+            if next(lines, "").strip() != header:
+                return None
+            rows = _loadtxt(lines, dtype)
+    except (ValueError, DeprecationWarning):  # UnicodeDecodeError is a ValueError
+        return None
+    return rows if len(rows) else None
+
+
+def _diagnose_rows(p: Path, header: str, dtype) -> np.ndarray:
+    """The data rows of the file read as a whole: whitespace-only lines are
+    skipped, and an error names the first malformed line, a field-count
+    error before a parse error."""
     try:
         lines = p.read_text().splitlines()
     except UnicodeDecodeError as exc:
         raise ArtifactParseError(f"{p}: {exc}") from exc
     if not lines or lines[0].strip() != header:
         raise ArtifactParseError(f"{p}: expected header {header!r}")
-    names = header.split(",")
+    n_fields = len(dtype)
     body = lines[1:]
 
     # A line with the wrong comma count is either whitespace only (skipped)
     # or malformed.
     commas = np.fromiter(map(str.count, body, itertools.repeat(",")), np.int64, len(body))
-    ok = commas == len(names) - 1
+    ok = commas == n_fields - 1
     for i in np.flatnonzero(~ok):
         if body[i].strip():
-            raise ArtifactParseError(
-                f"{p}:{i + 2}: expected {len(names)} fields, got {commas[i] + 1}"
-            )
+            raise ArtifactParseError(f"{p}:{i + 2}: expected {n_fields} fields, got {commas[i] + 1}")
     if not ok.all():
         body = list(itertools.compress(body, ok))
     if not body:
         raise ArtifactParseError(f"{p}: no data rows")
-
-    dtype = [(names[0], np.int64), (names[1], np.int64)] + [(n, value_dtype) for n in names[2:]]
     try:
-        with warnings.catch_warnings():
-            # Older numpy releases read a float ("1.5") into an integer field
-            # with a DeprecationWarning instead of rejecting it.
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        return _loadtxt(body, dtype)
     except (ValueError, DeprecationWarning) as exc:
         raise ArtifactParseError(f"{p}: {exc}") from exc
+
+
+def _read_grid(path: str | Path, header: str, value_dtype: type) -> np.ndarray:
+    """Read a CSV grid written by ``_write_grid`` into a (tau_max, delta_max, k)
+    array of ``value_dtype``, where k is the number of value columns the
+    header names. The grid size is the largest state in the file.
+
+    A well-formed file is parsed in one streamed pass; only a file that fails
+    it is read again as a whole, to skip whitespace-only lines or name the
+    line at fault."""
+    p = Path(path)
+    if not p.is_file():
+        raise MissingArtifactError(f"artifact not found: {p}")
+    names = header.split(",")
+    dtype = [(names[0], np.int64), (names[1], np.int64)] + [(n, value_dtype) for n in names[2:]]
+    rows = _stream_rows(p, header, dtype)
+    if rows is None:
+        rows = _diagnose_rows(p, header, dtype)
 
     tau, delta = rows[names[0]], rows[names[1]]
     outside = np.flatnonzero((tau < 1) | (delta < 1))
@@ -110,7 +154,8 @@ def _read_grid(path: str | Path, header: str, value_dtype: type) -> np.ndarray:
         raise ArtifactParseError(f"{p}: missing state ({ti + 1},{dj + 1})")
 
     grid = np.empty((t_max * d_max, len(names) - 2), dtype=value_dtype)
-    grid[flat] = np.stack([rows[n] for n in names[2:]], axis=1)
+    for j, name in enumerate(names[2:]):
+        grid[flat, j] = rows[name]
     return grid.reshape(t_max, d_max, -1)
 
 

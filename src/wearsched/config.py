@@ -308,6 +308,8 @@ def validate_config_dict(data: dict) -> ExperimentConfig:
     # Construct the model objects once so invariant violations surface now.
     try:
         cfg.build_system()
+    except ConfigError:
+        raise  # already names its field
     except WearschedError as exc:
         raise _field_error("system", str(exc)) from exc
     try:

@@ -58,23 +58,24 @@ class SimStats:
             raise DomainError("boundary_hit_fraction must lie in [0, 1]")
 
 
-def _fsum_counted(values: np.ndarray, counts: np.ndarray, sequence: np.ndarray) -> float:
-    """``math.fsum(sequence)`` for a sequence holding ``counts[i]`` copies of
-    ``values[i]``, in any order.
+def _fsum_counted(values: np.ndarray, counts: np.ndarray, replay) -> float:
+    """``math.fsum`` of a sequence holding ``counts[i]`` copies of
+    ``values[i]``, in the order ``replay()`` yields them.
 
     fsum returns the exact sum rounded once, so the same float follows from
     the counts: each finite value is an integer over a power of two, and
     Python's integer true division rounds correctly. Sequences that could
-    overflow, hold inf or NaN, or sum to zero go to fsum itself.
+    overflow, hold inf or NaN, or sum to zero go to fsum itself, over a fresh
+    ``replay()``: its intermediate overflow depends on the order.
     """
     used = np.flatnonzero(counts)
     vals = values[used]
-    if not np.all(np.isfinite(vals)) or np.abs(vals).max() >= 2.0**1000 / sequence.size:
-        return math.fsum(sequence)
+    if not np.all(np.isfinite(vals)) or np.abs(vals).max() >= 2.0**1000 / counts.sum():
+        return math.fsum(replay())
     ratios = [x.as_integer_ratio() for x in vals.tolist()]
     den = max(d for _, d in ratios)
     num = sum(k * m * (den // d) for (m, d), k in zip(ratios, counts[used].tolist()))
-    return num / den if num else math.fsum(sequence)  # fsum signs a zero total
+    return num / den if num else math.fsum(replay())  # fsum signs a zero total
 
 
 def replication_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -85,6 +86,29 @@ def replication_rng(seed: int, stream: int = 0) -> np.random.Generator:
     if stream < 0:
         raise DomainError(f"stream index must be nonnegative, got {stream}")
     return np.random.default_rng([seed, stream])
+
+
+def _walk(hit: list, miss: list, threshold: list, start: int, rng: np.random.Generator, sizes: list):
+    """Yield the states visited in each of ``len(sizes)`` consecutive runs of
+    ``sizes[i]`` epochs, as int64 arrays.
+
+    The loop touches only plain-python lists and floats: one uniform per
+    epoch against a per-state threshold, theta for transmit and -1.0 for idle
+    and renew (whose sole successor sits in the miss slot), so
+    ``u < threshold[s]`` alone picks the branch. Draws are taken at most
+    ``CHUNK`` at a time; PCG64 yields the same uniforms chunked as in one call.
+    """
+    s = start
+    for size in sizes:
+        states = np.empty(size, dtype=np.int64)
+        for lo in range(0, size, CHUNK):
+            visited = []
+            append = visited.append
+            for u in rng.random(min(CHUNK, size - lo)).tolist():
+                append(s)
+                s = hit[s] if u < threshold[s] else miss[s]
+            states[lo : lo + len(visited)] = visited
+        yield states
 
 
 def simulate(
@@ -114,41 +138,40 @@ def simulate(
     cost_flat = mdp.cost_table.reshape(n, 3)[np.arange(n), act_flat]
     succ_hit, succ_miss, p_hit = mdp.successors(policy.actions)
 
-    # The hot loop touches only plain-python lists and floats: one uniform
-    # per epoch against a per-state threshold, theta for transmit and -1.0
-    # for idle and renew (whose sole successor sits in the miss slot), so
-    # ``u < threshold[s]`` alone picks the branch. Draws are taken and the
-    # visited states stored one chunk at a time, so no epoch-length list is
-    # ever built; PCG64 yields the same uniforms chunked as in one call.
     hit = succ_hit.tolist()
     miss = succ_miss.tolist()
     threshold = np.where(act_flat == Action.TRANSMIT, p_hit, -1.0).tolist()
-    traj = np.empty(epochs, dtype=np.int64)
-    s = start
-    for lo in range(0, epochs, CHUNK):
-        visited = []
-        append = visited.append
-        for u in rng.random(min(CHUNK, epochs - lo)).tolist():
-            append(s)
-            s = hit[s] if u < threshold[s] else miss[s]
-        traj[lo : lo + len(visited)] = visited
+    # The batch-means batches, sized as np.array_split would cut the run.
+    batches = min(BATCH_COUNT, epochs)
+    size, extra = divmod(epochs, batches)
+    sizes = [size + 1] * extra + [size] * (batches - extra)
 
-    costs = cost_flat[traj]
-    visits = np.bincount(traj, minlength=n)
+    def walk(rng):
+        return _walk(hit, miss, threshold, start, rng, sizes)
+
+    # One batch of visited states is held at a time: its visits and its mean
+    # cost are all the statistics need.
+    visits = np.zeros(n, dtype=np.int64)
+    means = []
+    for states in walk(rng):
+        visits += np.bincount(states, minlength=n)
+        means.append(cost_flat[states].mean())
     grid_visits = visits.reshape(mdp.shape)
     action_counts = np.array([visits[act_flat == u].sum() for u in Action], dtype=np.int64)
     slots = action_counts.sum() + (mdp.channel.delta_r - 1) * action_counts[Action.RENEW]
     boundary = grid_visits[-1, :].sum() + grid_visits[:-1, -1].sum()
 
     # Exactly-rounded summation: with constant costs and a power-of-two epoch
-    # count the average is bit-exact.
-    total_cost = _fsum_counted(cost_flat, visits, costs)
+    # count the average is bit-exact. Its fallback to fsum replays the run.
+    total_cost = _fsum_counted(
+        cost_flat,
+        visits,
+        lambda: (c for states in walk(replication_rng(seed, stream)) for c in cost_flat[states].tolist()),
+    )
     per_epoch = total_cost / epochs
     per_slot = total_cost / int(slots)
-    batches = min(BATCH_COUNT, epochs)
     if batches >= 2:
-        means = np.array([chunk.mean() for chunk in np.array_split(costs, batches)])
-        std_error = float(means.std(ddof=1) / np.sqrt(batches))
+        std_error = float(np.std(means, ddof=1) / np.sqrt(batches))
     else:
         std_error = 0.0
 

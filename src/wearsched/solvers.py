@@ -63,12 +63,6 @@ class Policy:
     def shape(self) -> tuple[int, int]:
         return self.actions.shape
 
-    def action_at(self, tau: int, delta: int) -> Action:
-        t_max, d_max = self.actions.shape
-        if not (1 <= tau <= t_max and 1 <= delta <= d_max):
-            raise DomainError(f"state ({tau}, {delta}) outside policy grid {self.actions.shape}")
-        return Action(int(self.actions[tau - 1, delta - 1]))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Policy) and np.array_equal(self.actions, other.actions)
 

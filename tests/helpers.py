@@ -405,6 +405,14 @@ def scalar_simulate(
     )
 
 
+def action_at(policy: Policy, tau: int, delta: int) -> Action:
+    """The action a policy takes at the 1-based state (tau, delta)."""
+    t_max, d_max = policy.shape
+    if not (1 <= tau <= t_max and 1 <= delta <= d_max):
+        raise DomainError(f"state ({tau}, {delta}) outside policy grid {policy.shape}")
+    return Action(int(policy.actions[tau - 1, delta - 1]))
+
+
 def sim_stats_equal(a: SimStats, b: SimStats) -> bool:
     """Every field of two simulation results bit-equal; a NaN standard error
     equals a NaN standard error."""

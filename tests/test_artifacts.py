@@ -1,3 +1,7 @@
+import io
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +11,12 @@ from hypothesis.extra.numpy import arrays
 from helpers import scalar_write_policy_csv, scalar_write_q_csv, scalar_write_value_csv
 from wearsched import ArtifactParseError, MissingArtifactError, Policy
 from wearsched.artifacts import (
+    POLICY_HEADER,
+    Q_HEADER,
+    VALUE_HEADER,
+    _diagnose_rows,
+    _stream_rows,
+    _text_lines,
     read_policy_csv,
     read_q_csv,
     read_value_csv,
@@ -84,6 +94,15 @@ def test_wrong_field_count_names_the_line(tmp_path):
     p = tmp_path / "p.csv"
     p.write_text("tau,delta,action\n1,1,0\n1,2,1,5\n")
     with pytest.raises(ArtifactParseError, match=r"p\.csv:3: expected 3 fields, got 4"):
+        read_policy_csv(p)
+
+
+def test_form_feed_breaks_the_line(tmp_path):
+    # Lines are what str.splitlines makes of the text, so "1\f,1,0" is the
+    # lines "1" and ",1,0", though a number may carry a trailing form feed.
+    p = tmp_path / "p.csv"
+    p.write_text("tau,delta,action\n1\f,1,0\n")
+    with pytest.raises(ArtifactParseError, match=r"p\.csv:2: expected 3 fields, got 1"):
         read_policy_csv(p)
 
 
@@ -262,3 +281,75 @@ def test_nan_rejected(tmp_path, read, text):
     p.write_text(text)
     with pytest.raises(ArtifactParseError, match=r"NaN at state \(1,2\)"):
         read(p)
+
+
+def test_read_q_memory_is_a_small_multiple_of_the_grid(tmp_path):
+    # The file is about 2.8x the grid; the text and its lines are never all
+    # held at once.
+    q = np.random.default_rng(6).normal(size=(320, 320, 3))
+    path = tmp_path / "q.csv"
+    write_q_csv(path, q)
+    tracemalloc.start()
+    try:
+        got = read_q_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, q)
+    assert peak < 4 * q.nbytes
+
+
+@given(
+    text=st.text(alphabet=list("ab,\n\r \x0b\x0c\x1c\x85\u2028"), max_size=40),
+    block=st.integers(1, 9),
+)
+def test_text_lines_split_like_splitlines(text, block):
+    lines = itertools.chain.from_iterable(_text_lines(io.StringIO(text, newline=""), block))
+    assert list(lines) == text.splitlines()
+
+
+# Line breaks that str.splitlines knows and file iteration does not, next to
+# the characters of the grid format.
+SPLIT_ALPHABET = MUTATION_ALPHABET + ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r\n", "   "]
+
+
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(["set", "insert", "delete"]),
+                  st.sampled_from(SPLIT_ALPHABET)),
+        max_size=4,
+    )
+)
+def test_streamed_rows_are_the_whole_file_rows(tmp_path_factory, edits):
+    # The one-pass parse either gives up or gives the rows of the whole-file
+    # read, which also decides every error message.
+    tmp = tmp_path_factory.mktemp("streamed")
+    rng = np.random.default_rng(7)
+    for write, header, grid in (
+        (write_policy_csv, POLICY_HEADER, Policy(actions=np.ones((3, 2), dtype=np.int8))),
+        (write_value_csv, VALUE_HEADER, rng.normal(size=(3, 2))),
+        (write_q_csv, Q_HEADER, rng.normal(size=(3, 2, 3))),
+    ):
+        write(tmp / "ok.csv", grid)
+        text = list((tmp / "ok.csv").read_text())
+        for pos, op, token in edits:
+            k = pos % len(text)
+            if op == "set":
+                text[k] = token
+            elif op == "insert":
+                text.insert(k, token)
+            elif len(text) > 1:
+                del text[k]
+        path = tmp / "edited.csv"
+        path.write_text("".join(text))
+        value = np.int64 if header == POLICY_HEADER else np.float64
+        dtype = [(n, np.int64 if i < 2 else value) for i, n in enumerate(header.split(","))]
+        rows = _stream_rows(path, header, dtype)
+        if not edits:
+            assert rows is not None
+        try:
+            expected = _diagnose_rows(path, header, dtype)
+        except ArtifactParseError:
+            assert rows is None
+            continue
+        assert rows is None or rows.tobytes() == expected.tobytes()

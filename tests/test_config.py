@@ -128,3 +128,21 @@ def test_output_dir_resolution(tmp_path, monkeypatch):
 def test_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/cfg.yaml")
+
+
+@pytest.mark.parametrize("entry", [".nan", ".inf"])
+def test_model_error_names_field_once(tmp_path, entry):
+    text = f"""
+system:
+  a: [[{entry}, 0.5], [0.0, 0.8]]
+  c: [[1.0, 1.0]]
+  q: [[1.0, 0.0], [0.0, 1.0]]
+  r: [[1.0]]
+channel: {{theta_max: 0.9, theta_min: 0.1, alpha: 0.2, tau_d: 3, delta_r: 4}}
+truncation: {{tau_max: 10, delta_max: 10}}
+"""
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(write(tmp_path, text))
+    assert exc_info.value.field == "system"
+    assert str(exc_info.value).startswith("system: ")
+    assert not exc_info.value.reason.startswith("system:")

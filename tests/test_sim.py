@@ -1,11 +1,21 @@
+import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import benchmark_channel, benchmark_mdp, benchmark_system, scalar_simulate, sim_stats_equal
+from helpers import (
+    action_at,
+    benchmark_channel,
+    benchmark_mdp,
+    benchmark_system,
+    scalar_simulate,
+    sim_stats_equal,
+)
 from wearsched import (
     Action,
     AgeState,
@@ -24,7 +34,8 @@ from wearsched import (
     threshold_policy,
     transmit_always,
 )
-from wearsched.sim import CHUNK, _fsum_counted
+from wearsched import sim
+from wearsched.sim import BATCH_COUNT, CHUNK, _fsum_counted
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +155,100 @@ class TestMatchesScalarLoop:
         got = simulate(mdp, policy, s0, epochs, seed, stream)
         assert sim_stats_equal(got, scalar_simulate(mdp, policy, s0, epochs, seed, stream))
 
+    # Chunks of 7 draws: a batch of more than 7 epochs spans several passes,
+    # and its last pass is short.
+    @pytest.mark.parametrize("epochs", [1, 6, 7, 8, 100, 7 * BATCH_COUNT + 5, 2000])
+    @settings(max_examples=10)
+    @given(
+        tau_max=st.integers(1, 8),
+        delta_max=st.integers(1, 8),
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 3),
+    )
+    def test_bit_identical_with_small_chunks(self, epochs, tau_max, delta_max, seed, stream):
+        mdp = build_mdp(
+            benchmark_system(0.9),
+            benchmark_channel(0.3, 3, 4, 0.95, 0.1),
+            Truncation(tau_max, delta_max),
+            require_headroom=False,
+        )
+        policy = Policy(actions=np.random.default_rng(seed).integers(0, 3, size=mdp.shape).astype(np.int8))
+        s0 = AgeState(tau_max, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "CHUNK", 7)
+            got = simulate(mdp, policy, s0, epochs, seed, stream)
+        assert sim_stats_equal(got, scalar_simulate(mdp, policy, s0, epochs, seed, stream))
+
+    # Costs that send the total to fsum itself: each visited state's cost is
+    # at least 2**1000 / epochs in magnitude or infinite, and with both signs
+    # fsum's intermediate overflow depends on the order of the epochs.
+    @pytest.mark.parametrize("epochs", [1, 2, 40, 7 * BATCH_COUNT + 5])
+    @settings(max_examples=25)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        huge=st.lists(
+            st.sampled_from([2.0**1000, -(2.0**1000), 1.7e308, -1.7e308, np.inf, -np.inf]),
+            min_size=16 * 3,
+            max_size=16 * 3,
+        ),
+    )
+    def test_fsum_fallback_matches_scalar(self, epochs, seed, huge):
+        mdp = build_mdp(
+            benchmark_system(0.9),
+            benchmark_channel(0.3, 3, 4, 0.95, 0.1),
+            Truncation(4, 4),
+            require_headroom=False,
+        )
+        mdp = dataclasses.replace(mdp, cost_table=np.array(huge).reshape(4, 4, 3))
+        policy = Policy(actions=np.random.default_rng(seed).integers(0, 3, size=mdp.shape).astype(np.int8))
+        # The batch means and their spread overflow too.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "CHUNK", 7)
+            try:
+                expected = scalar_simulate(mdp, policy, AgeState(1, 1), epochs, seed)
+            except (OverflowError, ValueError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    simulate(mdp, policy, AgeState(1, 1), epochs, seed)
+                return
+            assert sim_stats_equal(simulate(mdp, policy, AgeState(1, 1), epochs, seed), expected)
+
+    def test_fsum_fallback_in_epoch_order(self):
+        # One channel age and a perfect channel: idle at information age 1,
+        # transmit at 2, so the run alternates between costs +M and -M. fsum
+        # adds them in epoch order to M; sorted, they overflow.
+        mdp = build_mdp(
+            benchmark_system(0.9),
+            benchmark_channel(0.3, 3, 4, 1.0, 1.0),
+            Truncation(1, 3),
+            require_headroom=False,
+        )
+        m = 1.7e308
+        costs = np.zeros((1, 3, 3))
+        costs[0, 0, Action.IDLE] = m
+        costs[0, 1, Action.TRANSMIT] = -m
+        mdp = dataclasses.replace(mdp, cost_table=costs)
+        policy = Policy(actions=np.array([[Action.IDLE, Action.TRANSMIT, Action.IDLE]], dtype=np.int8))
+        with pytest.raises(OverflowError):
+            math.fsum(sorted([m, -m, m, -m, m]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = simulate(mdp, policy, AgeState(1, 1), 5, 0)
+            assert sim_stats_equal(got, scalar_simulate(mdp, policy, AgeState(1, 1), 5, 0))
+        assert got.per_epoch_avg_cost == m / 5
+
+    def test_memory_independent_of_epochs(self):
+        # The statistics never hold an epoch-length array: 16 B per epoch is
+        # what the visited states and their costs would take.
+        mdp = build_mdp(benchmark_system(0.9), benchmark_channel(), Truncation(30, 30))
+        policy = transmit_always(mdp.trunc)
+        epochs = 1 << 20
+        tracemalloc.start()
+        try:
+            simulate(mdp, policy, epochs=epochs, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * epochs
+
     def test_draw_equal_to_reliability_is_a_miss(self):
         u0 = replication_rng(5, 0).random()
         mdp = build_mdp(
@@ -210,17 +315,17 @@ class TestMatchesScalarLoop:
             expected = math.fsum(sequence)
         except (OverflowError, ValueError) as exc:
             with pytest.raises(type(exc)):
-                _fsum_counted(values, counts, sequence)
+                _fsum_counted(values, counts, lambda: sequence)
             return
-        got = _fsum_counted(values, counts, sequence)
+        got = _fsum_counted(values, counts, lambda: sequence)
         assert repr(got) == repr(expected)
 
 
 class TestTransmitAlways:
     def test_everywhere(self):
         pol = transmit_always(Truncation(9, 7))
-        assert pol.action_at(1, 1) == Action.TRANSMIT
-        assert pol.action_at(9, 7) == Action.TRANSMIT
+        assert action_at(pol, 1, 1) == Action.TRANSMIT
+        assert action_at(pol, 9, 7) == Action.TRANSMIT
         assert np.all(pol.actions == Action.TRANSMIT)
 
     def test_monotone_on_both_axes(self):
@@ -244,9 +349,9 @@ class TestBoundaryRenewal:
         cutoff = 1.0 - 1.0 / 1.21
         for tau in range(1, 41):
             expected = Action.TRANSMIT if ch.reliability(tau) > cutoff else Action.RENEW
-            assert pol.action_at(tau, 1) == expected
-        assert pol.action_at(17, 5) == Action.TRANSMIT
-        assert pol.action_at(18, 5) == Action.RENEW
+            assert action_at(pol, tau, 1) == expected
+        assert action_at(pol, 17, 5) == Action.TRANSMIT
+        assert action_at(pol, 18, 5) == Action.RENEW
 
     def test_channel_age_monotone(self):
         pol = boundary_renewal(benchmark_system(1.1), benchmark_channel(), Truncation(40, 40))
