@@ -202,7 +202,7 @@ def run_verify(
     """
     t_start = time.perf_counter()
     mdp = _build(cfg)
-    if policy_path or value_path:
+    if policy_path or value_path or q_path:
         if not (policy_path and value_path):
             raise MissingArtifactError("verification from artifacts needs both --policy and --value")
         policy = read_policy_csv(policy_path)

@@ -323,6 +323,11 @@ def validate_config_dict(data: dict) -> ExperimentConfig:
     ref = cfg.solver.ref_state
     if ref.tau > truncation["tau_max"] or ref.delta > truncation["delta_max"]:
         raise _field_error("solver.ref_state", f"reference state {tuple(ref)} outside the grid")
+    tau_renew = cfg.solver.tau_renew
+    if tau_renew is not None and tau_renew > truncation["tau_max"]:
+        raise _field_error(
+            "solver.tau_renew", f"renewal threshold {tau_renew} exceeds tau_max={truncation['tau_max']}"
+        )
     return cfg
 
 

@@ -203,33 +203,17 @@ def policy_evaluate(
     here, at the first evaluation, so that commands which evaluate no policy
     never load it.
     """
-    from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
     if policy.shape != mdp.shape:
         raise DomainError(f"policy grid {policy.shape} does not match MDP grid {mdp.shape}")
     ref = mdp.state_index(ref_state)
     n = mdp.n_states
-    hit, miss, p_hit = mdp.successors(policy.actions)
+    # Only the system and the cost vector stay alive while splu allocates
+    # its workspace: the assembly arrays die inside _evaluation_matrix.
+    m = _evaluation_matrix(mdp, policy.actions, ref)
     cost = np.take_along_axis(mdp.cost_table, policy.actions[:, :, None].astype(np.intp), axis=2)
     b = cost.reshape(-1)
-
-    # Unknowns: v at every non-reference state, then the gain (last column).
-    col_of = np.arange(n, dtype=np.int64)
-    col_of[ref + 1 :] -= 1
-
-    diag_keep = np.arange(n) != ref
-    rows = [np.arange(n)[diag_keep], np.arange(n)]
-    cols = [col_of[diag_keep], np.full(n, n - 1, dtype=np.int64)]
-    data = [np.ones(diag_keep.sum()), np.ones(n)]
-    for succ, p in ((hit, p_hit), (miss, 1.0 - p_hit)):
-        keep = (p > 0) & (succ != ref)
-        rows.append(np.arange(n)[keep])
-        cols.append(col_of[succ[keep]])
-        data.append(-p[keep])
-    m = csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
 
     try:
         lu = splu(m)
@@ -258,6 +242,31 @@ def policy_evaluate(
     v[np.arange(n) != ref] = x[:-1]
     v[ref] = 0.0
     return float(x[-1]), v.reshape(mdp.shape)
+
+
+def _evaluation_matrix(mdp: MdpSpec, actions: np.ndarray, ref: int) -> scipy.sparse.csc_matrix:
+    """The n x n evaluation system of a policy: row s reads
+    v(s) + gain - sum_s' P(s'|s) v(s'), with v(ref) dropped from the
+    unknowns and the gain in the last column."""
+    from scipy.sparse import csc_matrix
+
+    n = mdp.n_states
+    hit, miss, p_hit = mdp.successors(actions)
+    col_of = np.arange(n, dtype=np.int64)
+    col_of[ref + 1 :] -= 1
+
+    diag_keep = np.arange(n) != ref
+    rows = [np.arange(n)[diag_keep], np.arange(n)]
+    cols = [col_of[diag_keep], np.full(n, n - 1, dtype=np.int64)]
+    data = [np.ones(diag_keep.sum()), np.ones(n)]
+    for succ, p in ((hit, p_hit), (miss, 1.0 - p_hit)):
+        keep = (p > 0) & (succ != ref)
+        rows.append(np.arange(n)[keep])
+        cols.append(col_of[succ[keep]])
+        data.append(-p[keep])
+    return csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
 
 
 def _condition_estimate(m: scipy.sparse.csc_matrix, lu) -> float:
@@ -304,16 +313,19 @@ def structured_policy_iteration(
     best = None
     for sweep in range(1, opts.max_iter + 1):
         gain, v = policy_evaluate(mdp, Policy(actions=actions), opts.ref_state)
-        q = _q_actions(mdp, v)
         if best is None or gain < best[0]:
-            best = (gain, v, actions, q)
+            best = (gain, v, actions)
         seen.add(actions.tobytes())
-        new_actions, skips = _monotone_improvement(*q)
+        # No Q grid outlives its improvement step, so none is alive during
+        # the next factorization; the returned policy's grids are recomputed.
+        new_actions, skips = _monotone_improvement(*_q_actions(mdp, v))
         skipped += skips
         if new_actions.tobytes() in seen:
             if not np.array_equal(new_actions, actions):
-                gain, v, actions, q = best
-            return _finish(gain, v, Policy(actions=actions), sweep, q, skipped_q_evals=skipped)
+                gain, v, actions = best
+            return _finish(
+                gain, v, Policy(actions=actions), sweep, _q_actions(mdp, v), skipped_q_evals=skipped
+            )
         actions = new_actions
     raise ConvergenceError(
         f"policy iteration did not terminate within {opts.max_iter} sweeps",

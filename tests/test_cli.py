@@ -149,6 +149,15 @@ class TestVerify:
         assert code == 3
         assert payload["error"]["kind"] == "missing-artifact"
 
+    def test_q_artifact_alone_exit_3(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "v"
+        code, payload = run_cli(
+            capsys, "verify", "--config", cfg_path, "--out", out, "--q", tmp_path / "nope.csv",
+        )
+        assert code == 3
+        assert payload["error"]["kind"] == "missing-artifact"
+        assert not (out / "verify.json").exists()
+
     def test_out_of_range_action_exit_4(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "run"
         run_cli(capsys, "solve", "--config", cfg_path, "--out", out)

@@ -104,6 +104,14 @@ def test_ref_state_outside_grid(tmp_path):
     assert exc_info.value.field == "solver.ref_state"
 
 
+def test_tau_renew_beyond_grid(tmp_path):
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(write(tmp_path, BASE), overrides=["solver.tau_renew=31"])
+    assert exc_info.value.field == "solver.tau_renew"
+    cfg = load_config(write(tmp_path, BASE), overrides=["solver.tau_renew=30"])
+    assert cfg.solver.tau_renew == 30
+
+
 def test_solver_method_validated(tmp_path):
     with pytest.raises(ConfigError) as exc_info:
         load_config(write(tmp_path, BASE), overrides=["solver.method=newton"])

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,37 @@ class TestPolicyEvaluate:
             policy_evaluate(mdp, Policy(actions=actions))
         assert exc_info.value.condition_estimate > 1e8
 
+    @pytest.mark.parametrize("action", [Action.TRANSMIT, Action.IDLE], ids=["transmit", "idle"])
+    def test_only_the_system_is_alive_during_factorization(self, monkeypatch, action):
+        # splu allocates its workspace on top of whatever the evaluation keeps
+        # alive when it is called: that should be the CSC system and the cost
+        # vector (one float per state), not the arrays that assembled them.
+        import scipy.sparse.linalg
+
+        cfg = load_config(
+            CONFIG_DIR / "benchmark-marginal.yaml",
+            overrides=["truncation.tau_max=120", "truncation.delta_max=120"],
+        )
+        mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
+        policy = Policy(actions=np.full(mdp.shape, action, dtype=np.int8))
+        splu = scipy.sparse.linalg.splu
+        calls = []
+
+        def recording_splu(m, *args, **kwargs):
+            system_bytes = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+            calls.append((tracemalloc.get_traced_memory()[0], system_bytes))
+            return splu(m, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            policy_evaluate(mdp, policy)
+        finally:
+            tracemalloc.stop()
+        [(live, system_bytes)] = calls
+        assert live - entry < 1.5 * system_bytes
+
     def test_policy_grid_must_match(self, small_case):
         with pytest.raises(DomainError):
             policy_evaluate(small_case.mdp, Policy(actions=np.zeros((3, 3), dtype=np.int8)))
@@ -374,14 +406,18 @@ class TestStructuredPolicyIteration:
         # lowest-gain one: idling everywhere.
         assert res.iterations == 2
         assert res.policy == Policy(actions=np.zeros(mdp.shape, dtype=np.int8))
+        # The returned Q-factors belong to the returned v, not to the last
+        # policy evaluated.
+        np.testing.assert_array_equal(res.q, q_backup(mdp, res.v))
 
     def test_bellman_residual_at_fixed_point(self, small_case):
         # Exact policy evaluation leaves only floating-point noise in the
         # optimality-equation residual.
         res = small_case.spi
         assert res.residual < 1e-8
-        fresh = q_backup(small_case.mdp, res.v).min(axis=2)
-        assert np.abs(fresh - res.v - res.gain).max() < 1e-8
+        q = q_backup(small_case.mdp, res.v)
+        np.testing.assert_array_equal(res.q, q)
+        assert np.abs(q.min(axis=2) - res.v - res.gain).max() < 1e-8
 
 
 class TestBruteForce:
