@@ -109,6 +109,7 @@ def _result_dict(res: SolveResult) -> dict:
         "residual": res.residual,
         "lambda_bounds": list(res.lambda_bounds),
         "skipped_q_evals": res.skipped_q_evals,
+        "continuation": None if res.continuation is None else [list(c) for c in res.continuation],
     }
 
 

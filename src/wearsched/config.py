@@ -205,6 +205,10 @@ def _validate_solver(section, path="solver") -> SolverConfig:
     method = section.get("method", "rvi")
     if method not in SOLVER_METHODS:
         raise _field_error(f"{path}.method", f"must be one of {SOLVER_METHODS}, got {method!r}")
+    if section.get("tau_renew") is not None and method != "threshold-heuristic":
+        raise _field_error(
+            f"{path}.tau_renew", f"applies to the threshold-heuristic method only, not {method!r}"
+        )
     ref = section.get("ref_state", [1, 1])
     if (
         not isinstance(ref, (list, tuple))

@@ -109,6 +109,37 @@ class MdpSpec:
         p_hit = np.where(tx, self.theta[:, None], 1.0)
         return hit.reshape(-1), miss.reshape(-1), p_hit.reshape(-1)
 
+    def restrict(self, tau_max: int, delta_max: int) -> MdpSpec:
+        """The MDP on the sub-grid [1, tau_max] x [1, delta_max]: the same
+        reliabilities, MSE table and costs, cut to the sub-grid, with every
+        age shift re-clamped to its new boundary.
+
+        It equals ``build_mdp`` at the sub-grid except in the renewal costs
+        of the last ``delta_r`` information ages: those keep the lump sums
+        of this grid's MSE table instead of clamping the summands at the
+        sub-grid's last entry.
+        """
+        trunc = Truncation(tau_max, delta_max)
+        if trunc.tau_max > self.trunc.tau_max or trunc.delta_max > self.trunc.delta_max:
+            raise DomainError(f"sub-grid {(tau_max, delta_max)} exceeds grid {self.shape}")
+        t, d = trunc.tau_max, trunc.delta_max
+        shifts = {
+            "tau_idle": np.minimum(self.tau_idle[:t], t - 1),
+            "tau_tx": np.minimum(self.tau_tx[:t], t - 1),
+            "delta_up": np.minimum(self.delta_up[:d], d - 1),
+            "delta_renew": np.minimum(self.delta_renew[:d], d - 1),
+        }
+        for arr in shifts.values():
+            arr.flags.writeable = False
+        return MdpSpec(
+            trunc=trunc,
+            channel=self.channel,
+            mse=MseTable(self.mse.values[:d]),
+            theta=self.theta[:t],
+            cost_table=self.cost_table[:t, :d],
+            **shifts,
+        )
+
 
 def build_mdp(
     model: SystemModel,

@@ -21,7 +21,7 @@ from .channel import ChannelModel
 from .errors import DomainError
 from .linear_model import SystemModel, spectral_radius
 from .mdp import Action, AgeState, MdpSpec, Truncation
-from .solvers import Policy
+from .solvers import Policy, threshold_actions
 
 # Number of contiguous batches used for the batch-means standard error.
 BATCH_COUNT = 32
@@ -230,8 +230,4 @@ def threshold_policy(tau_renew: int, transmit_thresholds, trunc: Truncation) -> 
         raise DomainError(f"transmit thresholds must lie in [1, {d_max}]")
     if np.any(np.diff(thr) > 0):
         raise DomainError("transmit thresholds must be nonincreasing in the channel age")
-    actions = np.zeros((t_max, d_max), dtype=np.int8)
-    deltas = np.arange(1, d_max + 1)[None, :]
-    actions[deltas >= thr[:, None]] = Action.TRANSMIT
-    actions[np.arange(1, t_max + 1) > tau_renew, :] = Action.RENEW
-    return Policy(actions=actions)
+    return Policy(actions=threshold_actions(d_max, int(tau_renew), thr))

@@ -1,10 +1,11 @@
 """Average-cost solvers: relative value iteration, policy evaluation/iteration
-with monotone action-set pruning, and the renew-above-a-threshold heuristic.
+with monotone action-set pruning continued from coarse to fine grids, and the
+renew-above-a-threshold heuristic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -76,7 +77,9 @@ class SolveResult:
     returned Q-factors, widened outward by the float resolution of Tv - v;
     it contains the optimal average cost lambda* (Odoni 1969) whatever
     policy the solver returns, so for the threshold heuristic it also bounds
-    the heuristic's gap to the optimum.
+    the heuristic's gap to the optimum. ``continuation`` is set by
+    structured policy iteration only: (tau_max, delta_max, sweeps) for each
+    grid it solved, coarsest first.
     """
 
     gain: float
@@ -87,6 +90,7 @@ class SolveResult:
     q: np.ndarray           # (tau_max, delta_max, 3) Q-factors at v
     lambda_bounds: tuple[float, float]
     skipped_q_evals: int | None = None
+    continuation: tuple[tuple[int, int, int], ...] | None = None
 
 
 def _q_actions(mdp: MdpSpec, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,23 +295,77 @@ def load_evaluator() -> None:
     import scipy.sparse.linalg  # noqa: F401
 
 
+# Smallest truncation bounds a continuation level may have: at least this
+# many channel and information ages, room for one wear step, and
+# CONTINUATION_RENEWALS renewal downtimes of information age. Below those a
+# coarse policy says too little about the finer grid to save any sweeps.
+CONTINUATION_FLOOR = 80
+CONTINUATION_RENEWALS = 4
+
+
+def _continuation_grids(mdp: MdpSpec, ref_state: AgeState = AgeState(1, 1)) -> list[tuple[int, int]]:
+    """The grids structured policy iteration solves, coarsest first and
+    ending at ``mdp.shape``: both bounds are halved while the halved grid
+    keeps at least max(CONTINUATION_FLOOR, 1 + tau_d) channel ages and
+    max(CONTINUATION_FLOOR, CONTINUATION_RENEWALS * delta_r) information
+    ages, and still contains ``ref_state``."""
+    ch = mdp.channel
+    min_tau = max(CONTINUATION_FLOOR, 1 + ch.tau_d, ref_state.tau)
+    min_delta = max(CONTINUATION_FLOOR, CONTINUATION_RENEWALS * ch.delta_r, ref_state.delta)
+    grids = [mdp.shape]
+    while grids[-1][0] // 2 >= min_tau and grids[-1][1] // 2 >= min_delta:
+        grids.append((grids[-1][0] // 2, grids[-1][1] // 2))
+    return grids[::-1]
+
+
 def structured_policy_iteration(
     mdp: MdpSpec, opts: SolveOptions = SolveOptions()
 ) -> SolveResult:
-    """Policy iteration whose improvement step exploits channel-age
-    monotonicity.
+    """Structured policy iteration, continued from coarse grids to the grid
+    of ``mdp`` (one-way multigrid: Chow and Tsitsiklis 1991).
+
+    Solves the coarsest grid of ``_continuation_grids`` from idle everywhere,
+    then each finer grid from the previous grid's policy extended by its
+    last row and column, which is the action the clamped dynamics give
+    those ages on the coarser grid. Every level runs ``_policy_iteration``
+    to its own stopping test, so the result is certified on ``mdp``'s grid
+    alone; only the number of sweeps it needs depends on the start.
+    ``iterations`` and ``skipped_q_evals`` count the last grid's sweeps,
+    and ``continuation`` lists (tau_max, delta_max, sweeps) per level.
+    """
+    grids = _continuation_grids(mdp, opts.ref_state)
+    actions = np.zeros(grids[0], dtype=np.int8)
+    levels = []
+    for shape in grids:
+        level = mdp if shape == mdp.shape else mdp.restrict(*shape)
+        res = _policy_iteration(level, opts, _prolong(actions, shape))
+        levels.append((*shape, res.iterations))
+        actions = res.policy.actions
+    return replace(res, continuation=tuple(levels))
+
+
+def _prolong(actions: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The action grid extended to ``shape`` by repeating its last row and
+    column: cell (t, d) of the result takes the action of cell
+    (min(t, tau_max - 1), min(d, delta_max - 1)) of ``actions``."""
+    (t, d), (t_max, d_max) = actions.shape, shape
+    return np.pad(actions, ((0, t_max - t), (0, d_max - d)), mode="edge")
+
+
+def _policy_iteration(mdp: MdpSpec, opts: SolveOptions, actions: np.ndarray) -> SolveResult:
+    """Policy iteration from the policy ``actions`` with the monotone
+    improvement step.
 
     For each fixed information age the improvement sweep runs over increasing
     channel age; once transmit is chosen the remaining candidates shrink to
     {transmit, renew}, and once renew is chosen the action is fixed without
-    further Q evaluations. Starts from the idle-everywhere policy and stops
-    when the policy is unchanged. Rounding noise in tied Q-factors can make
-    the improvement step cycle among equal-gain policies, so it also stops
-    when the step returns a policy it has already evaluated, and then
-    returns the evaluated policy with the lowest gain. ``skipped_q_evals``
-    counts the Q-factor evaluations avoided by the shrinking action sets.
+    further Q evaluations. Stops when the policy is unchanged. Rounding
+    noise in tied Q-factors can make the improvement step cycle among
+    equal-gain policies, so it also stops when the step returns a policy it
+    has already evaluated, and then returns the evaluated policy with the
+    lowest gain. ``skipped_q_evals`` counts the Q-factor evaluations avoided
+    by the shrinking action sets.
     """
-    actions = np.zeros(mdp.shape, dtype=np.int8)
     skipped = 0
     seen: set[bytes] = set()
     best = None
@@ -375,7 +433,10 @@ def threshold_heuristic(
     return best
 
 
-def _threshold_policy_actions(d_max, tau_renew, thresholds) -> np.ndarray:
+def threshold_actions(d_max, tau_renew, thresholds) -> np.ndarray:
+    """Action grid that renews at channel ages above ``tau_renew`` and below
+    them transmits from information age ``thresholds[t]`` on, else idles.
+    Arguments are not validated; ``sim.threshold_policy`` checks them."""
     actions = (np.arange(1, d_max + 1) >= np.array(thresholds)[:, None]).astype(np.int8)
     actions[tau_renew:] = Action.RENEW
     return actions
@@ -404,7 +465,7 @@ def _threshold_solve_fixed(mdp: MdpSpec, opts: SolveOptions, tau_renew: int) -> 
     sweep_cap = min(opts.max_iter, _THRESHOLD_SWEEP_CAP)
     for sweep in range(1, sweep_cap + 1):
         seen.add(tuple(thresholds))
-        actions = _threshold_policy_actions(d_max, tau_renew, thresholds)
+        actions = threshold_actions(d_max, tau_renew, thresholds)
         gain, v = policy_evaluate(mdp, Policy(actions=actions), opts.ref_state)
         if best is None or gain < best[0]:
             best = (gain, v, actions, sweep)

@@ -89,7 +89,31 @@ class TestSolve:
             "--set", "solver.method=spi",
         )
         assert code == 0
-        assert payload["result"]["skipped_q_evals"] > 0
+        result = payload["result"]
+        assert result["skipped_q_evals"] > 0
+        # Below 160x160 SPI solves the configured grid alone.
+        assert result["continuation"] == [[30, 30, result["iterations"]]]
+
+    @pytest.mark.parametrize("method", ["rvi", "threshold-heuristic"])
+    def test_continuation_is_null_without_spi(self, cfg_path, tmp_path, capsys, method):
+        code, payload = run_cli(
+            capsys, "solve", "--config", cfg_path, "--out", tmp_path / "x",
+            "--set", f"solver.method={method}",
+        )
+        assert code == 0
+        assert payload["result"]["continuation"] is None
+
+    @pytest.mark.parametrize("method", ["rvi", "spi"])
+    def test_tau_renew_outside_the_heuristic_exit_2(self, cfg_path, tmp_path, capsys, method):
+        out = tmp_path / "x"
+        code, payload = run_cli(
+            capsys, "solve", "--config", cfg_path, "--out", out,
+            "--set", f"solver.method={method}", "--set", "solver.tau_renew=5",
+        )
+        assert code == 2
+        assert payload["error"]["kind"] == "config"
+        assert payload["error"]["field"] == "solver.tau_renew"
+        assert not out.exists()
 
     def test_malformed_config_exit_2(self, cfg_path, tmp_path, capsys):
         code, payload = run_cli(

@@ -105,11 +105,22 @@ def test_ref_state_outside_grid(tmp_path):
 
 
 def test_tau_renew_beyond_grid(tmp_path):
+    heuristic = "solver.method=threshold-heuristic"
     with pytest.raises(ConfigError) as exc_info:
-        load_config(write(tmp_path, BASE), overrides=["solver.tau_renew=31"])
+        load_config(write(tmp_path, BASE), overrides=[heuristic, "solver.tau_renew=31"])
     assert exc_info.value.field == "solver.tau_renew"
-    cfg = load_config(write(tmp_path, BASE), overrides=["solver.tau_renew=30"])
+    cfg = load_config(write(tmp_path, BASE), overrides=[heuristic, "solver.tau_renew=30"])
     assert cfg.solver.tau_renew == 30
+
+
+@pytest.mark.parametrize("method", ["rvi", "spi"])
+def test_tau_renew_only_for_the_heuristic(tmp_path, method):
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(
+            write(tmp_path, BASE), overrides=[f"solver.method={method}", "solver.tau_renew=5"]
+        )
+    assert exc_info.value.field == "solver.tau_renew"
+    assert method in str(exc_info.value)
 
 
 def test_solver_method_validated(tmp_path):

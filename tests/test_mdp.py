@@ -238,3 +238,30 @@ class TestGridLayout:
             Truncation(0, 5)
         with pytest.raises(DomainError):
             Truncation(5, -1)
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("shape", [(25, 30), (40, 16), (7, 40), (40, 40)])
+    def test_matches_build_mdp_at_the_sub_grid(self, mdp, shape):
+        sub = mdp.restrict(*shape)
+        built = build_mdp(benchmark_system(0.9), mdp.channel, Truncation(*shape))
+        assert sub.shape == built.shape == shape
+        for name in ("theta", "tau_idle", "tau_tx", "delta_up", "delta_renew"):
+            np.testing.assert_array_equal(getattr(sub, name), getattr(built, name), err_msg=name)
+        np.testing.assert_array_equal(sub.mse.values, built.mse.values)
+        for u in (Action.IDLE, Action.TRANSMIT):
+            np.testing.assert_array_equal(sub.cost_table[:, :, u], built.cost_table[:, :, u])
+        # A renewal lump sum on the sub-grid keeps the summands of the larger
+        # grid's MSE table where build_mdp clamps them at its last entry, so
+        # the two differ only in the last delta_r information ages, and
+        # there the restricted sums are the larger ones.
+        keep = shape[1] - mdp.channel.delta_r
+        renew_sub, renew_built = sub.cost_table[:, :, Action.RENEW], built.cost_table[:, :, Action.RENEW]
+        np.testing.assert_array_equal(renew_sub[:, :keep], renew_built[:, :keep])
+        assert (renew_sub[:, keep:] >= renew_built[:, keep:]).all()
+
+    def test_rejects_a_larger_grid(self, mdp):
+        with pytest.raises(DomainError, match="exceeds"):
+            mdp.restrict(41, 40)
+        with pytest.raises(DomainError):
+            mdp.restrict(0, 40)

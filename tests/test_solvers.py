@@ -41,9 +41,16 @@ from wearsched import (
     structured_policy_iteration,
     threshold_heuristic,
 )
+from wearsched import solvers
 from wearsched.artifacts import write_policy_csv
 from wearsched.config import load_config
-from wearsched.solvers import _monotone_improvement, _transmit_thresholds
+from wearsched.solvers import (
+    _continuation_grids,
+    _monotone_improvement,
+    _policy_iteration,
+    _prolong,
+    _transmit_thresholds,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -418,6 +425,92 @@ class TestStructuredPolicyIteration:
         q = q_backup(small_case.mdp, res.v)
         np.testing.assert_array_equal(res.q, q)
         assert np.abs(q.min(axis=2) - res.v - res.gain).max() < 1e-8
+
+
+def _solve_from_idle(mdp, opts=SolveOptions()):
+    """Structured policy iteration on ``mdp``'s grid alone, from idling."""
+    return _policy_iteration(mdp, opts, np.zeros(mdp.shape, dtype=np.int8))
+
+
+def _shipped_mdp(name, grid):
+    cfg = load_config(
+        CONFIG_DIR / f"{name}.yaml",
+        overrides=[f"truncation.tau_max={grid}", f"truncation.delta_max={grid}"],
+    )
+    return build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation()), cfg.solver.options()
+
+
+class TestContinuation:
+    def test_prolongation_repeats_the_last_row_and_column(self):
+        coarse = np.random.default_rng(5).integers(0, 3, size=(4, 6)).astype(np.int8)
+        fine = _prolong(coarse, (9, 8))
+        assert fine.shape == (9, 8) and fine.dtype == np.int8
+        for t, d in itertools.product(range(9), range(8)):
+            assert fine[t, d] == coarse[min(t, 3), min(d, 5)], (t, d)
+        np.testing.assert_array_equal(_prolong(coarse, coarse.shape), coarse)
+
+    def test_ladder_halves_down_to_the_floor(self):
+        assert _continuation_grids(benchmark_mdp(1.0, grid=320)) == [(80, 80), (160, 160), (320, 320)]
+        assert _continuation_grids(benchmark_mdp(1.0, grid=159)) == [(159, 159)]
+        # Four renewal downtimes of information age: delta_r = 40 needs 160.
+        mdp = benchmark_mdp(1.0, alpha=0.05, delta_r=40, grid=320)
+        assert _continuation_grids(mdp) == [(160, 160), (320, 320)]
+        # A coarse grid must contain the reference state.
+        assert _continuation_grids(benchmark_mdp(1.0, grid=160), AgeState(81, 1)) == [(160, 160)]
+
+    def test_benchmark_marginal_160_is_bit_equal_to_a_single_level_solve(self):
+        mdp, opts = _shipped_mdp("benchmark-marginal", 160)
+        cold = _solve_from_idle(mdp, opts)
+        res = structured_policy_iteration(mdp, opts)
+        assert res.policy == cold.policy
+        assert res.gain == cold.gain
+        np.testing.assert_array_equal(res.v, cold.v)
+        np.testing.assert_array_equal(res.q, cold.q)
+        assert res.lambda_bounds == cold.lambda_bounds
+        coarse, fine = res.continuation
+        assert coarse[:2] == (80, 80) and coarse[2] >= 1
+        assert fine == (160, 160, res.iterations)
+        assert res.iterations < cold.iterations
+        assert cold.continuation is None
+
+    def test_long_renewal_at_160_is_single_level(self):
+        mdp, opts = _shipped_mdp("slow-decay-long-renewal", 160)
+        res = structured_policy_iteration(mdp, opts)
+        assert res.continuation == ((160, 160, res.iterations),)
+
+    @given(
+        grid=st.integers(32, 48),
+        beta=st.sampled_from([0.8, 0.9, 1.0, 1.05]),
+        alpha=st.floats(0.03, 0.3),
+        tau_d=st.integers(2, 6),
+        delta_r=st.integers(2, 6),
+    )
+    @settings(max_examples=25)
+    def test_continued_gain_matches_single_level(self, grid, beta, alpha, tau_d, delta_r):
+        mdp = benchmark_mdp(beta, alpha, tau_d, delta_r, grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "CONTINUATION_FLOOR", 16)
+            res = structured_policy_iteration(mdp)
+        assert res.continuation[-1] == (grid, grid, res.iterations)
+        if 4 * delta_r <= grid // 2:
+            assert len(res.continuation) >= 2
+        gain = _solve_from_idle(mdp).gain
+        assert abs(res.gain - gain) <= 1e-12 * abs(gain)
+        assert res.gain - res.lambda_bounds[0] <= 1e-9 * abs(res.gain)
+
+    @pytest.mark.parametrize("failing_grid", [16, 32])
+    def test_evaluation_failure_at_any_level_propagates(self, monkeypatch, failing_grid):
+        evaluate = solvers.policy_evaluate
+
+        def failing(mdp, policy, ref_state=AgeState(1, 1)):
+            if mdp.shape == (failing_grid, failing_grid):
+                raise EvaluationError("injected", condition_estimate=float("inf"))
+            return evaluate(mdp, policy, ref_state)
+
+        monkeypatch.setattr(solvers, "CONTINUATION_FLOOR", 16)
+        monkeypatch.setattr(solvers, "policy_evaluate", failing)
+        with pytest.raises(EvaluationError, match="injected"):
+            structured_policy_iteration(benchmark_mdp(0.9, tau_d=2, delta_r=2, grid=32))
 
 
 class TestBruteForce:
