@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from wearsched import (
-    SolveOptions,
     boundary_renewal,
     build_mdp,
     rvi_solve,
@@ -34,7 +33,7 @@ def main() -> int:
     cfg = load_config(CONFIG)
     model, channel, trunc = cfg.build_system(), cfg.build_channel(), cfg.build_truncation()
     mdp = build_mdp(model, channel, trunc)
-    res = rvi_solve(mdp, SolveOptions(tol=cfg.solver.tol, max_iter=cfg.solver.max_iter))
+    res = rvi_solve(mdp, cfg.solver.options())
 
     policies = {
         "optimal": res.policy,

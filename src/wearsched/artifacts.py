@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactParseError, MissingArtifactError
+from .errors import ArtifactParseError, DomainError, MissingArtifactError
 from .solvers import Policy
 
 POLICY_HEADER = "tau,delta,action"
@@ -167,9 +167,10 @@ def _reject_nan(path: str | Path, grid: np.ndarray) -> None:
 
 def read_policy_csv(path: str | Path) -> Policy:
     acts = _read_grid(path, POLICY_HEADER, np.int64)[:, :, 0]
-    if not np.isin(acts, (0, 1, 2)).all():
-        raise ArtifactParseError(f"{path}: actions must be 0, 1 or 2")
-    return Policy(actions=acts.astype(np.int8))
+    try:
+        return Policy(actions=acts)
+    except DomainError as exc:
+        raise ArtifactParseError(f"{path}: {exc}") from exc
 
 
 def read_value_csv(path: str | Path) -> np.ndarray:

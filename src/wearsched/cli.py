@@ -322,14 +322,22 @@ def run_sweep(
     emit_q: bool = False,
 ) -> tuple[dict, int]:
     """Solve once per sweep value; failures are recorded and do not stop the
-    sweep. With ``jobs`` > 1 the points run in a pool of
-    ``min(jobs, len(values))`` worker processes; either way the results are
-    collected in ``values`` order. Returns the combined summary and the exit
-    code."""
+    sweep. Values must be finite, integral on the ``tau_d`` and ``delta_r``
+    axes, and distinct in their labels, or nothing is solved. With ``jobs``
+    > 1 the points run in a pool of ``min(jobs, len(values))`` worker
+    processes; either way the results are collected in ``values`` order.
+    Returns the combined summary and the exit code."""
     if axis not in SWEEP_AXES:
         raise ConfigError(field="sweep.axis", message=f"axis must be one of {SWEEP_AXES}")
     if not values:
         raise ConfigError(field="sweep.values", message="no sweep values given")
+    if axis in ("tau_d", "delta_r"):
+        fractional = [f"{x:g}" for x in values if not float(x).is_integer()]
+        if fractional:
+            raise ConfigError(
+                field="sweep.values", message=f"{axis} takes integer values; got {', '.join(fractional)}"
+            )
+        values = [int(x) for x in values]
     non_finite = [f"{v:g}" for v in values if not math.isfinite(v)]
     if non_finite:
         raise ConfigError(
@@ -483,14 +491,6 @@ def main(argv: list[str] | None = None) -> int:
                 values = [float(x) for x in args.values.split(",") if x.strip()]
             except ValueError as exc:
                 raise ConfigError(field="sweep.values", message=str(exc)) from exc
-            if args.axis in ("tau_d", "delta_r"):
-                fractional = [f"{x:g}" for x in values if not x.is_integer()]
-                if fractional:
-                    raise ConfigError(
-                        field="sweep.values",
-                        message=f"{args.axis} takes integer values; got {', '.join(fractional)}",
-                    )
-                values = [int(v) for v in values]
             payload, code = run_sweep(cfg, out_dir, args.axis, values, args.jobs, args.emit_q)
     except Exception as exc:  # noqa: BLE001 - classified and reported below
         code, kind = _classify(exc)

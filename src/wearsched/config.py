@@ -31,9 +31,9 @@ SOLVER_METHODS = ("rvi", "spi", "threshold-heuristic")
 @dataclass(frozen=True)
 class SolverConfig:
     method: str = "rvi"
-    tol: float = 1e-9
-    max_iter: int = 200_000
-    ref_state: AgeState = AgeState(1, 1)
+    tol: float = SolveOptions.tol
+    max_iter: int = SolveOptions.max_iter
+    ref_state: AgeState = SolveOptions.ref_state
     tau_renew: int | None = None  # threshold-heuristic only; None = search
 
     def options(self) -> SolveOptions:
@@ -139,11 +139,10 @@ def _matrix(section: dict, path: str, key: str):
 
 
 def _build_system(section: dict) -> SystemModel:
-    if "beta" in section:
-        beta = section["beta"]
-        a = np.array([[float(beta), 0.5], [0.0, 0.8]])
-        return SystemModel(A=a, C=np.array([[1.0, 1.0]]), Q=np.eye(2), R=np.array([[1.0]]))
     try:
+        if "beta" in section:
+            a = np.array([[float(section["beta"]), 0.5], [0.0, 0.8]])
+            return SystemModel(A=a, C=np.array([[1.0, 1.0]]), Q=np.eye(2), R=np.array([[1.0]]))
         return SystemModel(A=section["a"], C=section["c"], Q=section["q"], R=section["r"])
     except WearschedError as exc:
         raise _field_error("system", str(exc)) from exc
@@ -195,75 +194,84 @@ def _validate_truncation(section, path="truncation") -> dict:
     }
 
 
-def _validate_solver(section, path="solver") -> SolverConfig:
+def _validate_solver(section, path="solver") -> dict:
     if section is None:
-        return SolverConfig()
+        section = {}
     if not isinstance(section, dict):
         raise _field_error(path, "expected a mapping")
     known = {"method", "tol", "max_iter", "ref_state", "tau_renew"}
     _require_keys(section, path, known, set())
-    method = section.get("method", "rvi")
+    method = section.get("method", SolverConfig.method)
     if method not in SOLVER_METHODS:
         raise _field_error(f"{path}.method", f"must be one of {SOLVER_METHODS}, got {method!r}")
     if section.get("tau_renew") is not None and method != "threshold-heuristic":
         raise _field_error(
             f"{path}.tau_renew", f"applies to the threshold-heuristic method only, not {method!r}"
         )
-    ref = section.get("ref_state", [1, 1])
+    ref = section.get("ref_state", list(SolverConfig.ref_state))
     if (
         not isinstance(ref, (list, tuple))
         or len(ref) != 2
         or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in ref)
     ):
         raise _field_error(f"{path}.ref_state", f"expected [tau, delta] positive integers, got {ref!r}")
-    return SolverConfig(
-        method=method,
-        tol=_number(section, path, "tol", default=1e-9, minimum=0.0, strict_min=True),
-        max_iter=_number(section, path, "max_iter", default=200_000, integer=True, minimum=1),
-        ref_state=AgeState(ref[0], ref[1]),
-        tau_renew=_number(section, path, "tau_renew", default=None, integer=True, minimum=0),
-    )
+    out = {
+        "method": method,
+        "tol": _number(section, path, "tol", SolverConfig.tol, minimum=0.0, strict_min=True),
+        "max_iter": _number(section, path, "max_iter", SolverConfig.max_iter, integer=True, minimum=1),
+        "ref_state": list(ref),
+    }
+    tau_renew = _number(section, path, "tau_renew", integer=True, minimum=0)
+    if tau_renew is not None:
+        out["tau_renew"] = tau_renew
+    return out
 
 
-def _validate_simulate(section, path="simulate") -> SimulateConfig:
+def _validate_simulate(section, path="simulate") -> dict:
     if section is None:
-        return SimulateConfig()
+        section = {}
     if not isinstance(section, dict):
         raise _field_error(path, "expected a mapping")
     known = {"epochs", "seed", "replications"}
     _require_keys(section, path, known, set())
-    return SimulateConfig(
-        epochs=_number(section, path, "epochs", default=100_000, integer=True, minimum=1),
-        seed=_number(section, path, "seed", default=0, integer=True, minimum=0, maximum=2**64 - 1),
-        replications=_number(section, path, "replications", default=1, integer=True, minimum=1),
-    )
+    return {
+        "epochs": _number(section, path, "epochs", SimulateConfig.epochs, integer=True, minimum=1),
+        "seed": _number(
+            section, path, "seed", SimulateConfig.seed, integer=True, minimum=0, maximum=2**64 - 1
+        ),
+        "replications": _number(
+            section, path, "replications", SimulateConfig.replications, integer=True, minimum=1
+        ),
+    }
 
 
-def _validate_output(section, path="output") -> OutputConfig:
+def _validate_output(section, path="output") -> dict:
     if section is None:
-        return OutputConfig()
+        section = {}
     if not isinstance(section, dict):
         raise _field_error(path, "expected a mapping")
     known = {"directory", "formats"}
     _require_keys(section, path, known, set())
-    directory = section.get("directory", "")
+    directory = section.get("directory", OutputConfig.directory)
     if not isinstance(directory, str):
         raise _field_error(f"{path}.directory", f"expected a string, got {directory!r}")
-    formats = section.get("formats", ["csv", "json"])
+    formats = section.get("formats", list(OutputConfig.formats))
     if not isinstance(formats, list) or not formats:
         raise _field_error(f"{path}.formats", f"expected a nonempty list, got {formats!r}")
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise _field_error(f"{path}.formats", f"unknown format {fmt!r}")
-    return OutputConfig(directory=directory, formats=tuple(formats))
+    return {"directory": directory, "formats": list(formats)}
 
 
 def validate_config_dict(data: dict) -> ExperimentConfig:
     """Validate a raw configuration mapping and produce the typed config.
 
-    Model-level invariants are checked here too (by constructing the model
-    objects), so every invalid configuration fails with a field-annotated
-    error before any work starts.
+    Each section validator returns its section normalized, and together
+    they are the config echo. The channel and truncation validators check
+    every invariant of ``ChannelModel`` and ``Truncation``; the system model
+    is constructed once here. So every invalid configuration fails with a
+    field-annotated error before any work starts.
     """
     if not isinstance(data, dict):
         raise ConfigError(field="<root>", message="configuration must be a mapping")
@@ -275,55 +283,25 @@ def validate_config_dict(data: dict) -> ExperimentConfig:
         if k not in data:
             raise _field_error(k, "missing required section")
 
-    system = _validate_system(data["system"])
-    channel = _validate_channel(data["channel"])
-    truncation = _validate_truncation(data["truncation"])
-    solver = _validate_solver(data.get("solver"))
-    simulate = _validate_simulate(data.get("simulate"))
-    output = _validate_output(data.get("output"))
-
     raw = {
-        "system": system,
-        "channel": channel,
-        "truncation": truncation,
-        "solver": {
-            "method": solver.method,
-            "tol": solver.tol,
-            "max_iter": solver.max_iter,
-            "ref_state": [solver.ref_state.tau, solver.ref_state.delta],
-            **({"tau_renew": solver.tau_renew} if solver.tau_renew is not None else {}),
-        },
-        "simulate": {
-            "epochs": simulate.epochs,
-            "seed": simulate.seed,
-            "replications": simulate.replications,
-        },
-        "output": {"directory": output.directory, "formats": list(output.formats)},
+        "system": _validate_system(data["system"]),
+        "channel": _validate_channel(data["channel"]),
+        "truncation": _validate_truncation(data["truncation"]),
+        "solver": _validate_solver(data.get("solver")),
+        "simulate": _validate_simulate(data.get("simulate")),
+        "output": _validate_output(data.get("output")),
     }
+    solver, output, truncation = raw["solver"], raw["output"], raw["truncation"]
     cfg = ExperimentConfig(
-        system=system,
-        channel=channel,
+        system=raw["system"],
+        channel=raw["channel"],
         truncation=truncation,
-        solver=solver,
-        simulate=simulate,
-        output=output,
+        solver=SolverConfig(**{**solver, "ref_state": AgeState(*solver["ref_state"])}),
+        simulate=SimulateConfig(**raw["simulate"]),
+        output=OutputConfig(directory=output["directory"], formats=tuple(output["formats"])),
         raw=raw,
     )
-    # Construct the model objects once so invariant violations surface now.
-    try:
-        cfg.build_system()
-    except ConfigError:
-        raise  # already names its field
-    except WearschedError as exc:
-        raise _field_error("system", str(exc)) from exc
-    try:
-        cfg.build_channel()
-    except WearschedError as exc:
-        raise _field_error("channel", str(exc)) from exc
-    try:
-        cfg.build_truncation()
-    except WearschedError as exc:
-        raise _field_error("truncation", str(exc)) from exc
+    cfg.build_system()
     ref = cfg.solver.ref_state
     if ref.tau > truncation["tau_max"] or ref.delta > truncation["delta_max"]:
         raise _field_error("solver.ref_state", f"reference state {tuple(ref)} outside the grid")

@@ -147,8 +147,6 @@ def build_mdp(
     trunc: Truncation,
     *,
     require_headroom: bool = True,
-    riccati_tol: float = 1e-12,
-    riccati_max_iter: int = 100_000,
 ) -> MdpSpec:
     """Assemble the truncated MDP for a model/channel pair.
 
@@ -171,8 +169,7 @@ def build_mdp(
                 f"(need >= {1 + channel.delta_r})"
             )
 
-    ss = steady_state(model, tol=riccati_tol, max_iter=riccati_max_iter)
-    mse = mse_table(model, ss, d_max)
+    mse = mse_table(model, steady_state(model), d_max)
     f = mse.values  # f[j] = MSE at information age j+1
 
     theta = np.asarray(channel.reliability(np.arange(1, t_max + 1)), dtype=float).reshape(t_max)

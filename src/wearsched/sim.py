@@ -19,9 +19,9 @@ import numpy as np
 
 from .channel import ChannelModel
 from .errors import DomainError
-from .linear_model import SystemModel, spectral_radius
+from .linear_model import SystemModel, stability_report
 from .mdp import Action, AgeState, MdpSpec, Truncation
-from .solvers import Policy, threshold_actions
+from .solvers import Policy, check_tau_renew, threshold_actions
 
 # Number of contiguous batches used for the batch-means standard error.
 BATCH_COUNT = 32
@@ -195,20 +195,20 @@ def transmit_always(trunc: Truncation) -> Policy:
 def boundary_renewal(model: SystemModel, channel: ChannelModel, trunc: Truncation) -> Policy:
     """Transmit inside the mean-square-stable channel-age region, renew outside.
 
-    The stable region consists of the ages with rho^2 (1 - theta(tau)) < 1;
-    renewal resets the system to the best channel age whenever the state
-    leaves it. Requires rho^2 (1 - theta_max) < 1, otherwise no renewal
-    policy can stabilize the system.
+    The stable region is the one ``stability_report`` finds: the ages with
+    rho^2 (1 - theta(tau)) < 1. Renewal resets the system to the best channel
+    age whenever the state leaves it. Requires rho^2 (1 - theta_max) < 1,
+    otherwise no renewal policy can stabilize the system.
     """
-    rho2 = spectral_radius(model.A) ** 2
-    if not rho2 * (1.0 - channel.theta_max) < 1.0:
+    rep = stability_report(model, channel)
+    if not rep.stabilizable_with_renewal:
         raise DomainError(
             "empty stable region: rho^2 * (1 - theta_max) = "
-            f"{rho2 * (1.0 - channel.theta_max):.6g} >= 1, so renewal cannot stabilize"
+            f"{rep.rho * rep.rho * (1.0 - channel.theta_max):.6g} >= 1, so renewal cannot stabilize"
         )
-    theta = np.asarray(channel.reliability(np.arange(1, trunc.tau_max + 1)), dtype=float)
-    stable = rho2 * (1.0 - theta) < 1.0
-    col = np.where(stable, Action.TRANSMIT, Action.RENEW).astype(np.int8)
+    n_stable = trunc.tau_max if rep.stable_region_all else (rep.stable_tau_bound or 0)
+    col = np.full(trunc.tau_max, Action.RENEW, dtype=np.int8)
+    col[:n_stable] = Action.TRANSMIT
     return Policy(actions=np.tile(col[:, None], (1, trunc.delta_max)))
 
 
@@ -221,8 +221,7 @@ def threshold_policy(tau_renew: int, transmit_thresholds, trunc: Truncation) -> 
     ``tau_renew`` are unused but still validated).
     """
     t_max, d_max = trunc.tau_max, trunc.delta_max
-    if int(tau_renew) != tau_renew or not 0 <= tau_renew <= t_max:
-        raise DomainError(f"tau_renew must be an integer in [0, {t_max}], got {tau_renew}")
+    tau_renew = check_tau_renew(tau_renew, t_max)
     thr = np.asarray(transmit_thresholds, dtype=np.int64)
     if thr.shape != (t_max,):
         raise DomainError(f"need one transmit threshold per channel age (shape ({t_max},)), got {thr.shape}")
@@ -230,4 +229,4 @@ def threshold_policy(tau_renew: int, transmit_thresholds, trunc: Truncation) -> 
         raise DomainError(f"transmit thresholds must lie in [1, {d_max}]")
     if np.any(np.diff(thr) > 0):
         raise DomainError("transmit thresholds must be nonincreasing in the channel age")
-    return Policy(actions=threshold_actions(d_max, int(tau_renew), thr))
+    return Policy(actions=threshold_actions(d_max, tau_renew, thr))

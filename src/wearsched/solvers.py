@@ -52,11 +52,13 @@ class Policy:
     actions: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.actions, dtype=np.int8)
+        a = np.asarray(self.actions)
         if a.ndim != 2:
             raise DomainError(f"policy grid must be 2-d, got ndim={a.ndim}")
+        # Checked before the cast, which would wrap 256 to 0 and cut 1.7 to 1.
         if not np.isin(a, (0, 1, 2)).all():
-            raise DomainError("policy actions must be 0, 1 or 2")
+            raise DomainError("actions must be 0, 1 or 2")
+        a = a.astype(np.int8)
         a.flags.writeable = False
         object.__setattr__(self, "actions", a)
 
@@ -421,9 +423,7 @@ def threshold_heuristic(
     """
     t_max, _ = mdp.shape
     if tau_renew is not None:
-        if int(tau_renew) != tau_renew or not 0 <= tau_renew <= t_max:
-            raise DomainError(f"tau_renew must be an integer in [0, {t_max}], got {tau_renew}")
-        return _threshold_solve_fixed(mdp, opts, int(tau_renew))
+        return _threshold_solve_fixed(mdp, opts, check_tau_renew(tau_renew, t_max))
     best: SolveResult | None = None
     for cand in range(t_max + 1):
         res = _threshold_solve_fixed(mdp, opts, cand)
@@ -431,6 +431,13 @@ def threshold_heuristic(
             best = res
     assert best is not None
     return best
+
+
+def check_tau_renew(tau_renew, t_max: int) -> int:
+    """The renewal threshold as an int, if it is an integer in [0, t_max]."""
+    if int(tau_renew) != tau_renew or not 0 <= tau_renew <= t_max:
+        raise DomainError(f"tau_renew must be an integer in [0, {t_max}], got {tau_renew}")
+    return int(tau_renew)
 
 
 def threshold_actions(d_max, tau_renew, thresholds) -> np.ndarray:

@@ -31,9 +31,16 @@ from wearsched import (
     build_mdp,
     replication_rng,
     rvi_solve,
+    spectral_radius,
     structured_policy_iteration,
 )
 from wearsched.sim import BATCH_COUNT
+
+# The six shipped configurations, plus one that sets every optional key.
+ECHO_CONFIGS = [
+    *sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml")),
+    Path(__file__).resolve().parent / "data" / "every-optional-key.yaml",
+]
 
 # Steady-state posterior covariance of the beta=0.9 benchmark system.
 PBAR_BETA_09 = np.array(
@@ -403,6 +410,20 @@ def scalar_simulate(
             np.mean((tau_idx == mdp.trunc.tau_max - 1) | (delta_idx == mdp.trunc.delta_max - 1))
         ),
     )
+
+
+def scalar_boundary_renewal(model: SystemModel, ch: ChannelModel, trunc: Truncation) -> Policy:
+    """Reference for ``sim.boundary_renewal``, one channel age at a time:
+    renew exactly where rho^2 (1 - theta(tau)) >= 1, and fail when even
+    theta_max leaves rho^2 (1 - theta_max) >= 1."""
+    rho = spectral_radius(model.A)
+    if rho * rho * (1.0 - ch.theta_max) >= 1.0:
+        raise DomainError("empty stable region: renewal cannot stabilize")
+    col = [
+        Action.RENEW if rho * rho * (1.0 - ch.reliability(tau)) >= 1.0 else Action.TRANSMIT
+        for tau in range(1, trunc.tau_max + 1)
+    ]
+    return Policy(actions=np.repeat(np.array(col)[:, None], trunc.delta_max, axis=1))
 
 
 def action_at(policy: Policy, tau: int, delta: int) -> Action:

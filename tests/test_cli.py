@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from wearsched import check_submodular, interior_region
-from wearsched.cli import _report_dict, main
+from helpers import ECHO_CONFIGS
+from wearsched import ConfigError, check_submodular, interior_region
+from wearsched.cli import _report_dict, main, run_sweep
+from wearsched.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -429,6 +431,15 @@ class TestSweep:
         assert payload["values"] == [5, 6]
         assert sorted(payload["points"]) == ["5", "6"]
 
+    def test_library_sweep_rejects_fractional_age_values(self, cfg_path, tmp_path):
+        # The same rule as the command line, before anything is solved.
+        out = tmp_path / "sw"
+        with pytest.raises(ConfigError) as exc_info:
+            run_sweep(load_config(cfg_path), out, "tau_d", [6.7])
+        assert exc_info.value.field == "sweep.values"
+        assert exc_info.value.reason == "tau_d takes integer values; got 6.7"
+        assert not out.exists()
+
     def test_near_values_with_distinct_labels_kept(self, cfg_path, tmp_path, capsys):
         code, payload = run_cli(
             capsys, "sweep", "--config", cfg_path, "--out", tmp_path / "sw",
@@ -458,6 +469,22 @@ def test_config_echo_reruns_bit_identically(cfg_path, tmp_path, capsys):
     assert code == 0
     assert (out1 / "policy.csv").read_bytes() == (out2 / "policy.csv").read_bytes()
     assert (out1 / "value.csv").read_bytes() == (out2 / "value.csv").read_bytes()
+
+
+@pytest.mark.parametrize("config", ECHO_CONFIGS, ids=lambda p: p.stem)
+def test_config_echo_reruns_bit_identically_on_every_config(config, tmp_path, capsys):
+    out1 = tmp_path / "first"
+    code, payload = run_cli(capsys, "solve", "--config", config, "--out", out1)
+    assert code == 0
+    echo_path = tmp_path / "echo.yaml"
+    echo_path.write_text(yaml.safe_dump(payload["config"]))
+    out2 = tmp_path / "second"
+    code, again = run_cli(capsys, "solve", "--config", echo_path, "--out", out2)
+    assert code == 0
+    assert again["config"] == payload["config"]
+    assert again["result"] == payload["result"]
+    for name in ("policy.csv", "value.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 # Runs CLI commands in a fresh interpreter and prints, as one JSON list, the

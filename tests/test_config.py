@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import yaml
 
+from helpers import ECHO_CONFIGS
 from wearsched import AgeState, ConfigError
 from wearsched.config import OUTPUT_DIR_ENV, load_config, validate_config_dict
 
@@ -133,6 +135,19 @@ def test_config_echo_revalidates(tmp_path):
     cfg = load_config(write(tmp_path, BASE), overrides=["solver.tol=1e-8"])
     again = validate_config_dict(cfg.echo())
     assert again.echo() == cfg.echo()
+
+
+@pytest.mark.parametrize("config", ECHO_CONFIGS, ids=lambda p: p.stem)
+def test_config_echo_revalidates_on_every_config(config):
+    cfg = load_config(config)
+    again = validate_config_dict(yaml.safe_load(yaml.safe_dump(cfg.echo())))
+    assert again.echo() == cfg.echo()
+    assert again == cfg
+
+
+def test_every_optional_key_is_echoed_as_written():
+    config = ECHO_CONFIGS[-1]
+    assert load_config(config).echo() == yaml.safe_load(config.read_text())
 
 
 def test_output_dir_resolution(tmp_path, monkeypatch):

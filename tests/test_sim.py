@@ -13,6 +13,7 @@ from helpers import (
     benchmark_channel,
     benchmark_mdp,
     benchmark_system,
+    scalar_boundary_renewal,
     scalar_simulate,
     sim_stats_equal,
 )
@@ -364,6 +365,25 @@ class TestBoundaryRenewal:
                 benchmark_channel(theta_max=0.1),
                 Truncation(40, 40),
             )
+
+    @settings(max_examples=200)
+    @given(
+        beta=st.floats(0.5, 3.0),
+        theta=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+        alpha=st.floats(1e-3, 0.3),
+        tau_max=st.integers(1, 200),
+    )
+    def test_matches_the_per_age_reference(self, beta, theta, alpha, tau_max):
+        model = benchmark_system(beta)
+        ch = benchmark_channel(alpha=alpha, theta_min=theta[0], theta_max=theta[1])
+        trunc = Truncation(tau_max, 3)
+        try:
+            expected = scalar_boundary_renewal(model, ch, trunc)
+        except DomainError:
+            with pytest.raises(DomainError, match="stable region"):
+                boundary_renewal(model, ch, trunc)
+        else:
+            assert boundary_renewal(model, ch, trunc) == expected
 
 
 class TestThresholdPolicy:

@@ -645,6 +645,22 @@ class TestPolicyType:
         with pytest.raises(DomainError):
             Policy(actions=np.full((2, 2), 4, dtype=np.int8))
 
+    @pytest.mark.parametrize(
+        "actions",
+        [np.array([[256, 257, -254]]), [[1.7, 2.2]], [[256]], [[0.0, float("nan")]]],
+        ids=["wraps-into-int8-range", "fractional", "overflows-int8", "nan"],
+    )
+    def test_entries_checked_before_the_int8_cast(self, actions):
+        # Cast first, these would read as actions 0, 1, 2 and 1, 2, or
+        # escape as an OverflowError.
+        with pytest.raises(DomainError, match="actions must be 0, 1 or 2"):
+            Policy(actions=actions)
+
+    def test_integral_floats_are_actions(self):
+        pol = Policy(actions=[[0.0, 1.0, 2.0]])
+        assert pol.actions.dtype == np.int8
+        assert pol.actions.tolist() == [[0, 1, 2]]
+
     def test_greedy_tie_break_prefers_smallest_action(self):
         q = np.zeros((1, 1, 3))
         assert action_at(greedy_policy(q), 1, 1) == Action.IDLE
