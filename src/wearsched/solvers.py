@@ -114,12 +114,17 @@ def q_backup(mdp: MdpSpec, v: np.ndarray) -> np.ndarray:
     return np.stack(_q_actions(mdp, v), axis=2)
 
 
+def _float_floor(v: np.ndarray, gain: float) -> float:
+    """``FLOAT_FLOOR_ULPS`` units in the last place of max|v| + |gain|, the
+    rounding error a gain read off the values v carries."""
+    return FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max() + abs(gain)))
+
+
 def _bracket(lo: float, hi: float, v: np.ndarray) -> tuple[float, float]:
     """The bracket [lo, hi] = [min(Tv - v), max(Tv - v)] on lambda*, widened
-    outward by ``FLOAT_FLOOR_ULPS`` units in the last place of
-    max|v| + max(|lo|, |hi|), a bound on |Tv|: each difference Tv - v carries
-    rounding errors of about that size."""
-    eps = FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max() + max(abs(lo), abs(hi))))
+    outward by the float floor of max|v| + max(|lo|, |hi|), a bound on |Tv|:
+    each difference Tv - v carries rounding errors of about that size."""
+    eps = _float_floor(v, max(abs(lo), abs(hi)))
     return lo - eps, hi + eps
 
 
@@ -205,20 +210,137 @@ def policy_evaluate(
     """Gain and relative value of a stationary policy.
 
     Solves gain + v(s) = c(s, policy(s)) + sum_s' P(s'|s) v(s') subject to
-    v(ref_state) = 0 with a direct sparse factorization. scipy is imported
-    here, at the first evaluation, so that commands which evaluate no policy
-    never load it.
+    v(ref_state) = 0. A renewal-closed policy, one that renews at every cell
+    of the last channel age, is solved by back-substitution over the channel
+    age (``_renewal_closed_evaluate``); any other policy by a direct sparse
+    factorization (``_lu_evaluate``). scipy is imported only by the second,
+    so that commands which evaluate no other policy never load it. Both
+    paths gate the residual of the whole system at 1e-8 relative and raise
+    ``EvaluationError`` for a singular or ill-conditioned system.
     """
-    from scipy.sparse.linalg import splu
-
     if policy.shape != mdp.shape:
         raise DomainError(f"policy grid {policy.shape} does not match MDP grid {mdp.shape}")
     ref = mdp.state_index(ref_state)
+    if (policy.actions[-1] == Action.RENEW).all():
+        return _renewal_closed_evaluate(mdp, policy.actions, ref)
+    return _lu_evaluate(mdp, policy.actions, ref)
+
+
+def _check_residual(rel: float, condition_estimate) -> None:
+    """The residual gate of both evaluation paths: a relative residual above
+    1e-8 (or not finite) raises, with the system's condition estimate,
+    computed only then."""
+    if not np.isfinite(rel) or rel > 1e-8:
+        cond = condition_estimate()
+        raise EvaluationError(
+            f"policy evaluation system is ill-conditioned "
+            f"(relative residual {rel:.3e}, condition estimate {cond:.3e}); "
+            "the policy chain is likely multichain",
+            condition_estimate=cond,
+        )
+
+
+def _renewal_closed_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> tuple[float, np.ndarray]:
+    """``policy_evaluate`` for a policy that renews at every cell of the last
+    channel age, by back-substitution over the channel age.
+
+    Below the last channel age idle and transmit move to a strictly larger
+    channel age and only renew returns to the first, so every cycle of the
+    chain passes through channel age 1. Each row of values is then an affine
+    map of z = (v(1, .), gain, 1), a (D, D + 2) matrix. Built from the top
+    down, row t's map combines rows of the maps of rows at most ``w``
+    channel ages above it, so a ring buffer of w + 1 maps holds all that is
+    alive. The rows of the all-renew block at the top read v(1, .) alone:
+    only the lowest w of them get a map, for the rows below to read. The D
+    equations of row 1 and v(1, 1) = 0 close a dense (D + 1)-square border
+    system for (v(1, .), gain); a second pass down the rows recovers v, which
+    is then shifted to v(ref) = 0.
+    """
+    t_max, d_max = mdp.shape
+    idle, tx, renew = (actions == u for u in (Action.IDLE, Action.TRANSMIT, Action.RENEW))
+    cost = np.take_along_axis(mdp.cost_table, actions[:, :, None].astype(np.intp), axis=2)[:, :, 0]
+    # Rows from r on renew everywhere, and read only v(1, .).
+    r = max(1, int(np.count_nonzero(~np.logical_and.accumulate(renew.all(axis=1)[::-1]))))
+    w = max(1, int((np.maximum(mdp.tau_idle[:r], mdp.tau_tx[:r]) - np.arange(r)).max()))
+    k, top = w + 1, min(r + w, t_max)
+    # Cell (t, d) moves to (succ_t, succ_d), or with probability hit[t, d]
+    # (transmit cells only) to (tau_tx[t], 1).
+    succ_t = np.where(idle[:top], mdp.tau_idle[:top, None], np.where(tx[:top], mdp.tau_tx[:top, None], 0))
+    succ_d = np.where(renew[:top], mdp.delta_renew, mdp.delta_up)
+    hit = np.where(tx[:top], mdp.theta[:top, None], 0.0)
+    miss = 1.0 - hit
+    has_tx = tx[:top].any(axis=1)
+
+    # maps[t % k] is the map of row t while the rows below it need it;
+    # maps[k] is the map of row 1, the identity, which renew cells read.
+    g_col, c_col = d_max, d_max + 1
+    maps = np.zeros((k + 1, d_max, d_max + 2))
+    maps[k, :, :d_max] = np.eye(d_max)
+    flat = maps.reshape((k + 1) * d_max, d_max + 2)
+    src = np.where(renew[:top], k, succ_t % k) * d_max + succ_d
+    for t in range(top - 1, -1, -1):
+        out = maps[t % k]
+        if has_tx[t]:
+            np.multiply(flat[src[t]], miss[t, :, None], out=out)
+            out += np.multiply.outer(hit[t], maps[mdp.tau_tx[t] % k, 0])
+        else:
+            np.take(flat, src[t], axis=0, out=out)
+        out[:, g_col] -= 1.0
+        out[:, c_col] += cost[t]
+
+    # Row 1 reads v(1, .) = M[:, :D] v(1, .) + M[:, D] gain + M[:, D + 1].
+    border = np.zeros((d_max + 1, d_max + 1))
+    np.negative(maps[0, :, : g_col + 1], out=border[:d_max])
+    border[np.arange(d_max), np.arange(d_max)] += 1.0
+    border[d_max, 0] = 1.0
+    rhs = np.append(maps[0, :, c_col], 0.0)
+    del maps, flat
+
+    def condition_estimate():
+        try:
+            return float(np.linalg.cond(border))
+        except np.linalg.LinAlgError:
+            return float("inf")
+
+    try:
+        x = np.linalg.solve(border, rhs)
+    except np.linalg.LinAlgError as exc:  # exactly singular
+        cond = condition_estimate()
+        raise EvaluationError(
+            f"policy evaluation system is singular (condition estimate {cond:.3e}): {exc}",
+            condition_estimate=cond,
+        ) from exc
+
+    gain = float(x[d_max])
+    v = np.empty(mdp.shape)
+    v_flat = v.reshape(-1)
+    v[0] = x[:d_max]
+    v[r:] = cost[r:] - gain + v[0, mdp.delta_renew]
+    succ = succ_t * d_max + succ_d
+    for t in range(r - 1, 0, -1):
+        nxt = v_flat[succ[t]] * miss[t]
+        if has_tx[t]:
+            nxt += hit[t] * v[mdp.tau_tx[t], 0]
+        v[t] = cost[t] - gain + nxt
+    v -= v_flat[ref]
+
+    resid = np.choose(actions, _q_actions(mdp, v)) - v - gain
+    rel = float(np.abs(resid).max() / (1.0 + np.abs(cost).max()))
+    _check_residual(rel, condition_estimate)
+    return gain, v
+
+
+def _lu_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> tuple[float, np.ndarray]:
+    """``policy_evaluate`` of any policy by a direct sparse factorization of
+    the whole evaluation system, one step of iterative refinement and the
+    residual gate."""
+    from scipy.sparse.linalg import splu
+
     n = mdp.n_states
     # Only the system and the cost vector stay alive while splu allocates
     # its workspace: the assembly arrays die inside _evaluation_matrix.
-    m = _evaluation_matrix(mdp, policy.actions, ref)
-    cost = np.take_along_axis(mdp.cost_table, policy.actions[:, :, None].astype(np.intp), axis=2)
+    m = _evaluation_matrix(mdp, actions, ref)
+    cost = np.take_along_axis(mdp.cost_table, actions[:, :, None].astype(np.intp), axis=2)
     b = cost.reshape(-1)
 
     try:
@@ -235,14 +357,7 @@ def policy_evaluate(
     x = x + lu.solve(resid)
     resid = b - m @ x
     rel = float(np.abs(resid).max() / (1.0 + np.abs(b).max()))
-    if not np.isfinite(rel) or rel > 1e-8:
-        cond = _condition_estimate(m, lu)
-        raise EvaluationError(
-            f"policy evaluation system is ill-conditioned "
-            f"(relative residual {rel:.3e}, condition estimate {cond:.3e}); "
-            "the policy chain is likely multichain",
-            condition_estimate=cond,
-        )
+    _check_residual(rel, lambda: _condition_estimate(m, lu))
 
     v = np.empty(n)
     v[np.arange(n) != ref] = x[:-1]
@@ -418,8 +533,10 @@ def threshold_heuristic(
     restricted improvement step that only re-optimizes the per-channel-age
     transmission thresholds, kept nonincreasing in the channel age. When
     ``tau_renew`` is None, searches every renewal threshold and returns the
-    best. The result is the optimum of the threshold family, not of the full
-    policy space.
+    best: a later threshold replaces the best so far only if its gain is
+    lower by more than the float floor of the best's values and gain, so of
+    thresholds tied within rounding the smallest wins. The result is the
+    optimum of the threshold family, not of the full policy space.
     """
     t_max, _ = mdp.shape
     if tau_renew is not None:
@@ -427,7 +544,7 @@ def threshold_heuristic(
     best: SolveResult | None = None
     for cand in range(t_max + 1):
         res = _threshold_solve_fixed(mdp, opts, cand)
-        if best is None or res.gain < best.gain:
+        if best is None or res.gain < best.gain - _float_floor(best.v, best.gain):
             best = res
     assert best is not None
     return best

@@ -538,3 +538,13 @@ class TestColdStart:
         )
         assert before == []
         assert "scipy.sparse.linalg" in after
+
+    def test_renewal_closed_heuristic_loads_no_scipy(self, tmp_path):
+        # With tau_renew below tau_max every policy the heuristic evaluates
+        # renews at the last channel age, so none needs the sparse LU.
+        loaded = scipy_after(
+            ["solve", "--config", CONFIG_DIR / "benchmark-marginal.yaml", "--out", tmp_path,
+             "--set", "solver.method=threshold-heuristic", "--set", "solver.tau_renew=10",
+             "--set", "truncation.tau_max=80", "--set", "truncation.delta_max=80"]
+        )
+        assert loaded == [[], []]

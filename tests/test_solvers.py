@@ -31,6 +31,7 @@ from wearsched import (
     EvaluationError,
     Policy,
     SolveOptions,
+    SolveResult,
     Truncation,
     build_mdp,
     greedy_policy,
@@ -46,10 +47,13 @@ from wearsched.artifacts import write_policy_csv
 from wearsched.config import load_config
 from wearsched.solvers import (
     _continuation_grids,
+    _float_floor,
+    _lu_evaluate,
     _monotone_improvement,
     _policy_iteration,
     _prolong,
     _transmit_thresholds,
+    threshold_actions,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -372,6 +376,117 @@ class TestPolicyEvaluate:
             policy_evaluate(small_case.mdp, Policy(actions=np.zeros((3, 3), dtype=np.int8)))
 
 
+def assert_agrees_with_lu(mdp, actions, ref_state=AgeState(1, 1)):
+    """``policy_evaluate`` of a renewal-closed policy refuses what the sparse
+    LU path refuses, and otherwise agrees with it to 1e-12 relative: the
+    gain, and v against max|v|."""
+    try:
+        lu_gain, lu_v = _lu_evaluate(mdp, actions, mdp.state_index(ref_state))
+    except EvaluationError:
+        with pytest.raises(EvaluationError):
+            policy_evaluate(mdp, Policy(actions=actions), ref_state)
+        return
+    gain, v = policy_evaluate(mdp, Policy(actions=actions), ref_state)
+    assert abs(gain - lu_gain) <= 1e-12 * abs(lu_gain)
+    assert np.abs(v - lu_v).max() <= 1e-12 * np.abs(lu_v).max()
+    assert v[ref_state.tau - 1, ref_state.delta - 1] == 0.0
+
+
+class TestRenewalClosedEvaluation:
+    """Policies that renew at every cell of the last channel age are
+    evaluated by back-substitution over the channel age; the sparse LU path
+    is the reference."""
+
+    @given(
+        tau_max=st.integers(8, 40),
+        delta_max=st.integers(8, 40),
+        theta=st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.99, 0.0), (0.95, 0.3)]),
+        beta=st.sampled_from([0.9, 1.0]),
+        restricted=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_lu_path(self, tau_max, delta_max, theta, beta, restricted, data):
+        # Wear and downtime are drawn small or near the grid bounds, where the
+        # age shifts clamp. The policies are the heuristic's threshold tables,
+        # or columns that idle, then transmit, then renew down the channel
+        # age, as structured policy iteration's improvement step makes them.
+        # With theta = 1 some are multichain: both paths must refuse those.
+        tau_d = data.draw(st.one_of(st.integers(2, 6), st.integers(max(2, tau_max - 2), tau_max + 2)))
+        delta_r = data.draw(
+            st.one_of(st.integers(2, 6), st.integers(max(2, delta_max - 2), delta_max + 2))
+        )
+        extra = 7 if restricted else 0
+        mdp = build_mdp(
+            benchmark_system(beta),
+            benchmark_channel(0.1, tau_d, delta_r, *theta),
+            Truncation(tau_max + extra, delta_max + extra),
+            require_headroom=False,
+        )
+        if restricted:
+            mdp = mdp.restrict(tau_max, delta_max)
+        tau_renew = data.draw(st.integers(0, tau_max - 1))
+        ref = AgeState(data.draw(st.integers(1, tau_max)), data.draw(st.integers(1, delta_max)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):
+            transmit_from = rng.integers(0, tau_max + 1, size=delta_max)
+            renew_from = transmit_from + rng.integers(0, tau_max + 1, size=delta_max)
+            ages = np.arange(tau_max)[:, None]
+            actions = (ages >= transmit_from).astype(np.int8) + (ages >= renew_from)
+            actions[tau_renew:] = Action.RENEW
+        else:
+            thresholds = np.sort(rng.integers(1, delta_max + 2, size=tau_max))[::-1]
+            actions = threshold_actions(delta_max, tau_renew, thresholds)
+        assert_agrees_with_lu(mdp, actions, ref)
+
+    def test_multichain_policy_raises(self):
+        # A perfect channel with two closed cycles of different cost: the
+        # last information age idles up the channel ages and renews at the
+        # top, while (1, 3) transmits to (3, 1), which renews back to (1, 3).
+        mdp = build_mdp(
+            benchmark_system(0.9),
+            benchmark_channel(theta_max=1.0, theta_min=1.0, tau_d=2, delta_r=2),
+            Truncation(5, 5),
+        )
+        actions = np.full(mdp.shape, Action.RENEW, dtype=np.int8)
+        actions[:-1, -1] = Action.IDLE
+        actions[0, 2] = Action.TRANSMIT
+        with pytest.raises(EvaluationError) as exc_info:
+            policy_evaluate(mdp, Policy(actions=actions))
+        assert exc_info.value.condition_estimate > 1e8
+
+    @pytest.mark.parametrize("idle_below_top", [False, True], ids=["renew", "idle-then-renew"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_values_are_refused(self, idle_below_top):
+        # At information age 322 the MSE of beta=3 is 9e307, so the values
+        # overflow; the residual gate refuses them on both paths.
+        mdp = build_mdp(benchmark_system(3.0), benchmark_channel(tau_d=2, delta_r=2), Truncation(8, 322))
+        actions = np.full(mdp.shape, Action.RENEW, dtype=np.int8)
+        if idle_below_top:
+            actions[:-1] = Action.IDLE
+        with pytest.raises(EvaluationError, match="relative residual nan"):
+            policy_evaluate(mdp, Policy(actions=actions))
+        assert_agrees_with_lu(mdp, actions)
+
+    def test_memory_at_320(self):
+        # The ring buffer holds tau_d + 1 row maps of 320 x 322 floats (about
+        # 6 MB); a map per row would take 264 MB.
+        cfg = load_config(
+            CONFIG_DIR / "benchmark-marginal.yaml",
+            overrides=["truncation.tau_max=320", "truncation.delta_max=320"],
+        )
+        mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
+        policy = Policy(actions=threshold_actions(320, 319, [10] * 320))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            policy_evaluate(mdp, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < 24 * 2**20
+
+
 class TestStructuredPolicyIteration:
     def test_agrees_with_rvi(self, small_case):
         assert abs(small_case.spi.gain - small_case.rvi.gain) < 1e-6
@@ -575,6 +690,8 @@ class TestBruteForce:
         assert np.isfinite(gains).all()
         accepted = 0
         for actions, gain in zip(assignments, gains):
+            if (actions.reshape(mdp.shape)[-1] == Action.RENEW).all():
+                assert_agrees_with_lu(mdp, actions.reshape(mdp.shape))
             try:
                 expected, _ = policy_evaluate(mdp, Policy(actions=actions.reshape(mdp.shape)))
             except EvaluationError:
@@ -629,6 +746,28 @@ class TestThresholdHeuristic:
     def test_invalid_threshold(self, small_case):
         with pytest.raises(DomainError):
             threshold_heuristic(small_case.mdp, tau_renew=31)
+
+    @pytest.mark.parametrize("lower,winner", [(1, 0), (10**6, 1)], ids=["one-ulp", "clear"])
+    def test_earliest_of_tied_candidates_wins(self, monkeypatch, small_case, lower, winner):
+        # Candidate 1's gain is lower than candidate 0's by `lower` ulps: one
+        # ulp is within the float floor, a million are well beyond it.
+        mdp = small_case.mdp
+        v = np.zeros(mdp.shape)
+        v[-1, -1] = 1e3
+        gain = 42.0
+        gains = [gain, gain - lower * float(np.spacing(gain))] + [gain + 1.0] * mdp.shape[0]
+        assert (gain - gains[1] > _float_floor(v, gain)) == bool(winner)
+
+        def fixed(mdp, opts, tau_renew):
+            return SolveResult(
+                gain=gains[tau_renew], v=v, policy=Policy(actions=np.full(mdp.shape, tau_renew % 3)),
+                iterations=1, residual=0.0, q=np.zeros((*mdp.shape, 3)), lambda_bounds=(0.0, 0.0),
+            )
+
+        monkeypatch.setattr(solvers, "_threshold_solve_fixed", fixed)
+        res = threshold_heuristic(mdp)
+        assert res.gain == gains[winner]
+        assert np.all(res.policy.actions == winner)
 
 
 class TestPolicyType:
