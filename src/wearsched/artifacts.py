@@ -27,18 +27,65 @@ VALUE_HEADER = "tau,delta,value"
 Q_HEADER = "tau,delta,q_idle,q_transmit,q_renew"
 
 
+# The writer formats a grid one block of channel-age rows at a time, sized so
+# that the block's NUL-padded lines take at most this many bytes; this bounds
+# the memory a write uses beyond the grid itself.
+WRITE_BLOCK_BYTES = 1 << 18
+# Longest field either format can render: %.17g of a double, as in
+# -2.2250738585072014e-308, or %d of a 64-bit integer.
+_FIELD_BYTES = 24
+
+
+def _padded(labels: list[str]) -> np.ndarray:
+    """The labels as rows of a uint8 matrix, each padded with NULs to the
+    longest."""
+    b = np.array(labels, dtype=bytes)
+    return b.view(np.uint8).reshape(len(b), b.itemsize)
+
+
+def _format_distinct(block: np.ndarray, field_fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct value of the block formatted once, as the rows of a
+    NUL-padded uint8 matrix, and the row of each value of the block. Doubles
+    are told apart by their bits, so 0.0 and -0.0 stay distinct."""
+    if field_fmt == "%d":
+        uniq, inv = np.unique(block.reshape(-1), return_inverse=True)
+    else:
+        keys = np.asarray(block, dtype=np.float64).view(np.uint64).reshape(-1)
+        uniq, inv = np.unique(keys, return_inverse=True)
+        uniq = uniq.view(np.float64)
+    values = uniq.tolist()
+    # One template call renders every field left-justified in _FIELD_BYTES
+    # columns; no field contains a space, so the spaces are all padding.
+    padded_fmt = field_fmt.replace("%", f"%-{_FIELD_BYTES}")
+    text = (padded_fmt * len(values) % tuple(values)).replace(" ", "\0").encode()
+    table = np.frombuffer(text, dtype=np.uint8).reshape(len(values), _FIELD_BYTES)
+    return table[:, : np.count_nonzero(table.any(axis=0))], inv.reshape(block.shape)
+
+
 def _write_grid(path: str | Path, header: str, field_fmt: str, grid: np.ndarray) -> None:
-    """Write a (tau_max, delta_max, k) grid as one CSV line per state, one
-    channel age at a time."""
+    """Write a (tau_max, delta_max, k) grid as one CSV line per state.
+
+    Each block of channel-age rows is written at once: its fields are
+    gathered into a matrix of NUL-padded lines, the NULs are dropped, and
+    the rest is the block's text."""
     t_max, d_max, k = grid.shape
-    line_fmt = ",".join(["%d", "%d"] + [field_fmt] * k) + "\n"
-    row_fmt = line_fmt * d_max
-    deltas = range(1, d_max + 1)
-    with open(path, "w", newline="\n") as f:
-        f.write(header + "\n")
-        for ti in range(t_max):
-            fields = zip(itertools.repeat(ti + 1), deltas, *grid[ti].T.tolist())
-            f.write(row_fmt % tuple(itertools.chain.from_iterable(fields)))
+    taus = _padded([f"{t}," for t in range(1, t_max + 1)])
+    deltas = _padded([f"{d}," for d in range(1, d_max + 1)])
+    prefix = taus.shape[1] + deltas.shape[1]
+    rows = max(1, WRITE_BLOCK_BYTES // (d_max * (prefix + k * (_FIELD_BYTES + 1))))
+    with open(path, "wb") as f:
+        f.write(f"{header}\n".encode())
+        for t0 in range(0, t_max, rows):
+            table, inv = _format_distinct(grid[t0 : t0 + rows], field_fmt)
+            n, width = len(inv), table.shape[1]
+            lines = np.zeros((n, d_max, prefix + k * (width + 1)), dtype=np.uint8)
+            lines[:, :, : taus.shape[1]] = taus[t0 : t0 + n, None]
+            lines[:, :, taus.shape[1] : prefix] = deltas
+            for j in range(k):
+                col = prefix + j * (width + 1)
+                lines[:, :, col : col + width] = table[inv[:, :, j]]
+                lines[:, :, col + width] = ord(",") if j < k - 1 else ord("\n")
+            f.write(lines[lines != 0])
 
 
 def write_policy_csv(path: str | Path, policy: Policy) -> None:

@@ -6,7 +6,7 @@ renew-above-a-threshold heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,13 @@ class Policy:
         a = np.asarray(self.actions)
         if a.ndim != 2:
             raise DomainError(f"policy grid must be 2-d, got ndim={a.ndim}")
-        # Checked before the cast, which would wrap 256 to 0 and cut 1.7 to 1.
-        if not np.isin(a, (0, 1, 2)).all():
+        # Checked before the cast, which would wrap 256 to 0 and cut 1.7 to 1;
+        # an integer grid is checked by its range alone.
+        if a.dtype.kind in "iu":
+            valid = a.size == 0 or (a.min() >= 0 and a.max() <= 2)
+        else:
+            valid = np.isin(a, (0, 1, 2)).all()
+        if not valid:
             raise DomainError("actions must be 0, 1 or 2")
         a = a.astype(np.int8)
         a.flags.writeable = False
@@ -95,18 +100,40 @@ class SolveResult:
     continuation: tuple[tuple[int, int, int], ...] | None = None
 
 
-def _q_actions(mdp: MdpSpec, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q-values of idle, transmit and renew as three (tau_max, delta_max)
-    grids, read off the age-shift kernel."""
-    c = mdp.cost_table
+def _shift_slices(shift: np.ndarray) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """A clamped age shift min(i + k, n - 1), k = shift[0], as two
+    (destination, source) slice pairs along its axis: the first n - k ages
+    read the ages from k on, and the rest read the last age."""
+    m = len(shift) - int(shift[0])
+    return (slice(None, m), slice(-m, None)), (slice(m, None), slice(-1, None))
+
+
+def _backup(mdp: MdpSpec, v: np.ndarray, costs, out, v_up: np.ndarray) -> None:
+    """Q-values of idle, transmit and renew at v, written into the three
+    (tau_max, delta_max) grids of ``out``; ``costs`` holds the matching cost
+    grids and ``v_up`` is scratch space of v's shape. Every age shift of the
+    kernel is read by slices (``_shift_slices``), with no index gather."""
+    (c_idle, c_tx, c_renew), (q_idle, q_tx, q_renew) = costs, out
     theta = mdp.theta[:, None]
-    v_up = v[:, mdp.delta_up]  # v at (t, delta_up[d])
-    q_idle = c[:, :, Action.IDLE] + v_up[mdp.tau_idle]
-    q_tx = c[:, :, Action.TRANSMIT] + (
-        theta * v[mdp.tau_tx, :1] + (1.0 - theta) * v_up[mdp.tau_tx]
-    )
-    q_renew = c[:, :, Action.RENEW] + v[0, mdp.delta_renew]
-    return q_idle, q_tx, q_renew
+    for dst, src in _shift_slices(mdp.delta_up):
+        v_up[:, dst] = v[:, src]  # v at (t, delta_up[d])
+    for dst, src in _shift_slices(mdp.tau_idle):
+        np.add(c_idle[dst], v_up[src], out=q_idle[dst])
+    for dst, src in _shift_slices(mdp.tau_tx):
+        q = q_tx[dst]
+        np.multiply(1.0 - theta[dst], v_up[src], out=q)
+        q += theta[dst] * v[src, :1]
+        q += c_tx[dst]
+    for dst, src in _shift_slices(mdp.delta_renew):
+        np.add(c_renew[:, dst], v[0, src], out=q_renew[:, dst])
+
+
+def _q_actions(mdp: MdpSpec, v: np.ndarray) -> np.ndarray:
+    """Q-values of idle, transmit and renew as three (tau_max, delta_max)
+    grids, read off the age-shift kernel: a (3, tau_max, delta_max) array."""
+    q = np.empty((3, *mdp.shape))
+    _backup(mdp, v, np.moveaxis(mdp.cost_table, 2, 0), q, np.empty(mdp.shape))
+    return q
 
 
 def q_backup(mdp: MdpSpec, v: np.ndarray) -> np.ndarray:
@@ -169,10 +196,16 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
     """
     ref = mdp.state_index(opts.ref_state)
     v = np.zeros(mdp.shape)
+    # Buffers every iteration reuses, and the cost grids as contiguous copies.
+    q = np.empty((3, *mdp.shape))
+    v_up, diff = np.empty(mdp.shape), np.empty(mdp.shape)
+    costs = np.moveaxis(mdp.cost_table, 2, 0).copy()
     history: list[float] = []
     for n in range(1, opts.max_iter + 1):
-        q_idle, q_tx, q_renew = q = _q_actions(mdp, v)
-        diff = np.minimum(np.minimum(q_idle, q_tx), q_renew) - v
+        _backup(mdp, v, costs, q, v_up)
+        np.minimum(q[0], q[1], out=diff)
+        np.minimum(diff, q[2], out=diff)
+        diff -= v
         lo, hi = float(diff.min()), float(diff.max())
         span = hi - lo
         if not np.isfinite(span):
@@ -183,6 +216,7 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
         history.append(span)
         gain = float(diff.reshape(-1)[ref])
         if span < max(opts.tol, FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max()))):
+            del costs, v_up, diff  # not alive while q is restacked
             q = np.stack(q, axis=2)
             return SolveResult(
                 gain=gain,
@@ -540,14 +574,14 @@ def threshold_heuristic(
     """
     t_max, _ = mdp.shape
     if tau_renew is not None:
-        return _threshold_solve_fixed(mdp, opts, check_tau_renew(tau_renew, t_max))
-    best: SolveResult | None = None
-    for cand in range(t_max + 1):
-        res = _threshold_solve_fixed(mdp, opts, cand)
-        if best is None or res.gain < best.gain - _float_floor(best.v, best.gain):
-            best = res
-    assert best is not None
-    return best
+        best = _threshold_solve_fixed(mdp, opts, check_tau_renew(tau_renew, t_max))
+    else:
+        best = _threshold_solve_fixed(mdp, opts, 0)
+        for cand in range(1, t_max + 1):
+            res = _threshold_solve_fixed(mdp, opts, cand)
+            if res.gain < best.gain - _float_floor(best.v, best.gain):
+                best = res
+    return _finish(best.gain, best.v, best.policy, best.iterations, _q_actions(mdp, best.v))
 
 
 def check_tau_renew(tau_renew, t_max: int) -> int:
@@ -581,23 +615,34 @@ def _transmit_thresholds(q_idle, q_tx, tau_renew: int) -> list[int]:
 _THRESHOLD_SWEEP_CAP = 100
 
 
-def _threshold_solve_fixed(mdp: MdpSpec, opts: SolveOptions, tau_renew: int) -> SolveResult:
+class _Iterate(NamedTuple):
+    """An evaluated policy of the threshold heuristic, with its fields named
+    as in ``SolveResult``: ``iterations`` is the sweep that evaluated it."""
+
+    gain: float
+    v: np.ndarray
+    policy: Policy
+    iterations: int
+
+
+def _threshold_solve_fixed(mdp: MdpSpec, opts: SolveOptions, tau_renew: int) -> _Iterate:
+    """The best evaluated iterate of the threshold heuristic at one renewal
+    threshold; only the heuristic's overall winner gets its Q-factors."""
     t_max, d_max = mdp.shape
     thresholds = [1] * t_max
     seen: set[tuple[int, ...]] = set()
-    best: tuple[float, np.ndarray, np.ndarray, int] | None = None
+    best: _Iterate | None = None
     sweep_cap = min(opts.max_iter, _THRESHOLD_SWEEP_CAP)
     for sweep in range(1, sweep_cap + 1):
         seen.add(tuple(thresholds))
-        actions = threshold_actions(d_max, tau_renew, thresholds)
-        gain, v = policy_evaluate(mdp, Policy(actions=actions), opts.ref_state)
-        if best is None or gain < best[0]:
-            best = (gain, v, actions, sweep)
+        policy = Policy(actions=threshold_actions(d_max, tau_renew, thresholds))
+        gain, v = policy_evaluate(mdp, policy, opts.ref_state)
+        if best is None or gain < best.gain:
+            best = _Iterate(gain, v, policy, sweep)
         q_idle, q_tx, _ = _q_actions(mdp, v)
         new_thresholds = _transmit_thresholds(q_idle, q_tx, tau_renew) + thresholds[tau_renew:]
         if new_thresholds == thresholds or tuple(new_thresholds) in seen:
             break
         thresholds = new_thresholds
     assert best is not None
-    gain, v, actions, sweep = best
-    return _finish(gain, v, Policy(actions=actions), sweep, _q_actions(mdp, v))
+    return best

@@ -7,6 +7,7 @@ exhaustive references that the package is checked against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +36,7 @@ from wearsched import (
     structured_policy_iteration,
 )
 from wearsched.sim import BATCH_COUNT
+from wearsched.solvers import FLOAT_FLOOR_ULPS, RVI_DAMPING, _bracket, greedy_policy
 
 # The six shipped configurations, plus one that sets every optional key.
 ECHO_CONFIGS = [
@@ -175,6 +177,52 @@ def scalar_transitions(mdp: MdpSpec, s: AgeState, u) -> list[tuple[AgeState, flo
     return [(AgeState(int(ti) + 1, int(di) + 1), p) for (ti, di), p in branches if p > 0.0]
 
 
+def reference_q_actions(mdp: MdpSpec, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference Q-backup: Q-values of idle, transmit and renew read off the
+    age-shift kernel by index gathers, in the order of operations the
+    package's slice-shift kernel must reproduce bit for bit."""
+    c = mdp.cost_table
+    theta = mdp.theta[:, None]
+    v_up = v[:, mdp.delta_up]  # v at (t, delta_up[d])
+    q_idle = c[:, :, Action.IDLE] + v_up[mdp.tau_idle]
+    q_tx = c[:, :, Action.TRANSMIT] + (
+        theta * v[mdp.tau_tx, :1] + (1.0 - theta) * v_up[mdp.tau_tx]
+    )
+    q_renew = c[:, :, Action.RENEW] + v[0, mdp.delta_renew]
+    return q_idle, q_tx, q_renew
+
+
+def reference_rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
+    """Reference relative value iteration: ``rvi_solve``'s damped iteration
+    and stopping rule on ``reference_q_actions``, every array allocated
+    afresh in each iteration."""
+    ref = mdp.state_index(opts.ref_state)
+    v = np.zeros(mdp.shape)
+    for n in range(1, opts.max_iter + 1):
+        q_idle, q_tx, q_renew = q = reference_q_actions(mdp, v)
+        diff = np.minimum(np.minimum(q_idle, q_tx), q_renew) - v
+        lo, hi = float(diff.min()), float(diff.max())
+        span = hi - lo
+        if not np.isfinite(span):
+            raise AssertionError("reference RVI produced non-finite values")
+        gain = float(diff.reshape(-1)[ref])
+        if span < max(opts.tol, FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max()))):
+            q = np.stack(q, axis=2)
+            return SolveResult(
+                gain=gain,
+                v=v,
+                policy=greedy_policy(q),
+                iterations=n,
+                residual=span,
+                q=q,
+                lambda_bounds=_bracket(lo, hi, v),
+            )
+        diff -= gain
+        diff *= RVI_DAMPING
+        v += diff
+    raise AssertionError(f"reference RVI did not converge in {opts.max_iter} iterations")
+
+
 BRUTE_FORCE_MAX_STATES = 12
 _ORACLE_CHUNK = 4096  # policies scored per batch
 
@@ -311,6 +359,20 @@ def scalar_transmit_thresholds(q: np.ndarray, tau_renew: int) -> list[int]:
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def reference_write_grid(path, header: str, field_fmt: str, grid: np.ndarray) -> None:
+    """Reference grid writer: a (tau_max, delta_max, k) grid as one CSV line
+    per state, one channel age at a time, every field formatted by ``%``."""
+    t_max, d_max, k = grid.shape
+    line_fmt = ",".join(["%d", "%d"] + [field_fmt] * k) + "\n"
+    row_fmt = line_fmt * d_max
+    deltas = range(1, d_max + 1)
+    with open(path, "w", newline="\n") as f:
+        f.write(header + "\n")
+        for ti in range(t_max):
+            fields = zip(itertools.repeat(ti + 1), deltas, *grid[ti].T.tolist())
+            f.write(row_fmt % tuple(itertools.chain.from_iterable(fields)))
 
 
 def scalar_write_policy_csv(path, policy) -> None:

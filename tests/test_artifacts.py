@@ -1,6 +1,7 @@
 import io
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import scalar_write_policy_csv, scalar_write_q_csv, scalar_write_value_csv
-from wearsched import ArtifactParseError, MissingArtifactError, Policy
+from helpers import (
+    reference_write_grid,
+    scalar_write_policy_csv,
+    scalar_write_q_csv,
+    scalar_write_value_csv,
+)
+from wearsched import ArtifactParseError, MissingArtifactError, Policy, artifacts
 from wearsched.artifacts import (
     POLICY_HEADER,
     Q_HEADER,
@@ -194,6 +200,75 @@ def test_writers_match_scalar_references_320_by_3(tmp_path):
         rng.normal(scale=1e6, size=(320, 3)) * 10.0 ** rng.integers(-200, 200, size=(320, 3)),
         rng.normal(size=(320, 3, 3)) * 10.0 ** rng.integers(-20, 20, size=(320, 3, 3)),
     )
+
+
+def assert_writers_match_reference_writer(tmp, acts, v, q):
+    for write, header, fmt, obj, grid in (
+        (write_policy_csv, POLICY_HEADER, "%d", Policy(actions=acts), acts[:, :, None]),
+        (write_value_csv, VALUE_HEADER, "%.17g", v, v[:, :, None]),
+        (write_q_csv, Q_HEADER, "%.17g", q, q),
+    ):
+        write(tmp / "new.csv", obj)
+        reference_write_grid(tmp / "ref.csv", header, fmt, grid)
+        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+
+def _runs(rng, pool, size):
+    """``size`` values drawn from ``pool`` in runs of repeated values, some
+    runs as long as the whole draw."""
+    lengths = rng.integers(1, size + 1, size=size)
+    picks = rng.integers(0, len(pool), size=size)
+    return np.repeat(np.asarray(pool)[picks], lengths)[:size]
+
+
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    pool=st.lists(doubles, min_size=1, max_size=12),
+    block_bytes=st.sampled_from([1, 600, 5000, artifacts.WRITE_BLOCK_BYTES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_writers_match_the_reference_writer(tmp_path_factory, shape, pool, block_bytes, seed):
+    # The block sizes make blocks of one row, a few rows and the whole grid.
+    rng = np.random.default_rng(seed)
+    t_max, d_max = shape
+    pool = pool + [float(x) for x in rng.normal(scale=1e5, size=3)]
+    acts = _runs(rng, np.array([0, 1, 2], dtype=np.int8), t_max * d_max).reshape(shape)
+    v = _runs(rng, pool, t_max * d_max).reshape(shape)
+    q = _runs(rng, pool, t_max * d_max * 3).reshape(*shape, 3)
+    with mock.patch.object(artifacts, "WRITE_BLOCK_BYTES", block_bytes):
+        assert_writers_match_reference_writer(tmp_path_factory.mktemp("blocks"), acts, v, q)
+
+
+def test_block_boundary_inside_the_grid(tmp_path):
+    # 17 x 23 grids: the Q grid is written 3 channel-age rows at a time, the
+    # value and policy grids 7 at a time, so each last block is short.
+    rng = np.random.default_rng(8)
+    special = [0.0, -0.0, 5e-324, 1e-300, 1e300, np.inf, -np.inf, np.nan, 3.0, 0.1]
+    shape = (17, 23)
+    v = rng.choice(special, size=shape)
+    v[::2] = rng.normal(size=(9, 23)) * 1e12
+    q = rng.normal(size=(*shape, 3))
+    q[5:11] = 7.0
+    prefix = len("17,23,")
+    block_bytes = 3 * 23 * (prefix + 3 * (artifacts._FIELD_BYTES + 1))
+    with mock.patch.object(artifacts, "WRITE_BLOCK_BYTES", block_bytes):
+        assert_writers_match_reference_writer(
+            tmp_path, rng.integers(0, 3, size=shape).astype(np.int8), v, q
+        )
+
+
+def test_q_writer_memory_is_bounded_by_the_block(tmp_path):
+    # The writer holds one block of at most WRITE_BLOCK_BYTES of padded
+    # lines, not the 7 MB of text of the whole grid.
+    q = np.random.default_rng(9).normal(size=(320, 320, 3))
+    tracemalloc.start()
+    try:
+        write_q_csv(tmp_path / "q.csv", q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert read_q_csv(tmp_path / "q.csv").tobytes() == q.tobytes()
 
 
 def test_value_reader_rejects_zero_coordinate(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import tracemalloc
@@ -17,6 +18,8 @@ from helpers import (
     brute_force_optimal,
     eventually_reachable,
     policy_gains,
+    reference_q_actions,
+    reference_rvi_solve,
     scalar_cost,
     scalar_spi_improvement,
     scalar_transitions,
@@ -52,6 +55,7 @@ from wearsched.solvers import (
     _monotone_improvement,
     _policy_iteration,
     _prolong,
+    _q_actions,
     _transmit_thresholds,
     threshold_actions,
 )
@@ -127,6 +131,59 @@ class TestQBackup:
                 cont = sum(p * v[s2.tau - 1, s2.delta - 1] for s2, p in scalar_transitions(mdp, s, u))
                 expected[s.tau - 1, s.delta - 1, u] = scalar_cost(mdp, s, u) + cont
         np.testing.assert_array_equal(q_backup(mdp, v), expected)
+
+
+class TestSliceBackup:
+    """The slice-shift Q-backup against the index-gather reference, bit for
+    bit."""
+
+    @given(
+        tau_max=st.integers(1, 40),
+        delta_max=st.integers(1, 40),
+        theta=st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.99, 0.0), (0.95, 0.3)]),
+        restricted=st.booleans(),
+        tau_costs=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_the_gather_reference(self, tau_max, delta_max, theta, restricted, tau_costs, data):
+        # Wear and downtime are drawn small or at least the grid bound less
+        # one, where a single clamp covers the whole axis.
+        tau_d = data.draw(st.one_of(st.integers(2, 6), st.integers(max(2, tau_max - 1), tau_max + 3)))
+        delta_r = data.draw(
+            st.one_of(st.integers(2, 6), st.integers(max(2, delta_max - 1), delta_max + 3))
+        )
+        extra = 5 if restricted else 0
+        mdp = build_mdp(
+            benchmark_system(1.0),
+            benchmark_channel(0.1, tau_d, delta_r, *theta),
+            Truncation(tau_max + extra, delta_max + extra),
+            require_headroom=False,
+        )
+        if restricted:
+            mdp = mdp.restrict(tau_max, delta_max)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if tau_costs:  # costs that vary with the channel age too
+            costs = mdp.cost_table * rng.uniform(0.5, 2.0, size=(tau_max, 1, 3))
+            mdp = dataclasses.replace(mdp, cost_table=costs)
+        v = rng.normal(scale=1e3, size=mdp.shape)
+        expected = np.stack(reference_q_actions(mdp, v), axis=2)
+        assert q_backup(mdp, v).tobytes() == expected.tobytes()
+        assert np.stack(_q_actions(mdp, v), axis=2).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.yaml")))
+    def test_rvi_matches_the_reference_loop(self, name):
+        # slow-decay-long-renewal's downtime of 40 leaves no headroom at 40².
+        cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+        mdp = build_mdp(
+            cfg.build_system(), cfg.build_channel(), Truncation(40, 40), require_headroom=False
+        )
+        opts = cfg.solver.options()
+        res, ref = rvi_solve(mdp, opts), reference_rvi_solve(mdp, opts)
+        for field in dataclasses.fields(SolveResult):
+            got, want = getattr(res, field.name), getattr(ref, field.name)
+            if isinstance(got, Policy):
+                got, want = got.actions, want.actions
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
 
 
 class TestVectorisedScans:
@@ -794,6 +851,16 @@ class TestPolicyType:
         # escape as an OverflowError.
         with pytest.raises(DomainError, match="actions must be 0, 1 or 2"):
             Policy(actions=actions)
+
+    @pytest.mark.parametrize(
+        "dtype,bad", [(np.int8, -1), (np.int8, 3), (np.int64, -1), (np.int64, 3), (np.uint8, 3)]
+    )
+    def test_integer_grids_checked_at_both_ends(self, dtype, bad):
+        # One entry just outside 0..2, in the middle of valid actions.
+        actions = np.array([[0, 1, 2], [2, bad, 0]], dtype=dtype)
+        with pytest.raises(DomainError, match="actions must be 0, 1 or 2"):
+            Policy(actions=actions)
+        assert Policy(actions=np.array([[0, 1, 2]], dtype=dtype)).actions.tolist() == [[0, 1, 2]]
 
     def test_integral_floats_are_actions(self):
         pol = Policy(actions=[[0.0, 1.0, 2.0]])
