@@ -5,6 +5,7 @@ renew-above-a-threshold heuristic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -110,22 +111,24 @@ def _shift_slices(shift: np.ndarray) -> tuple[tuple[slice, slice], tuple[slice, 
 
 def _backup(mdp: MdpSpec, v: np.ndarray, costs, out, v_up: np.ndarray) -> None:
     """Q-values of idle, transmit and renew at v, written into the three
-    (tau_max, delta_max) grids of ``out``; ``costs`` holds the matching cost
-    grids and ``v_up`` is scratch space of v's shape. Every age shift of the
-    kernel is read by slices (``_shift_slices``), with no index gather."""
+    grids of ``out``; ``costs`` holds the matching (tau_max, delta_max) cost
+    grids and ``v_up`` is scratch space of v's shape. v may carry leading
+    batch axes, which ``out`` and ``v_up`` share, and every member of the
+    batch is backed up by the same operations as alone. Every age shift of
+    the kernel is read by slices (``_shift_slices``), with no index gather."""
     (c_idle, c_tx, c_renew), (q_idle, q_tx, q_renew) = costs, out
     theta = mdp.theta[:, None]
     for dst, src in _shift_slices(mdp.delta_up):
-        v_up[:, dst] = v[:, src]  # v at (t, delta_up[d])
+        v_up[..., dst] = v[..., src]  # v at (t, delta_up[d])
     for dst, src in _shift_slices(mdp.tau_idle):
-        np.add(c_idle[dst], v_up[src], out=q_idle[dst])
+        np.add(c_idle[dst], v_up[..., src, :], out=q_idle[..., dst, :])
     for dst, src in _shift_slices(mdp.tau_tx):
-        q = q_tx[dst]
-        np.multiply(1.0 - theta[dst], v_up[src], out=q)
-        q += theta[dst] * v[src, :1]
+        q = q_tx[..., dst, :]
+        np.multiply(1.0 - theta[dst], v_up[..., src, :], out=q)
+        q += theta[dst] * v[..., src, :1]
         q += c_tx[dst]
     for dst, src in _shift_slices(mdp.delta_renew):
-        np.add(c_renew[:, dst], v[0, src], out=q_renew[:, dst])
+        np.add(c_renew[:, dst], v[..., :1, src], out=q_renew[..., dst])
 
 
 def _q_actions(mdp: MdpSpec, v: np.ndarray) -> np.ndarray:
@@ -238,10 +241,32 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
     )
 
 
+class Evaluation(tuple):
+    """What ``policy_evaluate`` returns: the pair (gain, v), v anchored at
+    v[ref] == 0, carrying the policy's Q-factors at v as ``q``, three
+    (tau_max, delta_max) grids. That one backup serves the residual gate and
+    the improvement step."""
+
+    q: np.ndarray
+
+    def __new__(cls, gain: float, v: np.ndarray, q: np.ndarray):
+        ev = super().__new__(cls, (gain, v))
+        ev.q = q
+        return ev
+
+    @property
+    def gain(self) -> float:
+        return self[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self[1]
+
+
 def policy_evaluate(
     mdp: MdpSpec, policy: Policy, ref_state: AgeState = AgeState(1, 1)
-) -> tuple[float, np.ndarray]:
-    """Gain and relative value of a stationary policy.
+) -> Evaluation:
+    """Gain and relative value of a stationary policy, with its Q-factors.
 
     Solves gain + v(s) = c(s, policy(s)) + sum_s' P(s'|s) v(s') subject to
     v(ref_state) = 0. A renewal-closed policy, one that renews at every cell
@@ -254,29 +279,79 @@ def policy_evaluate(
     """
     if policy.shape != mdp.shape:
         raise DomainError(f"policy grid {policy.shape} does not match MDP grid {mdp.shape}")
-    ref = mdp.state_index(ref_state)
-    if (policy.actions[-1] == Action.RENEW).all():
-        return _renewal_closed_evaluate(mdp, policy.actions, ref)
-    return _lu_evaluate(mdp, policy.actions, ref)
+    return _evaluate(mdp, policy.actions, mdp.state_index(ref_state))
+
+
+def _evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> Evaluation:
+    """``policy_evaluate`` of an action grid, with its Q-factors: the sparse
+    path backs up once after its own residual gate."""
+    if (actions[-1] == Action.RENEW).all():
+        [ev] = _renewal_closed_evaluate(mdp, actions[None], ref)
+        return ev
+    gain, v = _lu_evaluate(mdp, actions, ref)
+    return Evaluation(gain, v, _q_actions(mdp, v))
 
 
 def _check_residual(rel: float, condition_estimate) -> None:
     """The residual gate of both evaluation paths: a relative residual above
     1e-8 (or not finite) raises, with the system's condition estimate,
-    computed only then."""
+    computed only then. The gate cannot tell a multichain policy from values
+    too large for their differences to resolve, so its message names both."""
     if not np.isfinite(rel) or rel > 1e-8:
         cond = condition_estimate()
         raise EvaluationError(
             f"policy evaluation system is ill-conditioned "
             f"(relative residual {rel:.3e}, condition estimate {cond:.3e}); "
-            "the policy chain is likely multichain",
+            "the policy chain may be multichain, or its values too large for "
+            "float64 to resolve their differences",
             condition_estimate=cond,
         )
 
 
-def _renewal_closed_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> tuple[float, np.ndarray]:
-    """``policy_evaluate`` for a policy that renews at every cell of the last
-    channel age, by back-substitution over the channel age.
+def _dense_condition(border: np.ndarray) -> float:
+    try:
+        return float(np.linalg.cond(border))
+    except np.linalg.LinAlgError:
+        return float("inf")
+
+
+# Bound on the working set of one batch of renewal-closed evaluations
+# (``_eval_batch_size``). On benchmark-marginal that is 8 policies at
+# 80 x 80, 2 at 160 x 160 and one from 165 x 165 on.
+EVAL_BATCH_BYTES = 8 * 2**20
+# Arrays of 8-byte entries per cell that a batch member holds besides its
+# row maps: costs, successor indices and probabilities, v, its scratch
+# copy, the three Q grids and the residual's temporaries.
+_EVAL_CELL_ARRAYS = 12
+
+
+def _eval_batch_size(mdp: MdpSpec) -> int:
+    """How many renewal-closed policies one ``_renewal_closed_evaluate`` call
+    takes: as many as keep the batch's working set, at the largest ring of
+    row maps the kernel allows, under EVAL_BATCH_BYTES."""
+    t_max, d_max = mdp.shape
+    reach = int((np.maximum(mdp.tau_idle, mdp.tau_tx) - np.arange(t_max)).max())
+    ring = max(1, reach) + 2
+    width = d_max - int(mdp.delta_renew[0]) + 2
+    per_policy = 8 * d_max * (ring * width + _EVAL_CELL_ARRAYS * t_max)
+    return max(1, EVAL_BATCH_BYTES // per_policy)
+
+
+def _members(mask: np.ndarray) -> slice | np.ndarray | None:
+    """The batch members ``mask`` selects: None if none, a slice if they are
+    consecutive, else their indices."""
+    sel = np.flatnonzero(mask)
+    if not len(sel):
+        return None
+    if sel[-1] - sel[0] == len(sel) - 1:
+        return slice(sel[0], sel[-1] + 1)
+    return sel
+
+
+def _renewal_closed_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> list[Evaluation]:
+    """``_evaluate`` for a (B, tau_max, delta_max) stack of policies that
+    renew at every cell of the last channel age, by back-substitution over
+    the channel age. Each member gets the bits it would get alone.
 
     Below the last channel age idle and transmit move to a strictly larger
     channel age and only renew returns to the first, so every cycle of the
@@ -284,84 +359,116 @@ def _renewal_closed_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> tup
     map of z = (v(1, .), gain, 1), a (D, D + 2) matrix. Built from the top
     down, row t's map combines rows of the maps of rows at most ``w``
     channel ages above it, so a ring buffer of w + 1 maps holds all that is
-    alive. The rows of the all-renew block at the top read v(1, .) alone:
-    only the lowest w of them get a map, for the rows below to read. The D
-    equations of row 1 and v(1, 1) = 0 close a dense (D + 1)-square border
-    system for (v(1, .), gain); a second pass down the rows recovers v, which
-    is then shifted to v(ref) = 0.
+    alive. The rows of the all-renew block from ``r`` on read v(1, .) alone:
+    only the lowest w of them get a map, for the rows below to read. The
+    batch shares the largest ring and the highest such block top; a
+    member's rows above its own top renew, and none of its rows reads them.
+    Every map reads v(1, .) only at the information ages renew reaches, so
+    its columns below the first of them are exactly +0.0 and are not kept.
+    The D equations of row 1 and v(1, 1) = 0 close a dense (D + 1)-square
+    border system for (v(1, .), gain); a second pass down the rows recovers
+    v, which is then shifted to v(ref) = 0. One backup at v gives the Q
+    grids and the residual gate.
     """
-    t_max, d_max = mdp.shape
+    n, (t_max, d_max) = len(actions), mdp.shape
     idle, tx, renew = (actions == u for u in (Action.IDLE, Action.TRANSMIT, Action.RENEW))
-    cost = np.take_along_axis(mdp.cost_table, actions[:, :, None].astype(np.intp), axis=2)[:, :, 0]
+    cells = np.arange(t_max)[:, None], np.arange(d_max)
+    cost = mdp.cost_table[(*cells, actions)]
     # Rows from r on renew everywhere, and read only v(1, .).
-    r = max(1, int(np.count_nonzero(~np.logical_and.accumulate(renew.all(axis=1)[::-1]))))
-    w = max(1, int((np.maximum(mdp.tau_idle[:r], mdp.tau_tx[:r]) - np.arange(r)).max()))
-    k, top = w + 1, min(r + w, t_max)
+    r = np.maximum(1, np.count_nonzero(~np.logical_and.accumulate(renew.all(axis=2)[:, ::-1], axis=1), axis=1))
+    reach = np.maximum.accumulate(np.maximum(mdp.tau_idle, mdp.tau_tx) - np.arange(t_max))
+    w = np.maximum(1, reach[r - 1])
+    own_top = np.minimum(r + w, t_max)
+    k, top = int(w.max()) + 1, int(own_top.max())
+    # Row t's map is built for the members from skip[t] on: those before it
+    # have their own top at or below t, and none of their rows reads row t.
+    skip = np.logical_and.accumulate(own_top <= np.arange(top)[:, None], axis=1).sum(axis=1)
     # Cell (t, d) moves to (succ_t, succ_d), or with probability hit[t, d]
     # (transmit cells only) to (tau_tx[t], 1).
-    succ_t = np.where(idle[:top], mdp.tau_idle[:top, None], np.where(tx[:top], mdp.tau_tx[:top, None], 0))
-    succ_d = np.where(renew[:top], mdp.delta_renew, mdp.delta_up)
-    hit = np.where(tx[:top], mdp.theta[:top, None], 0.0)
+    idle, tx, renew = idle[:, :top], tx[:, :top], renew[:, :top]
+    succ_t = np.where(idle, mdp.tau_idle[:top, None], np.where(tx, mdp.tau_tx[:top, None], 0))
+    succ_d = np.where(renew, mdp.delta_renew, mdp.delta_up)
+    hit = np.where(tx, mdp.theta[:top, None], 0.0)
     miss = 1.0 - hit
-    has_tx = tx[:top].any(axis=1)
+    # The members with a transmit cell in row t: a slice when they are
+    # consecutive, as a window of ascending thresholds makes them.
+    tx_members = [_members(m) for m in tx.any(axis=2).T]
+    members = np.arange(n)[:, None, None]
+    # Flat indices of the successors into the ring of maps below, and into v.
+    src = (np.where(renew, k, succ_t % k) * n + members) * d_max + succ_d
+    succ = (members * t_max + succ_t) * d_max + succ_d
+    del idle, tx, renew, succ_t, succ_d
 
-    # maps[t % k] is the map of row t while the rows below it need it;
-    # maps[k] is the map of row 1, the identity, which renew cells read.
-    g_col, c_col = d_max, d_max + 1
-    maps = np.zeros((k + 1, d_max, d_max + 2))
-    maps[k, :, :d_max] = np.eye(d_max)
-    flat = maps.reshape((k + 1) * d_max, d_max + 2)
-    src = np.where(renew[:top], k, succ_t % k) * d_max + succ_d
+    # maps[t % k, b] is member b's map of row t while the rows below it need
+    # it; maps[k] is the map of row 1, the identity, which renew cells read.
+    # A map keeps the columns of v(1, c0:), then the gain and the constant.
+    c0 = int(mdp.delta_renew[0])
+    g_col, c_col = d_max - c0, d_max - c0 + 1
+    maps = np.zeros((k + 1, n, d_max, c_col + 1))
+    maps[k, :, c0:, :g_col] = np.eye(d_max - c0)
+    flat = maps.reshape(-1, c_col + 1)
     for t in range(top - 1, -1, -1):
-        out = maps[t % k]
-        if has_tx[t]:
-            np.multiply(flat[src[t]], miss[t, :, None], out=out)
-            out += np.multiply.outer(hit[t], maps[mdp.tau_tx[t] % k, 0])
+        slot, sel, lo = maps[t % k], tx_members[t], skip[t]
+        out = slot[lo:]
+        if sel is None:
+            np.take(flat, src[lo:, t], axis=0, out=out)
         else:
-            np.take(flat, src[t], axis=0, out=out)
-        out[:, g_col] -= 1.0
-        out[:, c_col] += cost[t]
+            np.multiply(flat[src[lo:, t]], miss[lo:, t, :, None], out=out)
+            part = slot[sel]
+            part += hit[sel, t, :, None] * maps[mdp.tau_tx[t] % k, sel, :1]
+            if not isinstance(sel, slice):
+                slot[sel] = part
+        out[:, :, g_col] -= 1.0
+        out[:, :, c_col] += cost[lo:, t]
 
     # Row 1 reads v(1, .) = M[:, :D] v(1, .) + M[:, D] gain + M[:, D + 1].
-    border = np.zeros((d_max + 1, d_max + 1))
-    np.negative(maps[0, :, : g_col + 1], out=border[:d_max])
-    border[np.arange(d_max), np.arange(d_max)] += 1.0
-    border[d_max, 0] = 1.0
-    rhs = np.append(maps[0, :, c_col], 0.0)
-    del maps, flat
-
-    def condition_estimate():
-        try:
-            return float(np.linalg.cond(border))
-        except np.linalg.LinAlgError:
-            return float("inf")
+    border = np.zeros((n, d_max + 1, d_max + 1))
+    np.negative(border[:, :d_max, :c0], out=border[:, :d_max, :c0])
+    np.negative(maps[0, :, :, : g_col + 1], out=border[:, :d_max, c0:])
+    border[:, np.arange(d_max), np.arange(d_max)] += 1.0
+    border[:, d_max, 0] = 1.0
+    rhs = np.zeros((n, d_max + 1, 1))
+    rhs[:, :d_max, 0] = maps[0, :, :, c_col]
+    del maps, flat, src
 
     try:
-        x = np.linalg.solve(border, rhs)
-    except np.linalg.LinAlgError as exc:  # exactly singular
-        cond = condition_estimate()
-        raise EvaluationError(
-            f"policy evaluation system is singular (condition estimate {cond:.3e}): {exc}",
-            condition_estimate=cond,
-        ) from exc
+        x = np.linalg.solve(border, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:  # some member is exactly singular
+        for one, col in zip(border, rhs):
+            try:
+                np.linalg.solve(one, col)
+            except np.linalg.LinAlgError as exc:
+                cond = _dense_condition(one)
+                raise EvaluationError(
+                    f"policy evaluation system is singular (condition estimate {cond:.3e}): {exc}",
+                    condition_estimate=cond,
+                ) from exc
+        raise
 
-    gain = float(x[d_max])
-    v = np.empty(mdp.shape)
+    gain = x[:, d_max, None]
+    v = np.empty(actions.shape)
+    v[:, 0] = x[:, :d_max]
+    # Every member renews everywhere from row max(r) on; a member's own rows
+    # from its r up to there go through the loop as renew rows, to the same
+    # bits.
+    r_max = int(r.max())
+    v[:, r_max:] = cost[:, r_max:] - gain[:, :, None] + v[:, :1, mdp.delta_renew]
     v_flat = v.reshape(-1)
-    v[0] = x[:d_max]
-    v[r:] = cost[r:] - gain + v[0, mdp.delta_renew]
-    succ = succ_t * d_max + succ_d
-    for t in range(r - 1, 0, -1):
-        nxt = v_flat[succ[t]] * miss[t]
-        if has_tx[t]:
-            nxt += hit[t] * v[mdp.tau_tx[t], 0]
-        v[t] = cost[t] - gain + nxt
-    v -= v_flat[ref]
+    for t in range(r_max - 1, 0, -1):
+        nxt, sel = v_flat[succ[:, t]] * miss[:, t], tx_members[t]
+        if sel is not None:
+            nxt[sel] += hit[sel, t] * v[sel, mdp.tau_tx[t], :1]
+        v[:, t] = cost[:, t] - gain + nxt
+    v -= v.reshape(n, -1)[:, ref, None, None].copy()
+    del succ, hit, miss
 
-    resid = np.choose(actions, _q_actions(mdp, v)) - v - gain
-    rel = float(np.abs(resid).max() / (1.0 + np.abs(cost).max()))
-    _check_residual(rel, condition_estimate)
-    return gain, v
+    q = np.empty((n, 3, t_max, d_max))
+    _backup(mdp, v, np.moveaxis(mdp.cost_table, 2, 0), q.swapaxes(0, 1), np.empty(v.shape))
+    resid = q[(members, actions, *cells)] - v - gain[:, :, None]
+    rel = np.abs(resid).max(axis=(1, 2)) / (1.0 + np.abs(cost).max(axis=(1, 2)))
+    for b in range(n):
+        _check_residual(float(rel[b]), lambda: _dense_condition(border[b]))
+    return [Evaluation(float(gain[b, 0]), v[b], q[b]) for b in range(n)]
 
 
 def _lu_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> tuple[float, np.ndarray]:
@@ -521,21 +628,23 @@ def _policy_iteration(mdp: MdpSpec, opts: SolveOptions, actions: np.ndarray) -> 
     seen: set[bytes] = set()
     best = None
     for sweep in range(1, opts.max_iter + 1):
-        gain, v = policy_evaluate(mdp, Policy(actions=actions), opts.ref_state)
-        if best is None or gain < best[0]:
-            best = (gain, v, actions)
+        ev = policy_evaluate(mdp, Policy(actions=actions), opts.ref_state)
+        if best is None or ev.gain < best[0]:
+            best = (ev.gain, ev.v, actions)
         seen.add(actions.tobytes())
-        # No Q grid outlives its improvement step, so none is alive during
-        # the next factorization; the returned policy's grids are recomputed.
-        new_actions, skips = _monotone_improvement(*_q_actions(mdp, v))
+        new_actions, skips = _monotone_improvement(*ev.q)
         skipped += skips
         if new_actions.tobytes() in seen:
-            if not np.array_equal(new_actions, actions):
+            if np.array_equal(new_actions, actions):
+                (gain, v), q = ev, ev.q
+            else:
                 gain, v, actions = best
-            return _finish(
-                gain, v, Policy(actions=actions), sweep, _q_actions(mdp, v), skipped_q_evals=skipped
-            )
+                q = _q_actions(mdp, v)
+            return _finish(gain, v, Policy(actions=actions), sweep, q, skipped_q_evals=skipped)
         actions = new_actions
+        # No Q grid outlives its improvement step, so none is alive during
+        # the next factorization.
+        del ev
     raise ConvergenceError(
         f"policy iteration did not terminate within {opts.max_iter} sweeps",
         residual=float("nan"),
@@ -569,18 +678,20 @@ def threshold_heuristic(
     ``tau_renew`` is None, searches every renewal threshold and returns the
     best: a later threshold replaces the best so far only if its gain is
     lower by more than the float floor of the best's values and gain, so of
-    thresholds tied within rounding the smallest wins. The result is the
+    thresholds tied within rounding the smallest wins. The thresholds are
+    searched side by side in batched rounds (``_threshold_candidates``),
+    with the result of searching them one after another. The result is the
     optimum of the threshold family, not of the full policy space.
     """
     t_max, _ = mdp.shape
     if tau_renew is not None:
-        best = _threshold_solve_fixed(mdp, opts, check_tau_renew(tau_renew, t_max))
+        taus = [check_tau_renew(tau_renew, t_max)]
     else:
-        best = _threshold_solve_fixed(mdp, opts, 0)
-        for cand in range(1, t_max + 1):
-            res = _threshold_solve_fixed(mdp, opts, cand)
-            if res.gain < best.gain - _float_floor(best.v, best.gain):
-                best = res
+        taus = list(range(t_max + 1))
+    best, *rest = _threshold_candidates(mdp, opts, taus)
+    for it in rest:
+        if it.gain < best.gain - best.floor:
+            best = it
     return _finish(best.gain, best.v, best.policy, best.iterations, _q_actions(mdp, best.v))
 
 
@@ -617,32 +728,100 @@ _THRESHOLD_SWEEP_CAP = 100
 
 class _Iterate(NamedTuple):
     """An evaluated policy of the threshold heuristic, with its fields named
-    as in ``SolveResult``: ``iterations`` is the sweep that evaluated it."""
+    as in ``SolveResult``: ``iterations`` is the sweep that evaluated it, and
+    ``floor`` is ``_float_floor`` of its values and gain. ``v`` is None once
+    the heuristic's tie rule can no longer pick the iterate."""
 
     gain: float
-    v: np.ndarray
+    v: np.ndarray | None
     policy: Policy
     iterations: int
+    floor: float
 
 
-def _threshold_solve_fixed(mdp: MdpSpec, opts: SolveOptions, tau_renew: int) -> _Iterate:
-    """The best evaluated iterate of the threshold heuristic at one renewal
-    threshold; only the heuristic's overall winner gets its Q-factors."""
-    t_max, d_max = mdp.shape
-    thresholds = [1] * t_max
-    seen: set[tuple[int, ...]] = set()
-    best: _Iterate | None = None
+class _Candidate:
+    """The run of the threshold heuristic at one renewal threshold: its
+    transmit thresholds, the tables it has evaluated and its best iterate."""
+
+    def __init__(self, tau_renew: int, t_max: int):
+        self.tau_renew = tau_renew
+        self.thresholds = [1] * t_max
+        self.seen: set[tuple[int, ...]] = set()
+        self.best: _Iterate | None = None
+        self.sweeps = 0
+        self.done = False
+
+    def improve(self, ev: Evaluation, actions: np.ndarray, sweep_cap: int) -> None:
+        """Takes the evaluation of the current table, then steps to the next
+        one, or finishes at a fixed point, a table seen before or the cap."""
+        self.sweeps += 1
+        self.seen.add(tuple(self.thresholds))
+        if self.best is None or ev.gain < self.best.gain:
+            self.best = _Iterate(
+                ev.gain, ev.v.copy(), Policy(actions=actions), self.sweeps, _float_floor(ev.v, ev.gain)
+            )
+        new = _transmit_thresholds(ev.q[0], ev.q[1], self.tau_renew) + self.thresholds[self.tau_renew :]
+        self.done = new == self.thresholds or tuple(new) in self.seen or self.sweeps == sweep_cap
+        self.thresholds = new
+
+
+def _threshold_candidates(mdp: MdpSpec, opts: SolveOptions, taus: list[int]) -> list[_Iterate]:
+    """The best evaluated iterate of the threshold heuristic at each renewal
+    threshold of the ascending list ``taus``.
+
+    The runs advance in rounds over a window of the lowest unfinished
+    thresholds, ``_eval_batch_size`` of them: each round evaluates the
+    window's renewal-closed tables as one batch, and the table that never
+    renews by itself. A finished run leaves its place to the next threshold
+    and keeps only the values its iterate may still need (``_drop_losers``).
+    """
+    t_max = mdp.shape[0]
+    ref = mdp.state_index(opts.ref_state)
     sweep_cap = min(opts.max_iter, _THRESHOLD_SWEEP_CAP)
-    for sweep in range(1, sweep_cap + 1):
-        seen.add(tuple(thresholds))
-        policy = Policy(actions=threshold_actions(d_max, tau_renew, thresholds))
-        gain, v = policy_evaluate(mdp, policy, opts.ref_state)
-        if best is None or gain < best.gain:
-            best = _Iterate(gain, v, policy, sweep)
-        q_idle, q_tx, _ = _q_actions(mdp, v)
-        new_thresholds = _transmit_thresholds(q_idle, q_tx, tau_renew) + thresholds[tau_renew:]
-        if new_thresholds == thresholds or tuple(new_thresholds) in seen:
+    size = _eval_batch_size(mdp)
+    runs = [_Candidate(tau, t_max) for tau in taus]
+    window: list[_Candidate] = []
+    queue = iter(runs)
+    while True:
+        window += itertools.islice(queue, size - len(window))
+        if not window:
             break
-        thresholds = new_thresholds
-    assert best is not None
-    return best
+        _advance(mdp, window, ref, sweep_cap)
+        if any(c.done for c in window):
+            window = [c for c in window if not c.done]
+            _drop_losers(runs)
+    return [c.best for c in runs]
+
+
+def _advance(mdp: MdpSpec, window: list[_Candidate], ref: int, sweep_cap: int) -> None:
+    """One round: evaluates the current table of every run in the window and
+    improves it. The table that never renews is factorized first, while no
+    batch's grids are alive."""
+    t_max, d_max = mdp.shape
+    closed = []
+    for c in window:
+        a = threshold_actions(d_max, c.tau_renew, c.thresholds)
+        if c.tau_renew == t_max:
+            c.improve(_evaluate(mdp, a, ref), a, sweep_cap)
+        else:
+            closed.append((c, a))
+    if closed:
+        stack = np.stack([a for _, a in closed])
+        for (c, _), a, ev in zip(closed, stack, _renewal_closed_evaluate(mdp, stack, ref)):
+            c.improve(ev, a, sweep_cap)
+
+
+def _drop_losers(runs: list[_Candidate]) -> None:
+    """Frees the values of every finished run whose best iterate the tie rule
+    of ``threshold_heuristic`` cannot pick. Such a run's gain is at or above
+    the best gain so far of a lower threshold, so the rule reaches it holding
+    a lower gain, or it exceeds the best gain so far of a higher threshold by
+    more than its own float floor, so that threshold would replace it. Best
+    gains only fall, so neither test is ever undone."""
+    gain = np.array([c.best.gain if c.best is not None else np.inf for c in runs])
+    below = np.minimum.accumulate(np.concatenate(([np.inf], gain[:-1])))
+    above = np.minimum.accumulate(np.concatenate(([np.inf], gain[:0:-1])))[::-1]
+    for c, g, lo, hi in zip(runs, gain, below, above):
+        if c.done and c.best.v is not None and (g >= lo or hi < g - c.best.floor):
+            c.best = c.best._replace(v=None)
+

@@ -20,6 +20,7 @@ from wearsched import (
     AgeState,
     ChannelModel,
     DomainError,
+    EvaluationError,
     MdpSpec,
     Policy,
     Region,
@@ -36,7 +37,19 @@ from wearsched import (
     structured_policy_iteration,
 )
 from wearsched.sim import BATCH_COUNT
-from wearsched.solvers import FLOAT_FLOOR_ULPS, RVI_DAMPING, _bracket, greedy_policy
+from wearsched.solvers import (
+    _THRESHOLD_SWEEP_CAP,
+    FLOAT_FLOOR_ULPS,
+    RVI_DAMPING,
+    _bracket,
+    _finish,
+    _float_floor,
+    _lu_evaluate,
+    _q_actions,
+    _transmit_thresholds,
+    greedy_policy,
+    threshold_actions,
+)
 
 # The six shipped configurations, plus one that sets every optional key.
 ECHO_CONFIGS = [
@@ -221,6 +234,112 @@ def reference_rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> So
         diff *= RVI_DAMPING
         v += diff
     raise AssertionError(f"reference RVI did not converge in {opts.max_iter} iterations")
+
+
+def reference_renewal_closed_evaluate(
+    mdp: MdpSpec, actions: np.ndarray, ref: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Reference back-substitution over the channel age for one policy that
+    renews at every cell of the last channel age: (gain, v, q), with q the
+    three Q grids at v that its residual gate reads. Its maps keep every
+    column of v(1, .), and its ring and block top are the policy's own; the
+    batched ``_renewal_closed_evaluate`` must give every member these bits."""
+    t_max, d_max = mdp.shape
+    idle, tx, renew = (actions == u for u in (Action.IDLE, Action.TRANSMIT, Action.RENEW))
+    cost = np.take_along_axis(mdp.cost_table, actions[:, :, None].astype(np.intp), axis=2)[:, :, 0]
+    r = max(1, int(np.count_nonzero(~np.logical_and.accumulate(renew.all(axis=1)[::-1]))))
+    w = max(1, int((np.maximum(mdp.tau_idle[:r], mdp.tau_tx[:r]) - np.arange(r)).max()))
+    k, top = w + 1, min(r + w, t_max)
+    succ_t = np.where(idle[:top], mdp.tau_idle[:top, None], np.where(tx[:top], mdp.tau_tx[:top, None], 0))
+    succ_d = np.where(renew[:top], mdp.delta_renew, mdp.delta_up)
+    hit = np.where(tx[:top], mdp.theta[:top, None], 0.0)
+    miss = 1.0 - hit
+    has_tx = tx[:top].any(axis=1)
+
+    g_col, c_col = d_max, d_max + 1
+    maps = np.zeros((k + 1, d_max, d_max + 2))
+    maps[k, :, :d_max] = np.eye(d_max)
+    flat = maps.reshape((k + 1) * d_max, d_max + 2)
+    src = np.where(renew[:top], k, succ_t % k) * d_max + succ_d
+    for t in range(top - 1, -1, -1):
+        out = maps[t % k]
+        if has_tx[t]:
+            np.multiply(flat[src[t]], miss[t, :, None], out=out)
+            out += np.multiply.outer(hit[t], maps[mdp.tau_tx[t] % k, 0])
+        else:
+            np.take(flat, src[t], axis=0, out=out)
+        out[:, g_col] -= 1.0
+        out[:, c_col] += cost[t]
+
+    border = np.zeros((d_max + 1, d_max + 1))
+    np.negative(maps[0, :, : g_col + 1], out=border[:d_max])
+    border[np.arange(d_max), np.arange(d_max)] += 1.0
+    border[d_max, 0] = 1.0
+    rhs = np.append(maps[0, :, c_col], 0.0)
+    try:
+        x = np.linalg.solve(border, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise EvaluationError(f"singular: {exc}", condition_estimate=float("inf")) from exc
+
+    gain = float(x[d_max])
+    v = np.empty(mdp.shape)
+    v_flat = v.reshape(-1)
+    v[0] = x[:d_max]
+    v[r:] = cost[r:] - gain + v[0, mdp.delta_renew]
+    succ = succ_t * d_max + succ_d
+    for t in range(r - 1, 0, -1):
+        nxt = v_flat[succ[t]] * miss[t]
+        if has_tx[t]:
+            nxt += hit[t] * v[mdp.tau_tx[t], 0]
+        v[t] = cost[t] - gain + nxt
+    v -= v_flat[ref]
+
+    q = _q_actions(mdp, v)
+    rel = float(np.abs(np.choose(actions, q) - v - gain).max() / (1.0 + np.abs(cost).max()))
+    if not np.isfinite(rel) or rel > 1e-8:
+        raise EvaluationError(f"relative residual {rel:.3e}", condition_estimate=float("inf"))
+    return gain, v, q
+
+
+def reference_threshold_heuristic(
+    mdp: MdpSpec, opts: SolveOptions = SolveOptions(), tau_renew: int | None = None
+) -> SolveResult:
+    """Reference threshold heuristic: each renewal threshold's sweeps run to
+    the end before the next threshold starts, every policy is evaluated
+    alone (``reference_renewal_closed_evaluate``, or the sparse path for the
+    table that never renews) and backed up again for its improvement step,
+    and a later threshold replaces the best so far only if its gain is lower
+    by more than the best's float floor."""
+    t_max, d_max = mdp.shape
+    ref = mdp.state_index(opts.ref_state)
+
+    def solve_fixed(tau):
+        thresholds = [1] * t_max
+        seen, best = set(), None
+        for sweep in range(1, min(opts.max_iter, _THRESHOLD_SWEEP_CAP) + 1):
+            seen.add(tuple(thresholds))
+            actions = threshold_actions(d_max, tau, thresholds)
+            if tau < t_max:
+                gain, v, _ = reference_renewal_closed_evaluate(mdp, actions, ref)
+            else:
+                gain, v = _lu_evaluate(mdp, actions, ref)
+            if best is None or gain < best[0]:
+                best = (gain, v, Policy(actions=actions), sweep)
+            q_idle, q_tx, _ = _q_actions(mdp, v)
+            new = _transmit_thresholds(q_idle, q_tx, tau) + thresholds[tau:]
+            if new == thresholds or tuple(new) in seen:
+                break
+            thresholds = new
+        return best
+
+    taus = range(t_max + 1) if tau_renew is None else [tau_renew]
+    best = None
+    for tau in taus:
+        res = solve_fixed(tau)
+        if best is None or res[0] < best[0] - _float_floor(best[1], best[0]):
+            best = res
+    gain, v, policy, iterations = best
+    return _finish(gain, v, policy, iterations, _q_actions(mdp, v))
 
 
 BRUTE_FORCE_MAX_STATES = 12

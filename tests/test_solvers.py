@@ -19,7 +19,9 @@ from helpers import (
     eventually_reachable,
     policy_gains,
     reference_q_actions,
+    reference_renewal_closed_evaluate,
     reference_rvi_solve,
+    reference_threshold_heuristic,
     scalar_cost,
     scalar_spi_improvement,
     scalar_transitions,
@@ -56,6 +58,7 @@ from wearsched.solvers import (
     _policy_iteration,
     _prolong,
     _q_actions,
+    _renewal_closed_evaluate,
     _transmit_thresholds,
     threshold_actions,
 )
@@ -78,6 +81,27 @@ def perfect_channel_mdp():
         benchmark_channel(theta_max=1.0, theta_min=1.0),
         Truncation(30, 30),
     )
+
+
+def _drawn_mdp(tau_max, delta_max, theta, beta, restricted, tau_costs, data):
+    """A benchmark MDP with wear and downtime drawn small or near the grid
+    bounds, where the age shifts clamp; optionally restricted from a larger
+    grid, and with costs that vary with the channel age too."""
+    tau_d = data.draw(st.one_of(st.integers(2, 6), st.integers(max(2, tau_max - 2), tau_max + 2)))
+    delta_r = data.draw(st.one_of(st.integers(2, 6), st.integers(max(2, delta_max - 2), delta_max + 2)))
+    extra = 7 if restricted else 0
+    mdp = build_mdp(
+        benchmark_system(beta),
+        benchmark_channel(0.1, tau_d, delta_r, *theta),
+        Truncation(tau_max + extra, delta_max + extra),
+        require_headroom=False,
+    )
+    if restricted:
+        mdp = mdp.restrict(tau_max, delta_max)
+    if tau_costs:
+        scale = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(0.5, 2.0, (tau_max, 1, 3))
+        mdp = dataclasses.replace(mdp, cost_table=mdp.cost_table * scale)
+    return mdp
 
 
 class TestQBackup:
@@ -169,6 +193,28 @@ class TestSliceBackup:
         expected = np.stack(reference_q_actions(mdp, v), axis=2)
         assert q_backup(mdp, v).tobytes() == expected.tobytes()
         assert np.stack(_q_actions(mdp, v), axis=2).tobytes() == expected.tobytes()
+
+    @given(
+        tau_max=st.integers(1, 30),
+        delta_max=st.integers(1, 30),
+        batch=st.integers(1, 4),
+        restricted=st.booleans(),
+        tau_costs=st.booleans(),
+        data=st.data(),
+    )
+    def test_a_stack_backs_up_as_its_members(self, tau_max, delta_max, batch, restricted, tau_costs, data):
+        # Signed zeros and infinities included: each member's Q grids must
+        # carry the bits its own 2-d backup gives.
+        mdp = _drawn_mdp(tau_max, delta_max, (0.95, 0.3), 1.0, restricted, tau_costs, data)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v = rng.normal(scale=1e3, size=(batch, *mdp.shape))
+        v[rng.random(v.shape) < 0.1] = -0.0
+        v[rng.random(v.shape) < 0.02] = np.inf
+        q = np.empty((3, *v.shape))
+        with np.errstate(invalid="ignore"):
+            solvers._backup(mdp, v, np.moveaxis(mdp.cost_table, 2, 0), q, np.empty(v.shape))
+            for b in range(batch):
+                assert q[:, b].tobytes() == _q_actions(mdp, v[b]).tobytes()
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.yaml")))
     def test_rvi_matches_the_reference_loop(self, name):
@@ -544,6 +590,81 @@ class TestRenewalClosedEvaluation:
         assert peak - entry < 24 * 2**20
 
 
+def _renewal_closed_policy(rng, tau_max, delta_max, tau_renew):
+    """A threshold table, or columns that idle, then transmit, then renew
+    down the channel age, renewing everywhere from ``tau_renew`` on."""
+    if rng.random() < 0.5:
+        transmit_from = rng.integers(0, tau_max + 1, size=delta_max)
+        renew_from = transmit_from + rng.integers(0, tau_max + 1, size=delta_max)
+        ages = np.arange(tau_max)[:, None]
+        actions = (ages >= transmit_from).astype(np.int8) + (ages >= renew_from)
+        actions[tau_renew:] = Action.RENEW
+        return actions
+    thresholds = np.sort(rng.integers(1, delta_max + 2, size=tau_max))[::-1]
+    return threshold_actions(delta_max, tau_renew, thresholds)
+
+
+class TestBatchedRenewalClosedEvaluation:
+    """One call evaluates a stack of renewal-closed policies; each member
+    gets the bits of the single-policy reference."""
+
+    @given(
+        tau_max=st.integers(8, 32),
+        delta_max=st.integers(8, 32),
+        theta=st.sampled_from([(0.0, 0.0), (0.99, 0.0), (0.95, 0.3)]),
+        beta=st.sampled_from([0.9, 1.0]),
+        restricted=st.booleans(),
+        tau_costs=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_members_match_the_reference(self, tau_max, delta_max, theta, beta, restricted, tau_costs, data):
+        # Each member draws its own renewal threshold, so the members' all-
+        # renew blocks start at different rows and the batch's shared ring
+        # and block top exceed most members' own.
+        mdp = _drawn_mdp(tau_max, delta_max, theta, beta, restricted, tau_costs, data)
+        ref = mdp.state_index(AgeState(data.draw(st.integers(1, tau_max)), data.draw(st.integers(1, delta_max))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        taus = data.draw(st.lists(st.integers(0, tau_max - 1), min_size=1, max_size=6))
+        stack = np.stack([_renewal_closed_policy(rng, tau_max, delta_max, tau) for tau in taus])
+        try:
+            expected = [reference_renewal_closed_evaluate(mdp, a, ref) for a in stack]
+        except EvaluationError:
+            with pytest.raises(EvaluationError):
+                _renewal_closed_evaluate(mdp, stack, ref)
+            return
+        got = _renewal_closed_evaluate(mdp, stack, ref)
+        assert len(got) == len(stack)
+        for ev, (gain, v, q) in zip(got, expected):
+            assert np.float64(ev.gain).tobytes() == np.float64(gain).tobytes()
+            assert ev.v.tobytes() == v.tobytes()
+            assert ev.q.tobytes() == q.tobytes()
+
+    def test_one_multichain_member_refuses_the_batch(self):
+        # The perfect-channel policy of TestRenewalClosedEvaluation with two
+        # closed cycles, between two unichain members.
+        mdp = build_mdp(
+            benchmark_system(0.9),
+            benchmark_channel(theta_max=1.0, theta_min=1.0, tau_d=2, delta_r=2),
+            Truncation(5, 5),
+        )
+        multichain = np.full(mdp.shape, Action.RENEW, dtype=np.int8)
+        multichain[:-1, -1] = Action.IDLE
+        multichain[0, 2] = Action.TRANSMIT
+        unichain = threshold_actions(5, 3, [2] * 5)
+        for ev in _renewal_closed_evaluate(mdp, np.stack([unichain, unichain]), 0):
+            assert np.isfinite(ev.gain)
+        with pytest.raises(EvaluationError) as exc_info:
+            _renewal_closed_evaluate(mdp, np.stack([unichain, multichain, unichain]), 0)
+        assert exc_info.value.condition_estimate > 1e8
+
+    def test_batch_size_bounds_the_working_set(self):
+        # Eight policies at 80 x 80; at 320 x 320 the row maps of one policy
+        # alone take about 6 MB, so it goes alone.
+        assert solvers._eval_batch_size(_shipped_mdp("benchmark-marginal", 80)[0]) == 8
+        assert solvers._eval_batch_size(_shipped_mdp("benchmark-marginal", 320)[0]) == 1
+
+
 class TestStructuredPolicyIteration:
     def test_agrees_with_rvi(self, small_case):
         assert abs(small_case.spi.gain - small_case.rvi.gain) < 1e-6
@@ -815,16 +936,71 @@ class TestThresholdHeuristic:
         gains = [gain, gain - lower * float(np.spacing(gain))] + [gain + 1.0] * mdp.shape[0]
         assert (gain - gains[1] > _float_floor(v, gain)) == bool(winner)
 
-        def fixed(mdp, opts, tau_renew):
-            return SolveResult(
-                gain=gains[tau_renew], v=v, policy=Policy(actions=np.full(mdp.shape, tau_renew % 3)),
-                iterations=1, residual=0.0, q=np.zeros((*mdp.shape, 3)), lambda_bounds=(0.0, 0.0),
-            )
+        def candidates(mdp, opts, taus):
+            return [
+                solvers._Iterate(
+                    gain=gains[tau], v=v, policy=Policy(actions=np.full(mdp.shape, tau % 3)),
+                    iterations=1, floor=_float_floor(v, gains[tau]),
+                )
+                for tau in taus
+            ]
 
-        monkeypatch.setattr(solvers, "_threshold_solve_fixed", fixed)
+        monkeypatch.setattr(solvers, "_threshold_candidates", candidates)
         res = threshold_heuristic(mdp)
         assert res.gain == gains[winner]
         assert np.all(res.policy.actions == winner)
+
+
+def assert_same_result(res, ref):
+    """Every ``SolveResult`` field of ``res`` carries the bits of ``ref``'s."""
+    for field in dataclasses.fields(SolveResult):
+        got, want = getattr(res, field.name), getattr(ref, field.name)
+        if isinstance(got, Policy):
+            got, want = got.actions, want.actions
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+
+
+class TestBatchedThresholdHeuristic:
+    """The heuristic's batched rounds return what evaluating each renewal
+    threshold's sweeps alone, one threshold after another, returns."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.yaml")))
+    def test_matches_the_reference_on_every_config(self, name):
+        # The smallest square grid the config's wear and downtime allow.
+        ch = load_config(CONFIG_DIR / f"{name}.yaml").build_channel()
+        mdp, opts = _shipped_mdp(name, max(1 + ch.tau_d, 1 + ch.delta_r))
+        assert_same_result(threshold_heuristic(mdp, opts), reference_threshold_heuristic(mdp, opts))
+
+    @pytest.mark.parametrize("beta", [0.9, 0.95, 1.0, 1.05])
+    def test_matches_the_reference_on_the_benchmark_sweep(self, beta):
+        cfg = load_config(CONFIG_DIR / "benchmark-marginal.yaml", overrides=[f"system.beta={beta}"])
+        mdp, opts = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation()), cfg.solver.options()
+        assert mdp.shape == (80, 80)
+        assert_same_result(threshold_heuristic(mdp, opts), reference_threshold_heuristic(mdp, opts))
+
+    @pytest.mark.parametrize("tau_renew", [0, 7, 29, 30])
+    def test_fixed_threshold_matches_the_reference(self, small_case, tau_renew):
+        mdp, opts = small_case.mdp, SolveOptions(tol=1e-10)
+        assert_same_result(
+            threshold_heuristic(mdp, opts, tau_renew=tau_renew),
+            reference_threshold_heuristic(mdp, opts, tau_renew=tau_renew),
+        )
+
+    def test_memory_at_80(self):
+        # A batch of eight renewal-closed evaluations works in about 6 MiB.
+        # Finished thresholds keep only the values their iterates may still
+        # need, so the whole 81-threshold search stays near one batch; values
+        # kept for every threshold would add 4 MiB.
+        mdp, opts = _shipped_mdp("benchmark-marginal", 80)
+        solvers.load_evaluator()  # scipy's import is not the search's memory
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            threshold_heuristic(mdp, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < 10 * 2**20
 
 
 class TestPolicyType:
