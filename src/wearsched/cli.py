@@ -258,7 +258,10 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, policy_path: str | None =
     sim_cfg = cfg.simulate
     reps = []
     for r in range(sim_cfg.replications):
-        stats = simulate(mdp, policy, epochs=sim_cfg.epochs, seed=sim_cfg.seed, stream=r)
+        try:
+            stats = simulate(mdp, policy, epochs=sim_cfg.epochs, seed=sim_cfg.seed, stream=r)
+        except OverflowError as exc:  # math.fsum of the run's costs
+            raise NumericalOverflowError(f"simulated cost total overflows float64: {exc}") from exc
         reps.append(
             {
                 "stream": r,

@@ -279,15 +279,11 @@ def policy_evaluate(
     """
     if policy.shape != mdp.shape:
         raise DomainError(f"policy grid {policy.shape} does not match MDP grid {mdp.shape}")
-    return _evaluate(mdp, policy.actions, mdp.state_index(ref_state))
-
-
-def _evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> Evaluation:
-    """``policy_evaluate`` of an action grid, with its Q-factors: the sparse
-    path backs up once after its own residual gate."""
+    actions, ref = policy.actions, mdp.state_index(ref_state)
     if (actions[-1] == Action.RENEW).all():
         [ev] = _renewal_closed_evaluate(mdp, actions[None], ref)
         return ev
+    # The sparse path backs up once, after its own residual gate.
     gain, v = _lu_evaluate(mdp, actions, ref)
     return Evaluation(gain, v, _q_actions(mdp, v))
 
@@ -349,7 +345,7 @@ def _members(mask: np.ndarray) -> slice | np.ndarray | None:
 
 
 def _renewal_closed_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> list[Evaluation]:
-    """``_evaluate`` for a (B, tau_max, delta_max) stack of policies that
+    """``policy_evaluate`` for a (B, tau_max, delta_max) stack of policies that
     renew at every cell of the last channel age, by back-substitution over
     the channel age. Each member gets the bits it would get alone.
 
@@ -414,10 +410,7 @@ def _renewal_closed_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> lis
             np.take(flat, src[lo:, t], axis=0, out=out)
         else:
             np.multiply(flat[src[lo:, t]], miss[lo:, t, :, None], out=out)
-            part = slot[sel]
-            part += hit[sel, t, :, None] * maps[mdp.tau_tx[t] % k, sel, :1]
-            if not isinstance(sel, slice):
-                slot[sel] = part
+            slot[sel] += hit[sel, t, :, None] * maps[mdp.tau_tx[t] % k, sel, :1]
         out[:, :, g_col] -= 1.0
         out[:, :, c_col] += cost[lo:, t]
 
@@ -621,8 +614,8 @@ def _policy_iteration(mdp: MdpSpec, opts: SolveOptions, actions: np.ndarray) -> 
     noise in tied Q-factors can make the improvement step cycle among
     equal-gain policies, so it also stops when the step returns a policy it
     has already evaluated, and then returns the evaluated policy with the
-    lowest gain. ``skipped_q_evals`` counts the Q-factor evaluations avoided
-    by the shrinking action sets.
+    lowest gain, evaluated once more. ``skipped_q_evals`` counts the
+    Q-factor evaluations avoided by the shrinking action sets.
     """
     skipped = 0
     seen: set[bytes] = set()
@@ -630,17 +623,16 @@ def _policy_iteration(mdp: MdpSpec, opts: SolveOptions, actions: np.ndarray) -> 
     for sweep in range(1, opts.max_iter + 1):
         ev = policy_evaluate(mdp, Policy(actions=actions), opts.ref_state)
         if best is None or ev.gain < best[0]:
-            best = (ev.gain, ev.v, actions)
+            best = (ev.gain, actions)
         seen.add(actions.tobytes())
         new_actions, skips = _monotone_improvement(*ev.q)
         skipped += skips
         if new_actions.tobytes() in seen:
-            if np.array_equal(new_actions, actions):
-                (gain, v), q = ev, ev.q
-            else:
-                gain, v, actions = best
-                q = _q_actions(mdp, v)
-            return _finish(gain, v, Policy(actions=actions), sweep, q, skipped_q_evals=skipped)
+            if not np.array_equal(new_actions, actions):
+                actions = best[1]
+                del ev  # not alive while the earlier policy is refactorized
+                ev = policy_evaluate(mdp, Policy(actions=actions), opts.ref_state)
+            return _finish(ev.gain, ev.v, Policy(actions=actions), sweep, ev.q, skipped_q_evals=skipped)
         actions = new_actions
         # No Q grid outlives its improvement step, so none is alive during
         # the next factorization.
@@ -692,7 +684,8 @@ def threshold_heuristic(
     for it in rest:
         if it.gain < best.gain - best.floor:
             best = it
-    return _finish(best.gain, best.v, best.policy, best.iterations, _q_actions(mdp, best.v))
+    ev = policy_evaluate(mdp, best.policy, opts.ref_state)
+    return _finish(ev.gain, ev.v, best.policy, best.iterations, ev.q)
 
 
 def check_tau_renew(tau_renew, t_max: int) -> int:
@@ -729,11 +722,9 @@ _THRESHOLD_SWEEP_CAP = 100
 class _Iterate(NamedTuple):
     """An evaluated policy of the threshold heuristic, with its fields named
     as in ``SolveResult``: ``iterations`` is the sweep that evaluated it, and
-    ``floor`` is ``_float_floor`` of its values and gain. ``v`` is None once
-    the heuristic's tie rule can no longer pick the iterate."""
+    ``floor`` is ``_float_floor`` of its values and gain."""
 
     gain: float
-    v: np.ndarray | None
     policy: Policy
     iterations: int
     floor: float
@@ -751,15 +742,13 @@ class _Candidate:
         self.sweeps = 0
         self.done = False
 
-    def improve(self, ev: Evaluation, actions: np.ndarray, sweep_cap: int) -> None:
+    def improve(self, ev: Evaluation, policy: Policy, sweep_cap: int) -> None:
         """Takes the evaluation of the current table, then steps to the next
         one, or finishes at a fixed point, a table seen before or the cap."""
         self.sweeps += 1
         self.seen.add(tuple(self.thresholds))
         if self.best is None or ev.gain < self.best.gain:
-            self.best = _Iterate(
-                ev.gain, ev.v.copy(), Policy(actions=actions), self.sweeps, _float_floor(ev.v, ev.gain)
-            )
+            self.best = _Iterate(ev.gain, policy, self.sweeps, _float_floor(ev.v, ev.gain))
         new = _transmit_thresholds(ev.q[0], ev.q[1], self.tau_renew) + self.thresholds[self.tau_renew :]
         self.done = new == self.thresholds or tuple(new) in self.seen or self.sweeps == sweep_cap
         self.thresholds = new
@@ -772,11 +761,9 @@ def _threshold_candidates(mdp: MdpSpec, opts: SolveOptions, taus: list[int]) -> 
     The runs advance in rounds over a window of the lowest unfinished
     thresholds, ``_eval_batch_size`` of them: each round evaluates the
     window's renewal-closed tables as one batch, and the table that never
-    renews by itself. A finished run leaves its place to the next threshold
-    and keeps only the values its iterate may still need (``_drop_losers``).
+    renews by itself. A finished run leaves its place to the next threshold.
     """
     t_max = mdp.shape[0]
-    ref = mdp.state_index(opts.ref_state)
     sweep_cap = min(opts.max_iter, _THRESHOLD_SWEEP_CAP)
     size = _eval_batch_size(mdp)
     runs = [_Candidate(tau, t_max) for tau in taus]
@@ -786,42 +773,25 @@ def _threshold_candidates(mdp: MdpSpec, opts: SolveOptions, taus: list[int]) -> 
         window += itertools.islice(queue, size - len(window))
         if not window:
             break
-        _advance(mdp, window, ref, sweep_cap)
-        if any(c.done for c in window):
-            window = [c for c in window if not c.done]
-            _drop_losers(runs)
+        _advance(mdp, window, opts.ref_state, sweep_cap)
+        window = [c for c in window if not c.done]
     return [c.best for c in runs]
 
 
-def _advance(mdp: MdpSpec, window: list[_Candidate], ref: int, sweep_cap: int) -> None:
+def _advance(mdp: MdpSpec, window: list[_Candidate], ref_state: AgeState, sweep_cap: int) -> None:
     """One round: evaluates the current table of every run in the window and
     improves it. The table that never renews is factorized first, while no
     batch's grids are alive."""
     t_max, d_max = mdp.shape
     closed = []
     for c in window:
-        a = threshold_actions(d_max, c.tau_renew, c.thresholds)
+        policy = Policy(actions=threshold_actions(d_max, c.tau_renew, c.thresholds))
         if c.tau_renew == t_max:
-            c.improve(_evaluate(mdp, a, ref), a, sweep_cap)
+            c.improve(policy_evaluate(mdp, policy, ref_state), policy, sweep_cap)
         else:
-            closed.append((c, a))
+            closed.append((c, policy))
     if closed:
-        stack = np.stack([a for _, a in closed])
-        for (c, _), a, ev in zip(closed, stack, _renewal_closed_evaluate(mdp, stack, ref)):
-            c.improve(ev, a, sweep_cap)
-
-
-def _drop_losers(runs: list[_Candidate]) -> None:
-    """Frees the values of every finished run whose best iterate the tie rule
-    of ``threshold_heuristic`` cannot pick. Such a run's gain is at or above
-    the best gain so far of a lower threshold, so the rule reaches it holding
-    a lower gain, or it exceeds the best gain so far of a higher threshold by
-    more than its own float floor, so that threshold would replace it. Best
-    gains only fall, so neither test is ever undone."""
-    gain = np.array([c.best.gain if c.best is not None else np.inf for c in runs])
-    below = np.minimum.accumulate(np.concatenate(([np.inf], gain[:-1])))
-    above = np.minimum.accumulate(np.concatenate(([np.inf], gain[:0:-1])))[::-1]
-    for c, g, lo, hi in zip(runs, gain, below, above):
-        if c.done and c.best.v is not None and (g >= lo or hi < g - c.best.floor):
-            c.best = c.best._replace(v=None)
+        stack = np.stack([policy.actions for _, policy in closed])
+        for (c, policy), ev in zip(closed, _renewal_closed_evaluate(mdp, stack, mdp.state_index(ref_state))):
+            c.improve(ev, policy, sweep_cap)
 

@@ -6,11 +6,13 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from helpers import ECHO_CONFIGS
-from wearsched import ConfigError, check_submodular, interior_region
+from wearsched import ConfigError, Policy, check_submodular, interior_region
+from wearsched.artifacts import write_policy_csv
 from wearsched.cli import _report_dict, main, run_sweep
 from wearsched.config import load_config
 
@@ -244,6 +246,22 @@ class TestSimulate:
         )
         assert code == 4
         assert payload["error"]["kind"] == "artifact-parse"
+
+    def test_overflowing_cost_total_exit_5(self, tmp_path, capsys):
+        # Idling at beta = 3 drives the per-epoch cost towards the float
+        # range, so the exactly-rounded cost total overflows inside fsum.
+        policy = tmp_path / "policy.csv"
+        write_policy_csv(policy, Policy(actions=np.zeros((8, 322), dtype=np.int8)))
+        code, payload = run_cli(
+            capsys, "simulate", "--config", CONFIG_DIR / "benchmark-stable.yaml",
+            "--out", tmp_path / "s", "--policy", policy,
+            "--set", "system.beta=3", "--set", "truncation.tau_max=8", "--set", "truncation.delta_max=322",
+            "--set", "channel.tau_d=2", "--set", "channel.delta_r=2", "--set", "simulate.epochs=1000",
+        )
+        assert code == 5
+        assert payload["error"]["code"] == 5
+        assert payload["error"]["kind"] == "solver"
+        assert not (tmp_path / "s" / "simulate.json").exists()
 
 
 class TestSweep:

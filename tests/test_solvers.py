@@ -709,6 +709,7 @@ class TestStructuredPolicyIteration:
         # The returned Q-factors belong to the returned v, not to the last
         # policy evaluated.
         np.testing.assert_array_equal(res.q, q_backup(mdp, res.v))
+        assert res.v.tobytes() == policy_evaluate(mdp, res.policy).v.tobytes()
 
     def test_bellman_residual_at_fixed_point(self, small_case):
         # Exact policy evaluation leaves only floating-point noise in the
@@ -939,7 +940,7 @@ class TestThresholdHeuristic:
         def candidates(mdp, opts, taus):
             return [
                 solvers._Iterate(
-                    gain=gains[tau], v=v, policy=Policy(actions=np.full(mdp.shape, tau % 3)),
+                    gain=gains[tau], policy=Policy(actions=np.full(mdp.shape, tau % 3)),
                     iterations=1, floor=_float_floor(v, gains[tau]),
                 )
                 for tau in taus
@@ -947,8 +948,10 @@ class TestThresholdHeuristic:
 
         monkeypatch.setattr(solvers, "_threshold_candidates", candidates)
         res = threshold_heuristic(mdp)
-        assert res.gain == gains[winner]
         assert np.all(res.policy.actions == winner)
+        # The winner is evaluated once more: its gain is its policy's, not
+        # the candidate's.
+        assert res.gain == policy_evaluate(mdp, res.policy)[0]
 
 
 def assert_same_result(res, ref):
@@ -988,9 +991,8 @@ class TestBatchedThresholdHeuristic:
 
     def test_memory_at_80(self):
         # A batch of eight renewal-closed evaluations works in about 6 MiB.
-        # Finished thresholds keep only the values their iterates may still
-        # need, so the whole 81-threshold search stays near one batch; values
-        # kept for every threshold would add 4 MiB.
+        # A threshold's best iterate keeps its gain and policy, not its
+        # values, so the whole 81-threshold search stays near one batch.
         mdp, opts = _shipped_mdp("benchmark-marginal", 80)
         solvers.load_evaluator()  # scipy's import is not the search's memory
         tracemalloc.start()
