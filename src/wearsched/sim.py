@@ -153,9 +153,13 @@ def simulate(
     # cost are all the statistics need.
     visits = np.zeros(n, dtype=np.int64)
     means = []
-    for states in walk(rng):
-        visits += np.bincount(states, minlength=n)
-        means.append(cost_flat[states].mean())
+    # The exactly-rounded total below decides whether the run's cost
+    # overflows; these batch statistics follow it without numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for states in walk(rng):
+            visits += np.bincount(states, minlength=n)
+            means.append(cost_flat[states].mean())
+        std_error = float(np.std(means, ddof=1) / np.sqrt(batches)) if batches >= 2 else 0.0
     grid_visits = visits.reshape(mdp.shape)
     action_counts = np.array([visits[act_flat == u].sum() for u in Action], dtype=np.int64)
     slots = action_counts.sum() + (mdp.channel.delta_r - 1) * action_counts[Action.RENEW]
@@ -170,10 +174,6 @@ def simulate(
     )
     per_epoch = total_cost / epochs
     per_slot = total_cost / int(slots)
-    if batches >= 2:
-        std_error = float(np.std(means, ddof=1) / np.sqrt(batches))
-    else:
-        std_error = 0.0
 
     return SimStats(
         epochs=epochs,

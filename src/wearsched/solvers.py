@@ -87,7 +87,9 @@ class SolveResult:
     policy the solver returns, so for the threshold heuristic it also bounds
     the heuristic's gap to the optimum. ``continuation`` is set by
     structured policy iteration only: (tau_max, delta_max, sweeps) for each
-    grid it solved, coarsest first.
+    grid it solved, coarsest first. ``skipped_q_evals`` is the paper's count
+    of the comparisons SPI's monotone action sets prune; the backup computes
+    every action's Q-factor anyway, so it counts no work saved.
     """
 
     gain: float
@@ -502,26 +504,31 @@ def _lu_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> tuple[float, np
 def _evaluation_matrix(mdp: MdpSpec, actions: np.ndarray, ref: int) -> scipy.sparse.csc_matrix:
     """The n x n evaluation system of a policy: row s reads
     v(s) + gain - sum_s' P(s'|s) v(s'), with v(ref) dropped from the
-    unknowns and the gain in the last column."""
-    from scipy.sparse import csc_matrix
+    unknowns and the gain in the last column.
+
+    Row s owns at most four entries, in this order: diag, gain, hit, miss.
+    They are built in (n, 4) blocks; where a clamped self-loop puts two or
+    three in one column, ``sum_duplicates`` adds them in that order."""
+    from scipy.sparse import csr_matrix
 
     n = mdp.n_states
     hit, miss, p_hit = mdp.successors(actions)
-    col_of = np.arange(n, dtype=np.int64)
-    col_of[ref + 1 :] -= 1
-
-    diag_keep = np.arange(n) != ref
-    rows = [np.arange(n)[diag_keep], np.arange(n)]
-    cols = [col_of[diag_keep], np.full(n, n - 1, dtype=np.int64)]
-    data = [np.ones(diag_keep.sum()), np.ones(n)]
-    for succ, p in ((hit, p_hit), (miss, 1.0 - p_hit)):
-        keep = (p > 0) & (succ != ref)
-        rows.append(np.arange(n)[keep])
-        cols.append(col_of[succ[keep]])
-        data.append(-p[keep])
-    return csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+    cols = np.empty((n, 4), dtype=np.int32)
+    cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3] = np.arange(n), n, hit, miss
+    keep = np.ones((n, 4), dtype=bool)
+    keep[ref, 0] = False
+    keep[:, 2], keep[:, 3] = (p_hit > 0) & (hit != ref), (1.0 - p_hit > 0) & (miss != ref)
+    vals = np.ones((n, 4))
+    vals[:, 2], vals[:, 3] = -p_hit, -(1.0 - p_hit)
+    del hit, miss, p_hit
+    cols -= cols > ref  # v(ref) is not an unknown, and the gain moves to column n - 1
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    m = csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
+    del cols, vals, keep  # freed before the CSC copy is made
+    m = m.tocsc()
+    m.sum_duplicates()
+    return m
 
 
 def _condition_estimate(m: scipy.sparse.csc_matrix, lu) -> float:
@@ -615,7 +622,7 @@ def _policy_iteration(mdp: MdpSpec, opts: SolveOptions, actions: np.ndarray) -> 
     equal-gain policies, so it also stops when the step returns a policy it
     has already evaluated, and then returns the evaluated policy with the
     lowest gain, evaluated once more. ``skipped_q_evals`` counts the
-    Q-factor evaluations avoided by the shrinking action sets.
+    comparisons the shrinking action sets prune.
     """
     skipped = 0
     seen: set[bytes] = set()
@@ -650,7 +657,7 @@ def _monotone_improvement(q_idle, q_tx, q_renew) -> tuple[np.ndarray, int]:
     Down each column the candidates start as {idle, transmit, renew}, shrink
     to {transmit, renew} at the first cell whose argmin is not idle, and to
     {renew} at the first later cell where renew beats transmit; ties go to
-    the smaller action. Each cell skips the Q evaluations its predecessor's
+    the smaller action. Each cell prunes the comparisons its predecessor's
     level rules out: 0 after idle, 1 after transmit, all 3 after renew.
     """
     started = np.logical_or.accumulate((q_tx < q_idle) | (q_renew < q_idle), axis=0)

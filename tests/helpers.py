@@ -301,6 +301,31 @@ def reference_renewal_closed_evaluate(
     return gain, v, q
 
 
+def reference_evaluation_matrix(mdp: MdpSpec, actions: np.ndarray, ref: int):
+    """Reference assembly of the evaluation system, entry lists by kind
+    (diagonals, gains, hits, misses) through COO: the CSC matrix that
+    ``_evaluation_matrix`` must equal bit for bit."""
+    from scipy.sparse import csc_matrix
+
+    n = mdp.n_states
+    hit, miss, p_hit = mdp.successors(actions)
+    col_of = np.arange(n, dtype=np.int64)
+    col_of[ref + 1 :] -= 1
+
+    diag_keep = np.arange(n) != ref
+    rows = [np.arange(n)[diag_keep], np.arange(n)]
+    cols = [col_of[diag_keep], np.full(n, n - 1, dtype=np.int64)]
+    data = [np.ones(diag_keep.sum()), np.ones(n)]
+    for succ, p in ((hit, p_hit), (miss, 1.0 - p_hit)):
+        keep = (p > 0) & (succ != ref)
+        rows.append(np.arange(n)[keep])
+        cols.append(col_of[succ[keep]])
+        data.append(-p[keep])
+    return csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+
+
 def reference_threshold_heuristic(
     mdp: MdpSpec, opts: SolveOptions = SolveOptions(), tau_renew: int | None = None
 ) -> SolveResult:

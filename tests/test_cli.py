@@ -247,9 +247,12 @@ class TestSimulate:
         assert code == 4
         assert payload["error"]["kind"] == "artifact-parse"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_cost_total_exit_5(self, tmp_path, capsys):
         # Idling at beta = 3 drives the per-epoch cost towards the float
         # range, so the exactly-rounded cost total overflows inside fsum.
+        # That total alone decides exit 5: the batch means that overflow
+        # first raise no numpy warning.
         policy = tmp_path / "policy.csv"
         write_policy_csv(policy, Policy(actions=np.zeros((8, 322), dtype=np.int8)))
         code, payload = run_cli(

@@ -18,6 +18,7 @@ from helpers import (
     brute_force_optimal,
     eventually_reachable,
     policy_gains,
+    reference_evaluation_matrix,
     reference_q_actions,
     reference_renewal_closed_evaluate,
     reference_rvi_solve,
@@ -473,6 +474,56 @@ class TestPolicyEvaluate:
             tracemalloc.stop()
         [(live, system_bytes)] = calls
         assert live - entry < 1.5 * system_bytes
+
+    @given(
+        shape=st.one_of(
+            st.tuples(st.just(1), st.integers(1, 12)),
+            st.tuples(st.integers(1, 12), st.just(1)),
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        ),
+        theta=st.one_of(
+            st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.99, 0.0)]),
+            st.floats(0.01, 0.99).map(lambda x: (x, x)),
+        ),
+        restricted=st.booleans(),
+        data=st.data(),
+    )
+    def test_row_wise_system_matches_the_reference(self, shape, theta, restricted, data):
+        # Clamped self-loops put two or three entries of one row in one
+        # column: one information age makes hit and miss coincide, the last
+        # channel age keeps idle and transmit in place.
+        mdp = _drawn_mdp(*shape, theta, 1.0, restricted, False, data)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        actions = rng.integers(0, 3, size=shape).astype(np.int8)
+        ref = data.draw(st.integers(0, mdp.n_states - 1))
+        m = solvers._evaluation_matrix(mdp, actions, ref)
+        expected = reference_evaluation_matrix(mdp, actions, ref)
+        assert m.format == "csc"
+        assert m.indptr.tobytes() == expected.indptr.tobytes()
+        assert m.indices.dtype == expected.indices.dtype
+        assert m.indices.tobytes() == expected.indices.tobytes()
+        assert m.data.view(np.int64).tolist() == expected.data.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("action", [Action.IDLE, Action.RENEW], ids=["idle", "renew"])
+    def test_assembly_peak_stays_near_the_system(self, action):
+        # The system is built in (n, 4) blocks, so assembly holds a few
+        # arrays of n floats beside it, not entry lists and COO and CSR
+        # copies of it.
+        cfg = load_config(
+            CONFIG_DIR / "benchmark-marginal.yaml",
+            overrides=["truncation.tau_max=120", "truncation.delta_max=120"],
+        )
+        mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
+        actions = np.full(mdp.shape, action, dtype=np.int8)
+        solvers._evaluation_matrix(mdp, actions, 0)  # warm the imports
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            m = solvers._evaluation_matrix(mdp, actions, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < 4 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
     def test_policy_grid_must_match(self, small_case):
         with pytest.raises(DomainError):
