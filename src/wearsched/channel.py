@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,11 @@ class ChannelModel:
             )
         if not self.alpha > 0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if int(self.tau_d) != self.tau_d or self.tau_d <= 1:
-            raise DomainError(f"tau_d must be an integer > 1, got {self.tau_d}")
-        if int(self.delta_r) != self.delta_r or self.delta_r <= 1:
-            raise DomainError(f"delta_r must be an integer > 1, got {self.delta_r}")
-        object.__setattr__(self, "tau_d", int(self.tau_d))
-        object.__setattr__(self, "delta_r", int(self.delta_r))
+        for name in ("tau_d", "delta_r"):
+            v = check_integer(name, getattr(self, name))
+            if v <= 1:
+                raise DomainError(f"{name} must be an integer > 1, got {v}")
+            object.__setattr__(self, name, v)
 
     def reliability(self, tau):
         """Success probability at channel age ``tau`` (scalar or array)."""

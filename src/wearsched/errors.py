@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of integer
+arguments that raises one."""
 
 from __future__ import annotations
 
@@ -13,6 +14,17 @@ class InvalidModelError(WearschedError, ValueError):
 
 class DomainError(WearschedError, ValueError):
     """An argument is outside the documented domain of an operation."""
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int, if it is an integer or an integral float; anything
+    else raises ``DomainError`` naming the argument ``name``."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 class ConvergenceError(WearschedError, RuntimeError):

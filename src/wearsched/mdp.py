@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelModel
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .linear_model import MseTable, SystemModel, mse_table, steady_state
 
 
@@ -41,11 +41,11 @@ class Truncation:
     delta_max: int
 
     def __post_init__(self):
-        for name, v in (("tau_max", self.tau_max), ("delta_max", self.delta_max)):
-            if int(v) != v or v < 1:
+        for name in ("tau_max", "delta_max"):
+            v = check_integer(name, getattr(self, name))
+            if v < 1:
                 raise DomainError(f"{name} must be a positive integer, got {v}")
-        object.__setattr__(self, "tau_max", int(self.tau_max))
-        object.__setattr__(self, "delta_max", int(self.delta_max))
+            object.__setattr__(self, name, v)
 
     @property
     def n_states(self) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .linear_model import SystemModel, stability_report
 from .mdp import Action, AgeState, MdpSpec, Truncation
 from .solvers import Policy, check_tau_renew, threshold_actions
@@ -81,6 +81,7 @@ def _fsum_counted(values: np.ndarray, counts: np.ndarray, replay) -> float:
 def replication_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """PCG64 generator for one replication; streams are split by seeding the
     generator with the entropy pair (seed, stream)."""
+    seed, stream = check_integer("seed", seed), check_integer("stream", stream)
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if stream < 0:
@@ -126,6 +127,7 @@ def simulate(
     grid bounds). Identical ``(mdp, policy, s0, epochs, seed, stream)``
     reproduce identical statistics.
     """
+    epochs = check_integer("epochs", epochs)
     if epochs < 1:
         raise DomainError(f"epochs must be >= 1, got {epochs}")
     if policy.shape != mdp.shape:

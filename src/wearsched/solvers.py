@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, EvaluationError, NumericalOverflowError
+from .errors import ConvergenceError, DomainError, EvaluationError, NumericalOverflowError, check_integer
 from .mdp import Action, AgeState, MdpSpec
 
 if TYPE_CHECKING:
@@ -41,6 +41,7 @@ class SolveOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise DomainError(f"tol must be positive, got {self.tol}")
+        object.__setattr__(self, "max_iter", check_integer("max_iter", self.max_iter))
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -133,17 +134,11 @@ def _backup(mdp: MdpSpec, v: np.ndarray, costs, out, v_up: np.ndarray) -> None:
         np.add(c_renew[:, dst], v[..., :1, src], out=q_renew[..., dst])
 
 
-def _q_actions(mdp: MdpSpec, v: np.ndarray) -> np.ndarray:
-    """Q-values of idle, transmit and renew as three (tau_max, delta_max)
-    grids, read off the age-shift kernel: a (3, tau_max, delta_max) array."""
-    q = np.empty((3, *mdp.shape))
-    _backup(mdp, v, np.moveaxis(mdp.cost_table, 2, 0), q, np.empty(mdp.shape))
-    return q
-
-
 def q_backup(mdp: MdpSpec, v: np.ndarray) -> np.ndarray:
     """One-step lookahead Q(s, u) = c(s, u) + sum_s' P(s'|s, u) v(s')."""
-    return np.stack(_q_actions(mdp, v), axis=2)
+    q = np.empty((*mdp.shape, 3))
+    _backup(mdp, v, np.moveaxis(mdp.cost_table, 2, 0), np.moveaxis(q, 2, 0), np.empty(mdp.shape))
+    return q
 
 
 def _float_floor(v: np.ndarray, gain: float) -> float:
@@ -246,8 +241,9 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
 class Evaluation(tuple):
     """What ``policy_evaluate`` returns: the pair (gain, v), v anchored at
     v[ref] == 0, carrying the policy's Q-factors at v as ``q``, three
-    (tau_max, delta_max) grids. That one backup serves the residual gate and
-    the improvement step."""
+    (tau_max, delta_max) grids from the one backup ``_evaluate_stack`` makes
+    of every evaluated policy, which serves the residual gate and the
+    improvement step."""
 
     q: np.ndarray
 
@@ -273,37 +269,52 @@ def policy_evaluate(
     Solves gain + v(s) = c(s, policy(s)) + sum_s' P(s'|s) v(s') subject to
     v(ref_state) = 0. A renewal-closed policy, one that renews at every cell
     of the last channel age, is solved by back-substitution over the channel
-    age (``_renewal_closed_evaluate``); any other policy by a direct sparse
-    factorization (``_lu_evaluate``). scipy is imported only by the second,
+    age (``_renewal_closed_solve``); any other policy by a direct sparse
+    factorization (``_lu_solve``). scipy is imported only by the second,
     so that commands which evaluate no other policy never load it. Both
-    paths gate the residual of the whole system at 1e-8 relative and raise
-    ``EvaluationError`` for a singular or ill-conditioned system.
+    solutions end in the same backup and residual gate
+    (``_evaluate_stack``), which raise ``EvaluationError`` for a singular
+    or ill-conditioned system.
     """
     if policy.shape != mdp.shape:
         raise DomainError(f"policy grid {policy.shape} does not match MDP grid {mdp.shape}")
-    actions, ref = policy.actions, mdp.state_index(ref_state)
-    if (actions[-1] == Action.RENEW).all():
-        [ev] = _renewal_closed_evaluate(mdp, actions[None], ref)
-        return ev
-    # The sparse path backs up once, after its own residual gate.
-    gain, v = _lu_evaluate(mdp, actions, ref)
-    return Evaluation(gain, v, _q_actions(mdp, v))
+    solve = _renewal_closed_solve if (policy.actions[-1] == Action.RENEW).all() else _lu_solve
+    [ev] = _evaluate_stack(mdp, policy.actions[None], mdp.state_index(ref_state), solve)
+    return ev
 
 
-def _check_residual(rel: float, condition_estimate) -> None:
-    """The residual gate of both evaluation paths: a relative residual above
-    1e-8 (or not finite) raises, with the system's condition estimate,
-    computed only then. The gate cannot tell a multichain policy from values
-    too large for their differences to resolve, so its message names both."""
-    if not np.isfinite(rel) or rel > 1e-8:
-        cond = condition_estimate()
+def _evaluate_stack(mdp: MdpSpec, actions: np.ndarray, ref: int, solve) -> list[Evaluation]:
+    """The evaluations of a (B, tau_max, delta_max) stack of policies.
+
+    ``solve(mdp, actions, ref)`` returns the B gains, the B value grids with
+    v[ref] == 0, and ``condition``, which gives member b's condition
+    estimate when called with b. One backup of the stack at v gives each
+    member's Q grids. The gate reads the residual max|Q_pi(v) - v - gain|
+    off them: for the sparse system, whose row s reads
+    v(s) + gain - sum_s' P(s'|s) v(s') = c(s), that is b - M x. A member
+    whose residual is above 1e-8 of 1 + max cost, or not finite, refuses
+    the stack. The gate cannot tell a multichain policy from values too
+    large for their differences to resolve, so its message names both.
+    """
+    gain, v, condition = solve(mdp, actions, ref)
+    n, (t_max, d_max) = len(actions), mdp.shape
+    q = np.empty((n, 3, t_max, d_max))
+    _backup(mdp, v, np.moveaxis(mdp.cost_table, 2, 0), q.swapaxes(0, 1), np.empty(v.shape))
+    cells = np.arange(t_max)[:, None], np.arange(d_max)
+    resid = q[(np.arange(n)[:, None, None], actions, *cells)] - v - gain[:, None, None]
+    rel = np.abs(resid).max(axis=(1, 2)) / (1.0 + np.abs(mdp.cost_table[(*cells, actions)]).max(axis=(1, 2)))
+    passed = rel <= 1e-8  # false where rel is nan
+    if not passed.all():
+        b = int(passed.argmin())
+        cond = condition(b)
         raise EvaluationError(
             f"policy evaluation system is ill-conditioned "
-            f"(relative residual {rel:.3e}, condition estimate {cond:.3e}); "
+            f"(relative residual {rel[b]:.3e}, condition estimate {cond:.3e}); "
             "the policy chain may be multichain, or its values too large for "
             "float64 to resolve their differences",
             condition_estimate=cond,
         )
+    return [Evaluation(float(gain[b]), v[b], q[b]) for b in range(n)]
 
 
 def _dense_condition(border: np.ndarray) -> float:
@@ -324,9 +335,10 @@ _EVAL_CELL_ARRAYS = 12
 
 
 def _eval_batch_size(mdp: MdpSpec) -> int:
-    """How many renewal-closed policies one ``_renewal_closed_evaluate`` call
-    takes: as many as keep the batch's working set, at the largest ring of
-    row maps the kernel allows, under EVAL_BATCH_BYTES."""
+    """How many renewal-closed policies one ``_evaluate_stack`` call takes:
+    as many as keep the batch's working set, the row maps of
+    ``_renewal_closed_solve`` at the largest ring the kernel allows and the
+    gate's backup and residual, under EVAL_BATCH_BYTES."""
     t_max, d_max = mdp.shape
     reach = int((np.maximum(mdp.tau_idle, mdp.tau_tx) - np.arange(t_max)).max())
     ring = max(1, reach) + 2
@@ -346,10 +358,11 @@ def _members(mask: np.ndarray) -> slice | np.ndarray | None:
     return sel
 
 
-def _renewal_closed_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> list[Evaluation]:
-    """``policy_evaluate`` for a (B, tau_max, delta_max) stack of policies that
-    renew at every cell of the last channel age, by back-substitution over
-    the channel age. Each member gets the bits it would get alone.
+def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray, ref: int):
+    """``_evaluate_stack``'s solve for a (B, tau_max, delta_max) stack of
+    policies that renew at every cell of the last channel age, by
+    back-substitution over the channel age. Each member gets the bits it
+    would get alone.
 
     Below the last channel age idle and transmit move to a strictly larger
     channel age and only renew returns to the first, so every cycle of the
@@ -365,8 +378,7 @@ def _renewal_closed_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> lis
     its columns below the first of them are exactly +0.0 and are not kept.
     The D equations of row 1 and v(1, 1) = 0 close a dense (D + 1)-square
     border system for (v(1, .), gain); a second pass down the rows recovers
-    v, which is then shifted to v(ref) = 0. One backup at v gives the Q
-    grids and the residual gate.
+    v, which is then shifted to v(ref) = 0.
     """
     n, (t_max, d_max) = len(actions), mdp.shape
     idle, tx, renew = (actions == u for u in (Action.IDLE, Action.TRANSMIT, Action.RENEW))
@@ -428,17 +440,12 @@ def _renewal_closed_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> lis
 
     try:
         x = np.linalg.solve(border, rhs)[:, :, 0]
-    except np.linalg.LinAlgError:  # some member is exactly singular
-        for one, col in zip(border, rhs):
-            try:
-                np.linalg.solve(one, col)
-            except np.linalg.LinAlgError as exc:
-                cond = _dense_condition(one)
-                raise EvaluationError(
-                    f"policy evaluation system is singular (condition estimate {cond:.3e}): {exc}",
-                    condition_estimate=cond,
-                ) from exc
-        raise
+    except np.linalg.LinAlgError as exc:  # some member is exactly singular
+        cond = max(map(_dense_condition, border))
+        raise EvaluationError(
+            f"policy evaluation system is singular (condition estimate {cond:.3e}): {exc}",
+            condition_estimate=cond,
+        ) from exc
 
     gain = x[:, d_max, None]
     v = np.empty(actions.shape)
@@ -455,29 +462,21 @@ def _renewal_closed_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> lis
             nxt[sel] += hit[sel, t] * v[sel, mdp.tau_tx[t], :1]
         v[:, t] = cost[:, t] - gain + nxt
     v -= v.reshape(n, -1)[:, ref, None, None].copy()
-    del succ, hit, miss
-
-    q = np.empty((n, 3, t_max, d_max))
-    _backup(mdp, v, np.moveaxis(mdp.cost_table, 2, 0), q.swapaxes(0, 1), np.empty(v.shape))
-    resid = q[(members, actions, *cells)] - v - gain[:, :, None]
-    rel = np.abs(resid).max(axis=(1, 2)) / (1.0 + np.abs(cost).max(axis=(1, 2)))
-    for b in range(n):
-        _check_residual(float(rel[b]), lambda: _dense_condition(border[b]))
-    return [Evaluation(float(gain[b, 0]), v[b], q[b]) for b in range(n)]
+    return gain[:, 0], v, lambda b: _dense_condition(border[b])
 
 
-def _lu_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> tuple[float, np.ndarray]:
-    """``policy_evaluate`` of any policy by a direct sparse factorization of
-    the whole evaluation system, one step of iterative refinement and the
-    residual gate."""
+def _lu_solve(mdp: MdpSpec, actions: np.ndarray, ref: int):
+    """``_evaluate_stack``'s solve for a stack of one policy of any kind, by
+    a direct sparse factorization of the whole evaluation system and one
+    step of iterative refinement."""
     from scipy.sparse.linalg import splu
 
+    [actions] = actions  # a stack of one
     n = mdp.n_states
     # Only the system and the cost vector stay alive while splu allocates
     # its workspace: the assembly arrays die inside _evaluation_matrix.
     m = _evaluation_matrix(mdp, actions, ref)
-    cost = np.take_along_axis(mdp.cost_table, actions[:, :, None].astype(np.intp), axis=2)
-    b = cost.reshape(-1)
+    b = mdp.cost_table.reshape(n, 3)[np.arange(n), actions.reshape(-1)]
 
     try:
         lu = splu(m)
@@ -488,17 +487,9 @@ def _lu_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int) -> tuple[float, np
             condition_estimate=float("inf"),
         ) from exc
 
-    # One step of iterative refinement, then a residual gate.
-    resid = b - m @ x
-    x = x + lu.solve(resid)
-    resid = b - m @ x
-    rel = float(np.abs(resid).max() / (1.0 + np.abs(b).max()))
-    _check_residual(rel, lambda: _condition_estimate(m, lu))
-
-    v = np.empty(n)
-    v[np.arange(n) != ref] = x[:-1]
-    v[ref] = 0.0
-    return float(x[-1]), v.reshape(mdp.shape)
+    x = x + lu.solve(b - m @ x)  # one step of iterative refinement
+    v = np.insert(x[:-1], ref, 0.0)
+    return x[-1:], v.reshape(1, *mdp.shape), lambda _: _condition_estimate(m, lu)
 
 
 def _evaluation_matrix(mdp: MdpSpec, actions: np.ndarray, ref: int) -> scipy.sparse.csc_matrix:
@@ -799,6 +790,7 @@ def _advance(mdp: MdpSpec, window: list[_Candidate], ref_state: AgeState, sweep_
             closed.append((c, policy))
     if closed:
         stack = np.stack([policy.actions for _, policy in closed])
-        for (c, policy), ev in zip(closed, _renewal_closed_evaluate(mdp, stack, mdp.state_index(ref_state))):
+        evs = _evaluate_stack(mdp, stack, mdp.state_index(ref_state), _renewal_closed_solve)
+        for (c, policy), ev in zip(closed, evs):
             c.improve(ev, policy, sweep_cap)
 

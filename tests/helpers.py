@@ -31,6 +31,7 @@ from wearsched import (
     Truncation,
     Violation,
     build_mdp,
+    q_backup,
     replication_rng,
     rvi_solve,
     spectral_radius,
@@ -42,10 +43,10 @@ from wearsched.solvers import (
     FLOAT_FLOOR_ULPS,
     RVI_DAMPING,
     _bracket,
+    _evaluate_stack,
     _finish,
     _float_floor,
-    _lu_evaluate,
-    _q_actions,
+    _lu_solve,
     _transmit_thresholds,
     greedy_policy,
     threshold_actions,
@@ -243,7 +244,7 @@ def reference_renewal_closed_evaluate(
     renews at every cell of the last channel age: (gain, v, q), with q the
     three Q grids at v that its residual gate reads. Its maps keep every
     column of v(1, .), and its ring and block top are the policy's own; the
-    batched ``_renewal_closed_evaluate`` must give every member these bits."""
+    batched ``_renewal_closed_solve`` must give every member these bits."""
     t_max, d_max = mdp.shape
     idle, tx, renew = (actions == u for u in (Action.IDLE, Action.TRANSMIT, Action.RENEW))
     cost = np.take_along_axis(mdp.cost_table, actions[:, :, None].astype(np.intp), axis=2)[:, :, 0]
@@ -294,11 +295,19 @@ def reference_renewal_closed_evaluate(
         v[t] = cost[t] - gain + nxt
     v -= v_flat[ref]
 
-    q = _q_actions(mdp, v)
+    q = np.moveaxis(q_backup(mdp, v), 2, 0)
     rel = float(np.abs(np.choose(actions, q) - v - gain).max() / (1.0 + np.abs(cost).max()))
     if not np.isfinite(rel) or rel > 1e-8:
         raise EvaluationError(f"relative residual {rel:.3e}", condition_estimate=float("inf"))
     return gain, v, q
+
+
+def reference_lu_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int):
+    """The sparse LU evaluation of one policy of any kind, through the
+    package's gate: the reference the renewal-closed path is checked
+    against."""
+    [ev] = _evaluate_stack(mdp, actions[None], ref, _lu_solve)
+    return ev
 
 
 def reference_evaluation_matrix(mdp: MdpSpec, actions: np.ndarray, ref: int):
@@ -347,10 +356,10 @@ def reference_threshold_heuristic(
             if tau < t_max:
                 gain, v, _ = reference_renewal_closed_evaluate(mdp, actions, ref)
             else:
-                gain, v = _lu_evaluate(mdp, actions, ref)
+                gain, v = reference_lu_evaluate(mdp, actions, ref)
             if best is None or gain < best[0]:
                 best = (gain, v, Policy(actions=actions), sweep)
-            q_idle, q_tx, _ = _q_actions(mdp, v)
+            q_idle, q_tx, _ = np.moveaxis(q_backup(mdp, v), 2, 0)
             new = _transmit_thresholds(q_idle, q_tx, tau) + thresholds[tau:]
             if new == thresholds or tuple(new) in seen:
                 break
@@ -364,7 +373,7 @@ def reference_threshold_heuristic(
         if best is None or res[0] < best[0] - _float_floor(best[1], best[0]):
             best = res
     gain, v, policy, iterations = best
-    return _finish(gain, v, policy, iterations, _q_actions(mdp, v))
+    return _finish(gain, v, policy, iterations, np.moveaxis(q_backup(mdp, v), 2, 0))
 
 
 BRUTE_FORCE_MAX_STATES = 12

@@ -71,6 +71,13 @@ class TestChannelValidation:
         with pytest.raises(DomainError):
             make_channel(**{field: 1})
 
+    @pytest.mark.parametrize("bad", [6.5, float("nan"), float("inf"), "6"])
+    @pytest.mark.parametrize("field", ["tau_d", "delta_r"])
+    def test_wear_and_downtime_are_integers(self, field, bad):
+        with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+            make_channel(**{field: bad})
+        assert type(getattr(make_channel(**{field: 6.0}), field)) is int
+
     def test_alpha_positive(self):
         with pytest.raises(DomainError):
             make_channel(alpha=0.0)

@@ -239,6 +239,12 @@ class TestGridLayout:
         with pytest.raises(DomainError):
             Truncation(5, -1)
 
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), "5", None])
+    def test_non_integer_bounds_are_named(self, bad):
+        with pytest.raises(DomainError, match="^delta_max must be an integer"):
+            Truncation(5, bad)
+        assert Truncation(5.0, 6).tau_max == 5 and type(Truncation(5.0, 6).tau_max) is int
+
 
 class TestRestrict:
     @pytest.mark.parametrize("shape", [(25, 30), (40, 16), (7, 40), (40, 40)])

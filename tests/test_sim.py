@@ -122,6 +122,32 @@ class TestSimulate:
         with pytest.raises(DomainError):
             replication_rng(5, stream=-2)
 
+    def test_integral_float_epochs_are_the_integer(self, small_case):
+        mdp, pol = small_case.mdp, small_case.rvi.policy
+        assert sim_stats_equal(simulate(mdp, pol, epochs=1e4, seed=3), simulate(mdp, pol, epochs=10_000, seed=3))
+        assert simulate(mdp, pol, epochs=1e4, seed=3.0, stream=1.0).epochs == 10_000
+
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"epochs": 100.5}, "epochs"),
+            ({"epochs": float("nan")}, "epochs"),
+            ({"epochs": "100"}, "epochs"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": float("inf")}, "seed"),
+            ({"stream": 0.5}, "stream"),
+        ],
+    )
+    def test_non_integer_arguments_are_named(self, small_case, kwargs, name):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            simulate(small_case.mdp, small_case.rvi.policy, **{"epochs": 10, **kwargs})
+
+    @pytest.mark.parametrize("seed,stream,name", [(1.5, 0, "seed"), (None, 0, "seed"), (5, 2.5, "stream")])
+    def test_rng_arguments_must_be_integers(self, seed, stream, name):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            replication_rng(seed, stream)
+        assert replication_rng(5.0, 2.0).random() == replication_rng(5, 2).random()
+
 
 class TestMatchesScalarLoop:
     """The chunked, list-driven simulator against the per-epoch numpy-scalar

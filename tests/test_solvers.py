@@ -19,6 +19,7 @@ from helpers import (
     eventually_reachable,
     policy_gains,
     reference_evaluation_matrix,
+    reference_lu_evaluate,
     reference_q_actions,
     reference_renewal_closed_evaluate,
     reference_rvi_solve,
@@ -53,13 +54,13 @@ from wearsched.artifacts import write_policy_csv
 from wearsched.config import load_config
 from wearsched.solvers import (
     _continuation_grids,
+    _evaluate_stack,
     _float_floor,
-    _lu_evaluate,
+    _lu_solve,
     _monotone_improvement,
     _policy_iteration,
     _prolong,
-    _q_actions,
-    _renewal_closed_evaluate,
+    _renewal_closed_solve,
     _transmit_thresholds,
     threshold_actions,
 )
@@ -193,7 +194,6 @@ class TestSliceBackup:
         v = rng.normal(scale=1e3, size=mdp.shape)
         expected = np.stack(reference_q_actions(mdp, v), axis=2)
         assert q_backup(mdp, v).tobytes() == expected.tobytes()
-        assert np.stack(_q_actions(mdp, v), axis=2).tobytes() == expected.tobytes()
 
     @given(
         tau_max=st.integers(1, 30),
@@ -215,7 +215,7 @@ class TestSliceBackup:
         with np.errstate(invalid="ignore"):
             solvers._backup(mdp, v, np.moveaxis(mdp.cost_table, 2, 0), q, np.empty(v.shape))
             for b in range(batch):
-                assert q[:, b].tobytes() == _q_actions(mdp, v[b]).tobytes()
+                assert q[:, b].tobytes() == np.moveaxis(q_backup(mdp, v[b]), 2, 0).tobytes()
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.yaml")))
     def test_rvi_matches_the_reference_loop(self, name):
@@ -392,6 +392,14 @@ class TestRvi:
         with pytest.raises(DomainError):
             SolveOptions(max_iter=0)
 
+    def test_integral_float_max_iter_is_the_integer(self, toy):
+        opts = SolveOptions(max_iter=100.0)
+        assert type(opts.max_iter) is int
+        assert rvi_solve(toy, opts).gain == rvi_solve(toy, SolveOptions(max_iter=100)).gain
+        for bad in (100.5, float("nan"), float("inf"), "100", None):
+            with pytest.raises(DomainError, match="^max_iter must be an integer"):
+                SolveOptions(max_iter=bad)
+
 
 class TestPolicyEvaluate:
     def test_transmit_always_perfect_channel(self, perfect_channel_mdp):
@@ -504,6 +512,47 @@ class TestPolicyEvaluate:
         assert m.indices.tobytes() == expected.indices.tobytes()
         assert m.data.view(np.int64).tolist() == expected.data.view(np.int64).tolist()
 
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        theta=st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.99, 0.0), (0.95, 0.3)]),
+        restricted=st.booleans(),
+        closed=st.booleans(),
+        data=st.data(),
+    )
+    def test_one_backup_serves_the_gate(self, shape, theta, restricted, closed, data):
+        # Both paths return the Q grids of one backup at their values. On the
+        # LU path the gate reads Q_pi(v) - v - gain, which is the system's
+        # b - M x up to the rounding of its terms, and so accepts or refuses
+        # as b - M x would.
+        mdp = _drawn_mdp(*shape, theta, 1.0, restricted, False, data)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        actions = rng.integers(0, 3, size=shape).astype(np.int8)
+        if closed:  # renewal-closed, so policy_evaluate takes the other path
+            actions[-1] = Action.RENEW
+        ref = data.draw(st.integers(0, mdp.n_states - 1))
+        try:
+            ev = policy_evaluate(mdp, Policy(actions=actions), AgeState(ref // shape[1] + 1, ref % shape[1] + 1))
+        except EvaluationError:
+            ev = None
+        else:
+            assert ev.q.tobytes() == np.moveaxis(q_backup(mdp, ev.v), 2, 0).tobytes()
+        try:
+            [gain], [v], _ = _lu_solve(mdp, actions[None], ref)
+        except EvaluationError:  # exactly singular
+            return
+        gated = np.choose(actions, np.moveaxis(q_backup(mdp, v), 2, 0)) - v - gain
+        cost = mdp.cost_table.reshape(-1, 3)[np.arange(mdp.n_states), actions.reshape(-1)]
+        x = np.append(np.delete(v.reshape(-1), ref), gain)
+        system = cost - solvers._evaluation_matrix(mdp, actions, ref) @ x
+        slack = 4 * np.spacing(np.abs(v).max() + abs(gain) + np.abs(cost).max())
+        assert np.abs(gated.reshape(-1) - system).max() <= slack
+        if not closed:
+            bound = 1e-8 * (1.0 + np.abs(cost).max())
+            if ev is None:
+                assert not np.abs(system).max() < bound - slack
+            else:
+                assert np.abs(system).max() <= bound + slack
+
     @pytest.mark.parametrize("action", [Action.IDLE, Action.RENEW], ids=["idle", "renew"])
     def test_assembly_peak_stays_near_the_system(self, action):
         # The system is built in (n, 4) blocks, so assembly holds a few
@@ -535,7 +584,7 @@ def assert_agrees_with_lu(mdp, actions, ref_state=AgeState(1, 1)):
     LU path refuses, and otherwise agrees with it to 1e-12 relative: the
     gain, and v against max|v|."""
     try:
-        lu_gain, lu_v = _lu_evaluate(mdp, actions, mdp.state_index(ref_state))
+        lu_gain, lu_v = reference_lu_evaluate(mdp, actions, mdp.state_index(ref_state))
     except EvaluationError:
         with pytest.raises(EvaluationError):
             policy_evaluate(mdp, Policy(actions=actions), ref_state)
@@ -682,9 +731,9 @@ class TestBatchedRenewalClosedEvaluation:
             expected = [reference_renewal_closed_evaluate(mdp, a, ref) for a in stack]
         except EvaluationError:
             with pytest.raises(EvaluationError):
-                _renewal_closed_evaluate(mdp, stack, ref)
+                _evaluate_stack(mdp, stack, ref, _renewal_closed_solve)
             return
-        got = _renewal_closed_evaluate(mdp, stack, ref)
+        got = _evaluate_stack(mdp, stack, ref, _renewal_closed_solve)
         assert len(got) == len(stack)
         for ev, (gain, v, q) in zip(got, expected):
             assert np.float64(ev.gain).tobytes() == np.float64(gain).tobytes()
@@ -703,10 +752,10 @@ class TestBatchedRenewalClosedEvaluation:
         multichain[:-1, -1] = Action.IDLE
         multichain[0, 2] = Action.TRANSMIT
         unichain = threshold_actions(5, 3, [2] * 5)
-        for ev in _renewal_closed_evaluate(mdp, np.stack([unichain, unichain]), 0):
+        for ev in _evaluate_stack(mdp, np.stack([unichain, unichain]), 0, _renewal_closed_solve):
             assert np.isfinite(ev.gain)
         with pytest.raises(EvaluationError) as exc_info:
-            _renewal_closed_evaluate(mdp, np.stack([unichain, multichain, unichain]), 0)
+            _evaluate_stack(mdp, np.stack([unichain, multichain, unichain]), 0, _renewal_closed_solve)
         assert exc_info.value.condition_estimate > 1e8
 
     def test_batch_size_bounds_the_working_set(self):
