@@ -267,18 +267,17 @@ def policy_evaluate(
     """Gain and relative value of a stationary policy, with its Q-factors.
 
     Solves gain + v(s) = c(s, policy(s)) + sum_s' P(s'|s) v(s') subject to
-    v(ref_state) = 0. A renewal-closed policy, one that renews at every cell
-    of the last channel age, is solved by back-substitution over the channel
-    age (``_renewal_closed_solve``); any other policy by a direct sparse
-    factorization (``_lu_solve``). scipy is imported only by the second,
-    so that commands which evaluate no other policy never load it. Both
-    solutions end in the same backup and residual gate
-    (``_evaluate_stack``), which raise ``EvaluationError`` for a singular
-    or ill-conditioned system.
+    v(ref_state) = 0. A policy that renews in at least one cell is solved by
+    back-substitution over the channel age (``_renewal_closed_solve``); one
+    that renews nowhere by a direct sparse factorization (``_lu_solve``).
+    scipy is imported only by the second, so that commands which evaluate
+    no never-renewing policy never load it. Both solutions end in the same
+    backup and residual gate (``_evaluate_stack``), which raise
+    ``EvaluationError`` for a singular or ill-conditioned system.
     """
     if policy.shape != mdp.shape:
         raise DomainError(f"policy grid {policy.shape} does not match MDP grid {mdp.shape}")
-    solve = _renewal_closed_solve if (policy.actions[-1] == Action.RENEW).all() else _lu_solve
+    solve = _renewal_closed_solve if (policy.actions == Action.RENEW).any() else _lu_solve
     [ev] = _evaluate_stack(mdp, policy.actions[None], mdp.state_index(ref_state), solve)
     return ev
 
@@ -338,7 +337,9 @@ def _eval_batch_size(mdp: MdpSpec) -> int:
     """How many renewal-closed policies one ``_evaluate_stack`` call takes:
     as many as keep the batch's working set, the row maps of
     ``_renewal_closed_solve`` at the largest ring the kernel allows and the
-    gate's backup and residual, under EVAL_BATCH_BYTES."""
+    gate's backup and residual, under EVAL_BATCH_BYTES. A policy that
+    renews but not along the whole last channel age is evaluated alone, by
+    ``policy_evaluate``."""
     t_max, d_max = mdp.shape
     reach = int((np.maximum(mdp.tau_idle, mdp.tau_tx) - np.arange(t_max)).max())
     ring = max(1, reach) + 2
@@ -347,12 +348,10 @@ def _eval_batch_size(mdp: MdpSpec) -> int:
     return max(1, EVAL_BATCH_BYTES // per_policy)
 
 
-def _members(mask: np.ndarray) -> slice | np.ndarray | None:
-    """The batch members ``mask`` selects: None if none, a slice if they are
-    consecutive, else their indices."""
+def _members(mask: np.ndarray) -> slice | np.ndarray:
+    """The batch members ``mask`` selects: a slice if they are consecutive,
+    else their indices."""
     sel = np.flatnonzero(mask)
-    if not len(sel):
-        return None
     if sel[-1] - sel[0] == len(sel) - 1:
         return slice(sel[0], sel[-1] + 1)
     return sel
@@ -360,30 +359,42 @@ def _members(mask: np.ndarray) -> slice | np.ndarray | None:
 
 def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray, ref: int):
     """``_evaluate_stack``'s solve for a (B, tau_max, delta_max) stack of
-    policies that renew at every cell of the last channel age, by
-    back-substitution over the channel age. Each member gets the bits it
-    would get alone.
+    policies that renew somewhere, by back-substitution over the channel
+    age. Each member of a renewal-closed stack, one whose members all renew
+    at every cell of the last channel age, gets the bits it would get alone.
 
     Below the last channel age idle and transmit move to a strictly larger
-    channel age and only renew returns to the first, so every cycle of the
-    chain passes through channel age 1. Each row of values is then an affine
-    map of z = (v(1, .), gain, 1), a (D, D + 2) matrix. Built from the top
-    down, row t's map combines rows of the maps of rows at most ``w``
-    channel ages above it, so a ring buffer of w + 1 maps holds all that is
-    alive. The rows of the all-renew block from ``r`` on read v(1, .) alone:
-    only the lowest w of them get a map, for the rows below to read. The
-    batch shares the largest ring and the highest such block top; a
-    member's rows above its own top renew, and none of its rows reads them.
-    Every map reads v(1, .) only at the information ages renew reaches, so
-    its columns below the first of them are exactly +0.0 and are not kept.
-    The D equations of row 1 and v(1, 1) = 0 close a dense (D + 1)-square
-    border system for (v(1, .), gain); a second pass down the rows recovers
-    v, which is then shifted to v(ref) = 0.
+    channel age and only renew returns to the first. Along the last channel
+    age idle and a failed transmission move to the next information age, a
+    delivery lands on (tau_max, 1) and renew reads row 1. So each row of
+    values is an affine map, a (D, D + 2) matrix, of z = (v(1, .), gain, 1)
+    for a renewal-closed stack, and a (D, D + 4) matrix of
+    z = (v(1, .), v(tau_max, 1), v(tau_max, delta_max), gain, 1) for any
+    other (an open stack), whose last row is solved first, in descending
+    information age from v(tau_max, delta_max). Built from the top down,
+    row t's map combines rows of the maps of rows at most ``w`` channel ages
+    above it, so a ring buffer of w + 1 maps holds all that is alive. The
+    rows of the all-renew block from ``r`` on read v(1, .) alone: only the
+    lowest w of them get a map, for the rows below to read. The batch shares
+    the largest ring and the highest such block top; a member's rows above
+    its own top renew, and none of its rows reads them. Every map reads
+    v(1, .) only at the information ages renew reaches, so its columns below
+    the first of them are exactly +0.0 and are not kept.
+
+    The D equations of row 1, those of v(tau_max, 1) and of the clamped
+    corner v(tau_max, delta_max) for an open stack, and v(1, 1) = 0 close a
+    dense (D + 1)- or (D + 3)-square border system; a second pass down the
+    rows recovers v, which is then shifted to v(ref) = 0. An open stack's
+    solution takes one step of iterative refinement, as the sparse LU path
+    does: the maps' constant column alone is rebuilt for the residual's
+    costs, and the correction is recovered the same way.
     """
     n, (t_max, d_max) = len(actions), mdp.shape
     idle, tx, renew = (actions == u for u in (Action.IDLE, Action.TRANSMIT, Action.RENEW))
     cells = np.arange(t_max)[:, None], np.arange(d_max)
     cost = mdp.cost_table[(*cells, actions)]
+    # 1 for an open stack, whose last row adds two unknowns, else 0.
+    open_ = int(not renew[:, -1].all())
     # Rows from r on renew everywhere, and read only v(1, .).
     r = np.maximum(1, np.count_nonzero(~np.logical_and.accumulate(renew.all(axis=2)[:, ::-1], axis=1), axis=1))
     reach = np.maximum.accumulate(np.maximum(mdp.tau_idle, mdp.tau_tx) - np.arange(t_max))
@@ -400,69 +411,189 @@ def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray, ref: int):
     succ_d = np.where(renew, mdp.delta_renew, mdp.delta_up)
     hit = np.where(tx, mdp.theta[:top, None], 0.0)
     miss = 1.0 - hit
-    # The members with a transmit cell in row t: a slice when they are
-    # consecutive, as a window of ascending thresholds makes them.
-    tx_members = [_members(m) for m in tx.any(axis=2).T]
+    # The members with a transmit cell in row t (a slice when they are
+    # consecutive, as a window of ascending thresholds makes them) and the
+    # information ages from the first to the last such cell. Outside the
+    # transmit cells of that span hit is 0 and miss 1, so updating the
+    # whole span changes no bit of a finite map, which holds no -0.0.
+    tx_rows, tx_ages = tx.any(axis=2).T, tx.any(axis=0)
+    first, stop = tx_ages.argmax(axis=1), d_max - tx_ages[:, ::-1].argmax(axis=1)
+    tx_span = [
+        (_members(m), slice(a, b)) if m.any() else None for m, a, b in zip(tx_rows, first.tolist(), stop.tolist())
+    ]
     members = np.arange(n)[:, None, None]
     # Flat indices of the successors into the ring of maps below, and into v.
     src = (np.where(renew, k, succ_t % k) * n + members) * d_max + succ_d
     succ = (members * t_max + succ_t) * d_max + succ_d
-    del idle, tx, renew, succ_t, succ_d
+    # A renew cell's map is the identity row of v(1, delta_renew[d]) but
+    # for its gain and constant columns. Where row t's slot still holds a
+    # renew cell's map of the same member and age, from row t + k, only those
+    # two columns are reset (``kept``), and the rest of the row is gathered.
+    ring_top = top - open_  # the ring loop builds rows below it
+    built = np.arange(n) >= skip[:, None]
+    held = np.zeros((n, top + k, d_max), dtype=bool)
+    held[:, :ring_top] = renew[:, :ring_top] & built[:ring_top].T[:, :, None]
+    if open_:
+        held[:, -1 - k, :-1] = renew[:, -1, :-1]
+    kept = renew[:, :ring_top] & held[:, k : k + ring_top] & built[:ring_top].T[:, :, None]
+    plan = [None] * ring_top
+    for t in np.flatnonzero(kept.any(axis=(0, 2))):
+        fresh = np.flatnonzero(built[t][:, None] & ~kept[:, t])
+        plan[t] = fresh, src[:, t].reshape(-1)[fresh], np.flatnonzero(kept[:, t])
+    del idle, tx, renew, succ_t, succ_d, held, kept
 
-    # maps[t % k, b] is member b's map of row t while the rows below it need
-    # it; maps[k] is the map of row 1, the identity, which renew cells read.
-    # A map keeps the columns of v(1, c0:), then the gain and the constant.
+    # A map keeps the columns of v(1, c0:), then those of v(tau_max, 1) and
+    # v(tau_max, delta_max) for an open stack, the gain and the constant.
     c0 = int(mdp.delta_renew[0])
-    g_col, c_col = d_max - c0, d_max - c0 + 1
-    maps = np.zeros((k + 1, n, d_max, c_col + 1))
-    maps[k, :, c0:, :g_col] = np.eye(d_max - c0)
-    flat = maps.reshape(-1, c_col + 1)
-    for t in range(top - 1, -1, -1):
-        slot, sel, lo = maps[t % k], tx_members[t], skip[t]
-        out = slot[lo:]
-        if sel is None:
-            np.take(flat, src[lo:, t], axis=0, out=out)
-        else:
-            np.multiply(flat[src[lo:, t]], miss[lo:, t, :, None], out=out)
-            slot[sel] += hit[sel, t, :, None] * maps[mdp.tau_tx[t] % k, sel, :1]
-        out[:, :, g_col] -= 1.0
-        out[:, :, c_col] += cost[lo:, t]
+    a_col = d_max - c0
+    g_col = a_col + 2 * open_
+    size = d_max + 2 * open_  # border unknowns besides the gain
 
-    # Row 1 reads v(1, .) = M[:, :D] v(1, .) + M[:, D] gain + M[:, D + 1].
-    border = np.zeros((n, d_max + 1, d_max + 1))
+    def row_maps(costs, width):
+        """Row 1's maps and those of the last row's two equations, for the
+        cell costs ``costs``: all ``width`` = g_col + 2 columns, or only the
+        constant one (width 1). maps[t % k, b] is member b's map of row t
+        while the rows below it need it; maps[k] is the map of row 1, the
+        identity, which renew cells read."""
+        whole = width > 1
+        maps = np.zeros((k + 1, n, d_max, width))
+        if whole:
+            maps[k, :, c0:, :a_col] = np.eye(d_max - c0)
+        flat = maps.reshape(-1, width)
+        eqs = np.zeros((n, 2 * open_, width))
+        if open_:
+            last = maps[(t_max - 1) % k]
+            if whole:
+                last[:, -1, a_col + 1] = 1.0
+            # The corner's map, read off its self-loop, is its equation;
+            # every other cell's map is its value.
+            outs = [eqs[:, 1]] + [last[:, d] for d in range(d_max - 2, -1, -1)]
+            for d, out in zip(range(d_max - 1, -1, -1), outs):
+                np.multiply(flat[src[:, -1, d]], miss[:, -1, d, None], out=out)
+                if whole:
+                    out[:, a_col] += hit[:, -1, d]
+                    out[:, g_col] -= 1.0
+                out[:, -1] += costs[:, -1, d]
+            eqs[:, 0] = last[:, 0]
+        for t in range(ring_top - 1, -1, -1):
+            slot, lo = maps[t % k], skip[t]
+            out = slot[lo:]
+            if plan[t] is None:
+                np.take(flat, src[lo:, t], axis=0, out=out)
+            else:
+                fresh, fresh_src, kept = plan[t]
+                rows = slot.reshape(-1, width)
+                rows[fresh] = flat[fresh_src]
+                rows[kept, -1] = 0.0
+                if whole:
+                    rows[kept, g_col] = 0.0
+            if tx_span[t] is not None:
+                sel, span = tx_span[t]
+                slot[sel, span] *= miss[sel, t, span, None]
+                slot[sel, span] += hit[sel, t, span, None] * maps[mdp.tau_tx[t] % k, sel, :1]
+            if whole:
+                out[:, :, g_col] -= 1.0
+            out[:, :, -1] += costs[lo:, t]
+        return maps[0], eqs
+
+    # Every member renews everywhere from row max(r) on; a member's own rows
+    # from its r up to there go through the loop as renew rows, to the same
+    # bits.
+    r_max = int(r.max())
+
+    def values(costs, x):
+        """v from the border solution x, for the cell costs ``costs``."""
+        gain = x[:, size, None]
+        v = np.empty(actions.shape)
+        v[:, 0] = x[:, :d_max]
+        v[:, r_max:] = costs[:, r_max:] - gain[:, :, None] + v[:, :1, mdp.delta_renew]
+        v_flat = v.reshape(-1)
+        if open_ and t_max > 1:
+            v[:, -1, -1] = x[:, d_max + 1]
+            for d in range(d_max - 2, -1, -1):
+                nxt = v_flat[succ[:, -1, d]] * miss[:, -1, d] + hit[:, -1, d] * x[:, d_max]
+                v[:, -1, d] = costs[:, -1, d] - gain[:, 0] + nxt
+        for t in range(r_max - 1 - open_, 0, -1):
+            nxt = v_flat[succ[:, t]] * miss[:, t]
+            if tx_span[t] is not None:
+                sel, span = tx_span[t]
+                nxt[sel, span] += hit[sel, t, span] * v[sel, mdp.tau_tx[t], :1]
+            v[:, t] = costs[:, t] - gain + nxt
+        return v
+
+    # Row 1 reads v(1, .) = M[:, :D] v(1, .) + M[:, D] gain + M[:, D + 1],
+    # and the last row's two unknowns read their own maps likewise.
+    m1, eqs = row_maps(cost, g_col + 2)
+    border = np.zeros((n, size + 1, size + 1))
     np.negative(border[:, :d_max, :c0], out=border[:, :d_max, :c0])
-    np.negative(maps[0, :, :, : g_col + 1], out=border[:, :d_max, c0:])
-    border[:, np.arange(d_max), np.arange(d_max)] += 1.0
-    border[:, d_max, 0] = 1.0
-    rhs = np.zeros((n, d_max + 1, 1))
-    rhs[:, :d_max, 0] = maps[0, :, :, c_col]
-    del maps, flat, src
+    np.negative(m1[:, :, : g_col + 1], out=border[:, :d_max, c0:])
+    np.negative(eqs[:, :, : g_col + 1], out=border[:, d_max:size, c0:])
+    border[:, np.arange(size), np.arange(size)] += 1.0
+    border[:, size, 0] = 1.0
+    rhs = np.zeros((n, size + 1, 1))
+    rhs[:, :d_max, 0] = m1[:, :, -1]
+    rhs[:, d_max:size, 0] = eqs[:, :, -1]
+    del m1, eqs
 
     try:
-        x = np.linalg.solve(border, rhs)[:, :, 0]
+        if open_:
+            factors = [_border_lu(m.copy()) for m in border]
+            x = np.stack([_border_lu_solve(*f, b) for f, b in zip(factors, rhs[:, :, 0])])
+        else:
+            x = np.linalg.solve(border, rhs)[:, :, 0]
     except np.linalg.LinAlgError as exc:  # some member is exactly singular
         cond = max(map(_dense_condition, border))
         raise EvaluationError(
             f"policy evaluation system is singular (condition estimate {cond:.3e}): {exc}",
             condition_estimate=cond,
         ) from exc
-
-    gain = x[:, d_max, None]
-    v = np.empty(actions.shape)
-    v[:, 0] = x[:, :d_max]
-    # Every member renews everywhere from row max(r) on; a member's own rows
-    # from its r up to there go through the loop as renew rows, to the same
-    # bits.
-    r_max = int(r.max())
-    v[:, r_max:] = cost[:, r_max:] - gain[:, :, None] + v[:, :1, mdp.delta_renew]
-    v_flat = v.reshape(-1)
-    for t in range(r_max - 1, 0, -1):
-        nxt, sel = v_flat[succ[:, t]] * miss[:, t], tx_members[t]
-        if sel is not None:
-            nxt[sel] += hit[sel, t] * v[sel, mdp.tau_tx[t], :1]
-        v[:, t] = cost[:, t] - gain + nxt
+    v = values(cost, x)
+    if open_:
+        # The residual c + P v - v - gain is the cost of the correction.
+        v_flat = v.reshape(-1)
+        resid = cost - x[:, size, None, None] + v_flat[succ] * miss + hit * v[:, mdp.tau_tx, :1] - v
+        m1, eqs = row_maps(resid, 1)
+        rhs = np.zeros((n, size + 1))
+        rhs[:, :d_max], rhs[:, d_max:size] = m1[:, :, 0], eqs[:, :, 0]
+        dx = np.stack([_border_lu_solve(*f, b) for f, b in zip(factors, rhs)])
+        v += values(resid, dx)
+        x[:, size] += dx[:, size]
     v -= v.reshape(n, -1)[:, ref, None, None].copy()
-    return gain[:, 0], v, lambda b: _dense_condition(border[b])
+    return x[:, size], v, lambda b: _dense_condition(border[b])
+
+
+def _border_lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors of the square matrix ``a`` by Gaussian elimination with
+    partial pivoting, in place: (a, order) with a[order] = L U, L unit lower
+    triangular below a's diagonal and U on and above it. Each step updates
+    only the rows and columns where the pivot's column and row are nonzero,
+    so a sparse border costs a few numpy calls per row; and it runs on the
+    calling thread, where a multithreaded LAPACK factorization can stall for
+    a scheduler period. A zero pivot raises ``LinAlgError``."""
+    order = np.arange(len(a))
+    for j in range(len(a)):
+        p = j + int(np.abs(a[j:, j]).argmax())
+        if a[p, j] == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        if p != j:
+            a[[j, p]], order[[j, p]] = a[[p, j]], order[[p, j]]
+        rows = j + 1 + np.flatnonzero(a[j + 1 :, j])
+        if len(rows):
+            a[rows, j] /= a[j, j]
+            cols = j + 1 + np.flatnonzero(a[j, j + 1 :])
+            a[np.ix_(rows, cols)] -= a[rows, j, None] * a[j, cols]
+    return a, order
+
+
+def _border_lu_solve(lu: np.ndarray, order: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution x of A x = b from ``_border_lu``'s factors of A."""
+    x = b[order]
+    for j in range(len(x) - 1):
+        x[j + 1 :] -= lu[j + 1 :, j] * x[j]
+    for j in range(len(x) - 1, -1, -1):
+        x[j] /= lu[j, j]
+        x[:j] -= lu[:j, j] * x[j]
+    return x
 
 
 def _lu_solve(mdp: MdpSpec, actions: np.ndarray, ref: int):
@@ -688,9 +819,10 @@ def threshold_heuristic(
 
 def check_tau_renew(tau_renew, t_max: int) -> int:
     """The renewal threshold as an int, if it is an integer in [0, t_max]."""
-    if int(tau_renew) != tau_renew or not 0 <= tau_renew <= t_max:
-        raise DomainError(f"tau_renew must be an integer in [0, {t_max}], got {tau_renew}")
-    return int(tau_renew)
+    tau = check_integer("tau_renew", tau_renew)
+    if not 0 <= tau <= t_max:
+        raise DomainError(f"tau_renew must be an integer in [0, {t_max}], got {tau_renew!r}")
+    return tau
 
 
 def threshold_actions(d_max, tau_renew, thresholds) -> np.ndarray:

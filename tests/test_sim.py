@@ -435,6 +435,11 @@ class TestThresholdPolicy:
         with pytest.raises(DomainError, match="nonincreasing"):
             threshold_policy(4, [1, 3, 2, 1], Truncation(4, 6))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "3"], ids=repr)
+    def test_non_integer_renewal_threshold_is_named(self, bad):
+        with pytest.raises(DomainError, match=re.escape(f"tau_renew must be an integer, got {bad!r}")):
+            threshold_policy(bad, [1] * 4, Truncation(4, 6))
+
     def test_thresholds_outside_grid_rejected(self):
         with pytest.raises(DomainError):
             threshold_policy(4, [9, 2, 2, 1], Truncation(4, 6))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -704,6 +705,150 @@ def _renewal_closed_policy(rng, tau_max, delta_max, tau_renew):
     return threshold_actions(delta_max, tau_renew, thresholds)
 
 
+def _open_policy(rng, shape):
+    """Actions that renew somewhere but not at every cell of the last
+    channel age: uniform draws, or idle-then-transmit-then-renew columns as
+    structured policy iteration makes them, with a renew cell put in where
+    none was drawn and a non-renew cell in the last row."""
+    tau_max, delta_max = shape
+    if rng.random() < 0.5:
+        actions = rng.integers(0, 3, size=shape).astype(np.int8)
+    else:
+        transmit_from = rng.integers(0, tau_max + 1, size=delta_max)
+        renew_from = transmit_from + rng.integers(0, tau_max + 1, size=delta_max)
+        ages = np.arange(tau_max)[:, None]
+        actions = (ages >= transmit_from).astype(np.int8) + (ages >= renew_from)
+    if not (actions == Action.RENEW).any():
+        actions[rng.integers(tau_max), rng.integers(delta_max)] = Action.RENEW
+    if (actions[-1] == Action.RENEW).all():
+        actions[-1, rng.integers(delta_max)] = rng.integers(0, 2)
+    return actions
+
+
+class TestOpenRenewalEvaluation:
+    """A policy that renews somewhere, but not at every cell of the last
+    channel age, is solved by back-substitution with the last row's
+    recursion; the sparse LU path is the reference."""
+
+    @given(
+        shape=st.one_of(
+            st.tuples(st.just(1), st.integers(1, 12)),
+            st.tuples(st.integers(1, 12), st.sampled_from([1, 2])),
+            st.tuples(st.sampled_from([1, 2]), st.integers(1, 12)),
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        ),
+        theta=st.one_of(
+            st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.99, 0.0)]),
+            st.floats(0.01, 0.99).map(lambda x: (x, x)),
+        ),
+        restricted=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=300)
+    def test_matches_the_lu_path(self, shape, theta, restricted, data):
+        # On a one-row grid the last row is row 1; on a one-column grid the
+        # last row's two unknowns are one cell. theta = 0 and 1 make many
+        # draws multichain: both paths must refuse those.
+        mdp = _drawn_mdp(*shape, theta, 1.0, restricted, False, data)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        actions = _open_policy(rng, shape)
+        ref = data.draw(st.integers(0, mdp.n_states - 1))
+        ref_state = AgeState(ref // shape[1] + 1, ref % shape[1] + 1)
+        try:
+            lu = reference_lu_evaluate(mdp, actions, ref)
+        except EvaluationError:
+            with pytest.raises(EvaluationError):
+                policy_evaluate(mdp, Policy(actions=actions), ref_state)
+            return
+        gain, v = policy_evaluate(mdp, Policy(actions=actions), ref_state)
+        scale = np.abs(lu.v).max() + abs(lu.gain)
+        assert abs(gain - lu.gain) <= 1e-12 * scale
+        assert np.abs(v - lu.v).max() <= 1e-12 * scale
+        assert v.reshape(-1)[ref] == 0.0
+
+    def test_spi_policy_at_320_matches_the_lu_path(self, tmp_path):
+        # The final policy of benchmark-marginal renews at 316 of the 320
+        # cells of its last channel age. Its digest is the one the benchmark
+        # pins; cell (311, 1) of it is a tie of 0.02 units in the last place
+        # of max|Q|. With its refinement step the solve's gain is as close to
+        # the exact one as sparse LU's (0.4 units in the last place, against
+        # 10 without the step).
+        mdp, opts = _shipped_mdp("benchmark-marginal", 320)
+        actions = structured_policy_iteration(mdp, opts).policy.actions
+        assert not (actions[-1] == Action.RENEW).all()
+        write_policy_csv(tmp_path / "policy.csv", Policy(actions=actions))
+        digest = hashlib.sha256((tmp_path / "policy.csv").read_bytes()).hexdigest()
+        assert digest == "57b5221deb6bce1540d56a135b1fa50607d4c236e11445b6db16176951a22e0e"
+        lu = reference_lu_evaluate(mdp, actions, 0)
+        gain, v = policy_evaluate(mdp, Policy(actions=actions))
+        assert abs(gain - lu.gain) <= 2 * np.spacing(lu.gain)
+        assert np.abs(v - lu.v).max() <= 1e-12 * (np.abs(lu.v).max() + abs(lu.gain))
+
+    @pytest.mark.parametrize(
+        "theta,actions",
+        [
+            # (1, 1) renews onto itself, (2, 1) idles in place.
+            ((0.0, 0.0), [[Action.RENEW], [Action.IDLE]]),
+            # (1, 2) renews onto itself, (1, 1) delivers onto itself.
+            ((1.0, 1.0), [[Action.TRANSMIT, Action.RENEW]]),
+            # (1, 4) renews onto itself; the other cells idle up to the
+            # clamped corner, which idles in place.
+            ((0.0, 0.0), [[Action.IDLE] * 3 + [Action.RENEW]] + [[Action.IDLE] * 4] * 3),
+        ],
+        ids=["two-rows", "one-row", "corner"],
+    )
+    def test_multichain_policy_raises_with_the_border_condition(self, monkeypatch, theta, actions):
+        # Two closed classes make the border exactly singular: the solve
+        # raises EvaluationError with the border's condition estimate.
+        mdp = build_mdp(
+            benchmark_system(0.9), benchmark_channel(0.3, 2, 2, *theta), Truncation(*np.shape(actions)),
+            require_headroom=False,
+        )
+        estimates = []
+        dense_condition = solvers._dense_condition
+
+        def recording(border):
+            estimates.append(dense_condition(border))
+            return estimates[-1]
+
+        monkeypatch.setattr(solvers, "_dense_condition", recording)
+        with pytest.raises(EvaluationError, match="singular") as exc_info:
+            policy_evaluate(mdp, Policy(actions=np.array(actions, dtype=np.int8)))
+        assert estimates and exc_info.value.condition_estimate == max(estimates)
+        assert exc_info.value.condition_estimate > 1e8
+
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        theta=st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.99, 0.0), (0.95, 0.3)]),
+        restricted=st.booleans(),
+        closed=st.booleans(),
+        data=st.data(),
+    )
+    def test_other_policies_keep_their_own_solve(self, shape, theta, restricted, closed, data):
+        # A renewal-closed policy gets the bits of the renewal-closed solve,
+        # and one that renews nowhere those of the sparse LU path.
+        mdp = _drawn_mdp(*shape, theta, 1.0, restricted, False, data)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if closed:
+            actions = rng.integers(0, 3, size=shape).astype(np.int8)
+            actions[-1] = Action.RENEW
+            solve = _renewal_closed_solve
+        else:
+            actions = rng.integers(0, 2, size=shape).astype(np.int8)
+            solve = _lu_solve
+        ref = data.draw(st.integers(0, mdp.n_states - 1))
+        try:
+            [expected] = _evaluate_stack(mdp, actions[None], ref, solve)
+        except EvaluationError:
+            with pytest.raises(EvaluationError):
+                policy_evaluate(mdp, Policy(actions=actions), AgeState(ref // shape[1] + 1, ref % shape[1] + 1))
+            return
+        ev = policy_evaluate(mdp, Policy(actions=actions), AgeState(ref // shape[1] + 1, ref % shape[1] + 1))
+        assert np.float64(ev.gain).tobytes() == np.float64(expected.gain).tobytes()
+        assert ev.v.tobytes() == expected.v.tobytes()
+        assert ev.q.tobytes() == expected.q.tobytes()
+
+
 class TestBatchedRenewalClosedEvaluation:
     """One call evaluates a stack of renewal-closed policies; each member
     gets the bits of the single-policy reference."""
@@ -1025,6 +1170,11 @@ class TestThresholdHeuristic:
     def test_invalid_threshold(self, small_case):
         with pytest.raises(DomainError):
             threshold_heuristic(small_case.mdp, tau_renew=31)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "3", 2.5], ids=repr)
+    def test_non_integer_threshold_is_named(self, small_case, bad):
+        with pytest.raises(DomainError, match=re.escape(f"tau_renew must be an integer, got {bad!r}")):
+            threshold_heuristic(small_case.mdp, tau_renew=bad)
 
     @pytest.mark.parametrize("lower,winner", [(1, 0), (10**6, 1)], ids=["one-ulp", "clear"])
     def test_earliest_of_tied_candidates_wins(self, monkeypatch, small_case, lower, winner):
