@@ -363,8 +363,10 @@ def run_sweep(
     workers = min(jobs, len(values))
     args = (repeat(cfg.echo()), repeat(axis), values, [str(point_dirs[v]) for v in values], repeat(emit_q))
     if workers > 1:
-        # Loaded once here, the evaluator's modules reach every forked worker.
-        load_evaluator()
+        if cfg.solver.method == "threshold-heuristic":
+            # Loaded once here, the heuristic's sparse factorization reaches
+            # every forked worker; no other method factorizes.
+            load_evaluator()
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_point, *args))
     else:

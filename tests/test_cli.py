@@ -553,12 +553,24 @@ class TestColdStart:
         assert loaded == [[], [], [], []]
 
     def test_policy_evaluation_loads_scipy(self, cfg_path, tmp_path):
-        # The guard above can fail: an SPI solve does load the evaluator.
+        # The guards here can fail: the heuristic's full search evaluates the
+        # table that never renews by sparse factorization.
         before, after = scipy_after(
-            ["solve", "--config", cfg_path, "--out", tmp_path / "spi", "--set", "solver.method=spi"]
+            ["solve", "--config", cfg_path, "--out", tmp_path / "heuristic",
+             "--set", "solver.method=threshold-heuristic"]
         )
         assert before == []
         assert "scipy.sparse.linalg" in after
+
+    def test_spi_loads_no_scipy(self, cfg_path, tmp_path):
+        # SPI starts from idling everywhere, a policy that renews nowhere; and
+        # only a heuristic sweep loads the factorization before its workers fork.
+        spi = ["--config", cfg_path, "--set", "solver.method=spi"]
+        loaded = scipy_after(
+            ["solve", *spi, "--out", tmp_path / "spi"],
+            ["sweep", *spi, "--out", tmp_path / "sweep", "--axis", "beta", "--values", "0.8,0.9", "--jobs", "2"],
+        )
+        assert loaded == [[], [], []]
 
     def test_renewal_closed_heuristic_loads_no_scipy(self, tmp_path):
         # With tau_renew below tau_max every policy the heuristic evaluates

@@ -458,6 +458,7 @@ class TestPolicyEvaluate:
         # splu allocates its workspace on top of whatever the evaluation keeps
         # alive when it is called: that should be the CSC system and the cost
         # vector (one float per state), not the arrays that assembled them.
+        # Only the threshold heuristic's never-renewing tables take this path.
         import scipy.sparse.linalg
 
         cfg = load_config(
@@ -478,7 +479,7 @@ class TestPolicyEvaluate:
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            policy_evaluate(mdp, policy)
+            _evaluate_stack(mdp, policy.actions[None], 0, _lu_solve)
         finally:
             tracemalloc.stop()
         [(live, system_bytes)] = calls
@@ -725,10 +726,19 @@ def _open_policy(rng, shape):
     return actions
 
 
+def _never_renewing_policy(rng, shape, family):
+    """Idle everywhere, transmit everywhere, or a uniform draw of the two."""
+    if family == "idle":
+        return np.full(shape, Action.IDLE, dtype=np.int8)
+    if family == "transmit":
+        return np.full(shape, Action.TRANSMIT, dtype=np.int8)
+    return rng.integers(0, 2, size=shape).astype(np.int8)
+
+
 class TestOpenRenewalEvaluation:
-    """A policy that renews somewhere, but not at every cell of the last
-    channel age, is solved by back-substitution with the last row's
-    recursion; the sparse LU path is the reference."""
+    """A policy that does not renew at every cell of the last channel age,
+    renewing somewhere or nowhere, is solved by back-substitution with the
+    last row's recursion; the sparse LU path is the reference."""
 
     @given(
         shape=st.one_of(
@@ -742,16 +752,22 @@ class TestOpenRenewalEvaluation:
             st.floats(0.01, 0.99).map(lambda x: (x, x)),
         ),
         restricted=st.booleans(),
+        family=st.sampled_from(["open"] * 3 + ["idle", "transmit", "never"]),
         data=st.data(),
     )
-    @settings(max_examples=300)
-    def test_matches_the_lu_path(self, shape, theta, restricted, data):
+    @settings(max_examples=600)
+    def test_matches_the_lu_path(self, shape, theta, restricted, family, data):
         # On a one-row grid the last row is row 1; on a one-column grid the
         # last row's two unknowns are one cell. theta = 0 and 1 make many
-        # draws multichain: both paths must refuse those.
+        # draws multichain: both paths must refuse those. Besides the open
+        # policies, which renew somewhere, the draws take policies that
+        # renew nowhere, as structured policy iteration starts from.
         mdp = _drawn_mdp(*shape, theta, 1.0, restricted, False, data)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        actions = _open_policy(rng, shape)
+        if family == "open":
+            actions = _open_policy(rng, shape)
+        else:
+            actions = _never_renewing_policy(rng, shape, family)
         ref = data.draw(st.integers(0, mdp.n_states - 1))
         ref_state = AgeState(ref // shape[1] + 1, ref % shape[1] + 1)
         try:
@@ -765,6 +781,21 @@ class TestOpenRenewalEvaluation:
         assert abs(gain - lu.gain) <= 1e-12 * scale
         assert np.abs(v - lu.v).max() <= 1e-12 * scale
         assert v.reshape(-1)[ref] == 0.0
+
+    def test_never_renewing_multichain_policy_is_refused_by_both_paths(self):
+        # On a perfect channel (4, 1) transmits onto itself and the rest of
+        # the last row idles up to the clamped corner (4, 4): two closed
+        # classes.
+        mdp = build_mdp(
+            benchmark_system(0.9), benchmark_channel(0.3, 2, 2, 1.0, 1.0), Truncation(4, 4),
+            require_headroom=False,
+        )
+        actions = np.zeros(mdp.shape, dtype=np.int8)
+        actions[-1, 0] = Action.TRANSMIT
+        with pytest.raises(EvaluationError):
+            reference_lu_evaluate(mdp, actions, 0)
+        with pytest.raises(EvaluationError):
+            policy_evaluate(mdp, Policy(actions=actions))
 
     def test_spi_policy_at_320_matches_the_lu_path(self, tmp_path):
         # The final policy of benchmark-marginal renews at 316 of the 320
@@ -825,20 +856,18 @@ class TestOpenRenewalEvaluation:
         data=st.data(),
     )
     def test_other_policies_keep_their_own_solve(self, shape, theta, restricted, closed, data):
-        # A renewal-closed policy gets the bits of the renewal-closed solve,
-        # and one that renews nowhere those of the sparse LU path.
+        # A renewal-closed policy, and one that renews nowhere, get the bits
+        # of the back-substitution called on them alone.
         mdp = _drawn_mdp(*shape, theta, 1.0, restricted, False, data)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         if closed:
             actions = rng.integers(0, 3, size=shape).astype(np.int8)
             actions[-1] = Action.RENEW
-            solve = _renewal_closed_solve
         else:
             actions = rng.integers(0, 2, size=shape).astype(np.int8)
-            solve = _lu_solve
         ref = data.draw(st.integers(0, mdp.n_states - 1))
         try:
-            [expected] = _evaluate_stack(mdp, actions[None], ref, solve)
+            [expected] = _evaluate_stack(mdp, actions[None], ref, _renewal_closed_solve)
         except EvaluationError:
             with pytest.raises(EvaluationError):
                 policy_evaluate(mdp, Policy(actions=actions), AgeState(ref // shape[1] + 1, ref % shape[1] + 1))
@@ -933,24 +962,32 @@ class TestStructuredPolicyIteration:
     def test_reference_value_zero(self, small_case):
         assert small_case.spi.v[0, 0] == 0.0
 
-    def test_stops_when_tied_policies_cycle(self):
+    def test_stops_when_tied_policies_cycle(self, monkeypatch):
         # On a dead channel idling everywhere and transmitting on column
         # delta=2 have the same gain, and rounding noise in Q(transmit) -
-        # Q(idle) flips the improvement step between them every sweep.
+        # Q(idle) can flip the improvement step between them every sweep.
+        # Whether it does depends on the evaluation's rounding, so the step
+        # is made to alternate between the two tables.
         mdp = build_mdp(
             benchmark_system(0.5),
             benchmark_channel(tau_d=10, delta_r=5, theta_max=0.0, theta_min=0.0),
             Truncation(5, 4),
             require_headroom=False,
         )
+        idle = np.zeros(mdp.shape, dtype=np.int8)
+        transmit = idle.copy()
+        transmit[:, 1] = Action.TRANSMIT
+        improve, steps = solvers._monotone_improvement, itertools.cycle([transmit, idle])
+        monkeypatch.setattr(solvers, "_monotone_improvement", lambda *q: (next(steps), improve(*q)[1]))
         res = structured_policy_iteration(mdp, SolveOptions(max_iter=50))
         lo, hi = rvi_solve(mdp).lambda_bounds
         assert lo <= res.gain <= hi
         assert res.gain == policy_evaluate(mdp, res.policy)[0]
         # The gains are bit-equal, so the first policy evaluated is the
         # lowest-gain one: idling everywhere.
+        assert policy_evaluate(mdp, Policy(actions=transmit)).gain == res.gain
         assert res.iterations == 2
-        assert res.policy == Policy(actions=np.zeros(mdp.shape, dtype=np.int8))
+        assert res.policy == Policy(actions=idle)
         # The returned Q-factors belong to the returned v, not to the last
         # policy evaluated.
         np.testing.assert_array_equal(res.q, q_backup(mdp, res.v))
