@@ -34,7 +34,7 @@ from .linear_model import (
     stability_report,
     steady_state,
 )
-from .mdp import Action, AgeState, MdpSpec, Truncation, build_mdp
+from .mdp import Action, MdpSpec, Truncation, build_mdp
 from .sim import SimStats, boundary_renewal, replication_rng, simulate, threshold_policy, transmit_always
 from .solvers import (
     Policy,
@@ -62,7 +62,6 @@ from .structure import (
 
 __all__ = [
     "Action",
-    "AgeState",
     "ArtifactParseError",
     "ChannelModel",
     "ConfigError",

@@ -146,15 +146,12 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, emit_q: bool) -> dict:
     t_solve = time.perf_counter()
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts: dict = {"summary_json": "summary.json"}
-    if "csv" in cfg.output.formats:
-        write_policy_csv(out_dir / "policy.csv", res.policy)
-        write_value_csv(out_dir / "value.csv", res.v)
-        artifacts["policy_csv"] = "policy.csv"
-        artifacts["value_csv"] = "value.csv"
-        if emit_q:
-            write_q_csv(out_dir / "q.csv", res.q)
-            artifacts["q_csv"] = "q.csv"
+    artifacts = {"summary_json": "summary.json", "policy_csv": "policy.csv", "value_csv": "value.csv"}
+    write_policy_csv(out_dir / "policy.csv", res.policy)
+    write_value_csv(out_dir / "value.csv", res.v)
+    if emit_q:
+        write_q_csv(out_dir / "q.csv", res.q)
+        artifacts["q_csv"] = "q.csv"
     t_write = time.perf_counter()
 
     summary = {

@@ -20,7 +20,7 @@ import yaml
 from .channel import ChannelModel
 from .errors import ConfigError, WearschedError
 from .linear_model import SystemModel
-from .mdp import AgeState, Truncation
+from .mdp import Truncation
 from .solvers import SolveOptions
 
 OUTPUT_DIR_ENV = "WEARSCHED_OUT"
@@ -33,11 +33,10 @@ class SolverConfig:
     method: str = "rvi"
     tol: float = SolveOptions.tol
     max_iter: int = SolveOptions.max_iter
-    ref_state: AgeState = SolveOptions.ref_state
     tau_renew: int | None = None  # threshold-heuristic only; None = search
 
     def options(self) -> SolveOptions:
-        return SolveOptions(tol=self.tol, max_iter=self.max_iter, ref_state=self.ref_state)
+        return SolveOptions(tol=self.tol, max_iter=self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class SimulateConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = ""
-    formats: tuple[str, ...] = ("csv", "json")
 
     def resolve_directory(self, override: str | None = None) -> Path:
         if override:
@@ -199,7 +197,7 @@ def _validate_solver(section, path="solver") -> dict:
         section = {}
     if not isinstance(section, dict):
         raise _field_error(path, "expected a mapping")
-    known = {"method", "tol", "max_iter", "ref_state", "tau_renew"}
+    known = {"method", "tol", "max_iter", "tau_renew"}
     _require_keys(section, path, known, set())
     method = section.get("method", SolverConfig.method)
     if method not in SOLVER_METHODS:
@@ -208,18 +206,10 @@ def _validate_solver(section, path="solver") -> dict:
         raise _field_error(
             f"{path}.tau_renew", f"applies to the threshold-heuristic method only, not {method!r}"
         )
-    ref = section.get("ref_state", list(SolverConfig.ref_state))
-    if (
-        not isinstance(ref, (list, tuple))
-        or len(ref) != 2
-        or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in ref)
-    ):
-        raise _field_error(f"{path}.ref_state", f"expected [tau, delta] positive integers, got {ref!r}")
     out = {
         "method": method,
         "tol": _number(section, path, "tol", SolverConfig.tol, minimum=0.0, strict_min=True),
         "max_iter": _number(section, path, "max_iter", SolverConfig.max_iter, integer=True, minimum=1),
-        "ref_state": list(ref),
     }
     tau_renew = _number(section, path, "tau_renew", integer=True, minimum=0)
     if tau_renew is not None:
@@ -250,18 +240,11 @@ def _validate_output(section, path="output") -> dict:
         section = {}
     if not isinstance(section, dict):
         raise _field_error(path, "expected a mapping")
-    known = {"directory", "formats"}
-    _require_keys(section, path, known, set())
+    _require_keys(section, path, {"directory"}, set())
     directory = section.get("directory", OutputConfig.directory)
     if not isinstance(directory, str):
         raise _field_error(f"{path}.directory", f"expected a string, got {directory!r}")
-    formats = section.get("formats", list(OutputConfig.formats))
-    if not isinstance(formats, list) or not formats:
-        raise _field_error(f"{path}.formats", f"expected a nonempty list, got {formats!r}")
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise _field_error(f"{path}.formats", f"unknown format {fmt!r}")
-    return {"directory": directory, "formats": list(formats)}
+    return {"directory": directory}
 
 
 def validate_config_dict(data: dict) -> ExperimentConfig:
@@ -270,8 +253,9 @@ def validate_config_dict(data: dict) -> ExperimentConfig:
     Each section validator returns its section normalized, and together
     they are the config echo. The channel and truncation validators check
     every invariant of ``ChannelModel`` and ``Truncation``; the system model
-    is constructed once here. So every invalid configuration fails with a
-    field-annotated error before any work starts.
+    is constructed once here, and the grid's headroom for one wear step and
+    one renewal downtime is checked here. So every invalid configuration
+    fails with a field-annotated error before any work starts.
     """
     if not isinstance(data, dict):
         raise ConfigError(field="<root>", message="configuration must be a mapping")
@@ -291,20 +275,25 @@ def validate_config_dict(data: dict) -> ExperimentConfig:
         "simulate": _validate_simulate(data.get("simulate")),
         "output": _validate_output(data.get("output")),
     }
-    solver, output, truncation = raw["solver"], raw["output"], raw["truncation"]
+    channel, truncation = raw["channel"], raw["truncation"]
     cfg = ExperimentConfig(
         system=raw["system"],
-        channel=raw["channel"],
+        channel=channel,
         truncation=truncation,
-        solver=SolverConfig(**{**solver, "ref_state": AgeState(*solver["ref_state"])}),
+        solver=SolverConfig(**raw["solver"]),
         simulate=SimulateConfig(**raw["simulate"]),
-        output=OutputConfig(directory=output["directory"], formats=tuple(output["formats"])),
+        output=OutputConfig(**raw["output"]),
         raw=raw,
     )
     cfg.build_system()
-    ref = cfg.solver.ref_state
-    if ref.tau > truncation["tau_max"] or ref.delta > truncation["delta_max"]:
-        raise _field_error("solver.ref_state", f"reference state {tuple(ref)} outside the grid")
+    # Headroom: every action has an in-range successor before clamping dominates.
+    headroom = (("tau_max", "tau_d", "wear per transmission"), ("delta_max", "delta_r", "the renewal downtime"))
+    for bound, step, what in headroom:
+        if truncation[bound] < 1 + channel[step]:
+            raise _field_error(
+                f"truncation.{bound}",
+                f"{bound}={truncation[bound]} leaves no headroom for {what} (need >= {1 + channel[step]})",
+            )
     tau_renew = cfg.solver.tau_renew
     if tau_renew is not None and tau_renew > truncation["tau_max"]:
         raise _field_error(
@@ -317,7 +306,7 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
     """Apply repeatable ``--set section.key=value`` overrides to a raw mapping.
 
     Values parse as YAML scalars/lists, so ``--set channel.alpha=0.05`` and
-    ``--set solver.ref_state=[2,3]`` both work.
+    ``--set system.c=[[1.0,1.0]]`` both work.
     """
     for item in overrides:
         if "=" not in item:

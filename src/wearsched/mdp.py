@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,11 +25,6 @@ class Action(IntEnum):
     IDLE = 0
     TRANSMIT = 1
     RENEW = 2
-
-
-class AgeState(NamedTuple):
-    tau: int
-    delta: int
 
 
 @dataclass(frozen=True)
@@ -83,13 +77,6 @@ class MdpSpec:
     def shape(self) -> tuple[int, int]:
         return (self.trunc.tau_max, self.trunc.delta_max)
 
-    def state_index(self, s: AgeState) -> int:
-        """Flat row-major index of a grid state."""
-        tau, delta = s
-        if not (1 <= tau <= self.trunc.tau_max and 1 <= delta <= self.trunc.delta_max):
-            raise DomainError(f"state {s} outside grid {self.shape}")
-        return (tau - 1) * self.trunc.delta_max + (delta - 1)
-
     def successors(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat successor indices of every state under an action grid.
 
@@ -141,34 +128,17 @@ class MdpSpec:
         )
 
 
-def build_mdp(
-    model: SystemModel,
-    channel: ChannelModel,
-    trunc: Truncation,
-    *,
-    require_headroom: bool = True,
-) -> MdpSpec:
-    """Assemble the truncated MDP for a model/channel pair.
+def build_mdp(model: SystemModel, channel: ChannelModel, trunc: Truncation) -> MdpSpec:
+    """Assemble the truncated MDP for a model/channel pair, on any grid.
 
-    ``require_headroom`` enforces tau_max >= 1 + tau_d and
-    delta_max >= 1 + delta_r so every action has an in-range successor before
-    clamping dominates; pass False only for deliberately degenerate grids.
-    Renewal lump-sum summands beyond the grid clamp to the last table entry,
-    consistent with the clamped dynamics.
+    A configuration also needs headroom, tau_max >= 1 + tau_d and
+    delta_max >= 1 + delta_r, so that every action has an in-range successor
+    before clamping dominates; ``validate_config_dict`` checks it, and a
+    smaller grid is a deliberately degenerate one. Renewal lump-sum summands
+    beyond the grid clamp to the last table entry, consistent with the
+    clamped dynamics.
     """
     t_max, d_max = trunc.tau_max, trunc.delta_max
-    if require_headroom:
-        if t_max < 1 + channel.tau_d:
-            raise DomainError(
-                f"tau_max={t_max} leaves no headroom for wear per transmission "
-                f"(need >= {1 + channel.tau_d})"
-            )
-        if d_max < 1 + channel.delta_r:
-            raise DomainError(
-                f"delta_max={d_max} leaves no headroom for the renewal downtime "
-                f"(need >= {1 + channel.delta_r})"
-            )
-
     mse = mse_table(model, steady_state(model), d_max)
     f = mse.values  # f[j] = MSE at information age j+1
 

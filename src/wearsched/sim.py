@@ -20,7 +20,7 @@ import numpy as np
 from .channel import ChannelModel
 from .errors import DomainError, check_integer
 from .linear_model import SystemModel, stability_report
-from .mdp import Action, AgeState, MdpSpec, Truncation
+from .mdp import Action, MdpSpec, Truncation
 from .solvers import Policy, check_tau_renew, threshold_actions
 
 # Number of contiguous batches used for the batch-means standard error.
@@ -89,9 +89,9 @@ def replication_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
 
-def _walk(hit: list, miss: list, threshold: list, start: int, rng: np.random.Generator, sizes: list):
+def _walk(hit: list, miss: list, threshold: list, rng: np.random.Generator, sizes: list):
     """Yield the states visited in each of ``len(sizes)`` consecutive runs of
-    ``sizes[i]`` epochs, as int64 arrays.
+    ``sizes[i]`` epochs from state (1, 1), as int64 arrays.
 
     The loop touches only plain-python lists and floats: one uniform per
     epoch against a per-state threshold, theta for transmit and -1.0 for idle
@@ -99,7 +99,7 @@ def _walk(hit: list, miss: list, threshold: list, start: int, rng: np.random.Gen
     ``u < threshold[s]`` alone picks the branch. Draws are taken at most
     ``CHUNK`` at a time; PCG64 yields the same uniforms chunked as in one call.
     """
-    s = start
+    s = 0
     for size in sizes:
         states = np.empty(size, dtype=np.int64)
         for lo in range(0, size, CHUNK):
@@ -115,16 +115,16 @@ def _walk(hit: list, miss: list, threshold: list, start: int, rng: np.random.Gen
 def simulate(
     mdp: MdpSpec,
     policy: Policy,
-    s0: AgeState = AgeState(1, 1),
     epochs: int = 100_000,
     seed: int = 0,
     stream: int = 0,
 ) -> SimStats:
-    """Simulate the controlled age process and collect cost/age statistics.
+    """Simulate the controlled age process from state (1, 1) and collect
+    cost/age statistics.
 
     Transmission outcomes are drawn with the reliability of the current
     channel age; ages advance exactly as in the MDP kernel (clamped at the
-    grid bounds). Identical ``(mdp, policy, s0, epochs, seed, stream)``
+    grid bounds). Identical ``(mdp, policy, epochs, seed, stream)``
     reproduce identical statistics.
     """
     epochs = check_integer("epochs", epochs)
@@ -132,7 +132,6 @@ def simulate(
         raise DomainError(f"epochs must be >= 1, got {epochs}")
     if policy.shape != mdp.shape:
         raise DomainError(f"policy grid {policy.shape} does not match MDP grid {mdp.shape}")
-    start = mdp.state_index(s0)
     rng = replication_rng(seed, stream)
 
     n = mdp.n_states
@@ -149,7 +148,7 @@ def simulate(
     sizes = [size + 1] * extra + [size] * (batches - extra)
 
     def walk(rng):
-        return _walk(hit, miss, threshold, start, rng, sizes)
+        return _walk(hit, miss, threshold, rng, sizes)
 
     # One batch of visited states is held at a time: its visits and its mean
     # cost are all the statistics need.

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, EvaluationError, NumericalOverflowError, check_integer
-from .mdp import Action, AgeState, MdpSpec
+from .mdp import Action, MdpSpec
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -25,8 +25,7 @@ FLOAT_FLOOR_ULPS = 2
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver options: span-seminorm stopping threshold, iteration cap, and
-    the reference state used to anchor relative values.
+    """Solver options: span-seminorm stopping threshold and iteration cap.
 
     Relative value iteration stops at the first iterate v whose Bellman
     difference Tv - v has span below ``max(tol, 2 * spacing(max|v|))``: the
@@ -36,7 +35,6 @@ class SolveOptions:
 
     tol: float = 1e-9
     max_iter: int = 200_000
-    ref_state: AgeState = AgeState(1, 1)
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -79,8 +77,8 @@ class Policy:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solver output: optimal average cost, relative values anchored at the
-    reference state, the greedy policy, and convergence diagnostics.
+    """Solver output: optimal average cost, relative values anchored at
+    v(1, 1) = 0, the greedy policy, and convergence diagnostics.
 
     ``lambda_bounds`` is the bracket [min(Tv - v), max(Tv - v)] read off the
     returned Q-factors, widened outward by the float resolution of Tv - v;
@@ -94,7 +92,7 @@ class SolveResult:
     """
 
     gain: float
-    v: np.ndarray           # (tau_max, delta_max), v[ref] == 0
+    v: np.ndarray           # (tau_max, delta_max), v(1, 1) == 0
     policy: Policy
     iterations: int
     residual: float
@@ -187,14 +185,13 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
     """Relative value iteration for the optimal average cost.
 
     Repeats: Q-backup, pointwise minimization, the damped step
-    v <- v + RVI_DAMPING * (Tv - v) and renormalization by the value at the
-    reference state. Damping is the aperiodicity transform (Schweitzer 1971;
+    v <- v + RVI_DAMPING * (Tv - v) and renormalization by the value at
+    (1, 1). Damping is the aperiodicity transform (Schweitzer 1971;
     Puterman 1994, section 8.5.4): it keeps the fixed points and breaks the
     near-periodic age cycles that slow the undamped iteration. Stops as
     ``SolveOptions`` describes and returns that iterate, its gain Tv - v at
-    the reference state and its bracket on lambda*.
+    (1, 1) and its bracket on lambda*.
     """
-    ref = mdp.state_index(opts.ref_state)
     v = np.zeros(mdp.shape)
     # Buffers every iteration reuses, and the cost grids as contiguous copies.
     q = np.empty((3, *mdp.shape))
@@ -214,7 +211,7 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
                 "truncation may be too small or the configuration unstable"
             )
         history.append(span)
-        gain = float(diff.reshape(-1)[ref])
+        gain = float(diff[0, 0])
         if span < max(opts.tol, FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max()))):
             del costs, v_up, diff  # not alive while q is restacked
             q = np.stack(q, axis=2)
@@ -240,7 +237,7 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
 
 class Evaluation(tuple):
     """What ``policy_evaluate`` returns: the pair (gain, v), v anchored at
-    v[ref] == 0, carrying the policy's Q-factors at v as ``q``, three
+    v(1, 1) == 0, carrying the policy's Q-factors at v as ``q``, three
     (tau_max, delta_max) grids from the one backup ``_evaluate_stack`` makes
     of every evaluated policy, which serves the residual gate and the
     improvement step."""
@@ -261,28 +258,26 @@ class Evaluation(tuple):
         return self[1]
 
 
-def policy_evaluate(
-    mdp: MdpSpec, policy: Policy, ref_state: AgeState = AgeState(1, 1)
-) -> Evaluation:
+def policy_evaluate(mdp: MdpSpec, policy: Policy) -> Evaluation:
     """Gain and relative value of a stationary policy, with its Q-factors.
 
     Solves gain + v(s) = c(s, policy(s)) + sum_s' P(s'|s) v(s') subject to
-    v(ref_state) = 0 by back-substitution over the channel age
+    v(1, 1) = 0 by back-substitution over the channel age
     (``_renewal_closed_solve``), whatever the policy, so it loads no scipy.
     The solution ends in one backup and residual gate (``_evaluate_stack``),
     which raise ``EvaluationError`` for a singular or ill-conditioned system.
     """
     if policy.shape != mdp.shape:
         raise DomainError(f"policy grid {policy.shape} does not match MDP grid {mdp.shape}")
-    [ev] = _evaluate_stack(mdp, policy.actions[None], mdp.state_index(ref_state), _renewal_closed_solve)
+    [ev] = _evaluate_stack(mdp, policy.actions[None], _renewal_closed_solve)
     return ev
 
 
-def _evaluate_stack(mdp: MdpSpec, actions: np.ndarray, ref: int, solve) -> list[Evaluation]:
+def _evaluate_stack(mdp: MdpSpec, actions: np.ndarray, solve) -> list[Evaluation]:
     """The evaluations of a (B, tau_max, delta_max) stack of policies.
 
-    ``solve(mdp, actions, ref)`` returns the B gains, the B value grids with
-    v[ref] == 0, and ``condition``, which gives member b's condition
+    ``solve(mdp, actions)`` returns the B gains, the B value grids with
+    v(1, 1) == 0, and ``condition``, which gives member b's condition
     estimate when called with b. One backup of the stack at v gives each
     member's Q grids. The gate reads the residual max|Q_pi(v) - v - gain|
     off them: for the sparse system, whose row s reads
@@ -291,7 +286,7 @@ def _evaluate_stack(mdp: MdpSpec, actions: np.ndarray, ref: int, solve) -> list[
     the stack. The gate cannot tell a multichain policy from values too
     large for their differences to resolve, so its message names both.
     """
-    gain, v, condition = solve(mdp, actions, ref)
+    gain, v, condition = solve(mdp, actions)
     n, (t_max, d_max) = len(actions), mdp.shape
     q = np.empty((n, 3, t_max, d_max))
     _backup(mdp, v, np.moveaxis(mdp.cost_table, 2, 0), q.swapaxes(0, 1), np.empty(v.shape))
@@ -333,9 +328,9 @@ def _eval_batch_size(mdp: MdpSpec) -> int:
     """How many renewal-closed policies one ``_evaluate_stack`` call takes:
     as many as keep the batch's working set, the row maps of
     ``_renewal_closed_solve`` at the largest ring the kernel allows and the
-    gate's backup and residual, under EVAL_BATCH_BYTES. A policy that
-    does not renew along the whole last channel age is evaluated alone, by
-    ``policy_evaluate``."""
+    gate's backup and residual, under EVAL_BATCH_BYTES. Only the threshold
+    heuristic's table that never renews is evaluated alone, by
+    ``_threshold_evaluate``."""
     t_max, d_max = mdp.shape
     reach = int((np.maximum(mdp.tau_idle, mdp.tau_tx) - np.arange(t_max)).max())
     ring = max(1, reach) + 2
@@ -353,7 +348,7 @@ def _members(mask: np.ndarray) -> slice | np.ndarray:
     return sel
 
 
-def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray, ref: int):
+def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray):
     """``_evaluate_stack``'s solve for a (B, tau_max, delta_max) stack of
     policies, by back-substitution over the channel age. Each member of a
     renewal-closed stack, one whose members all renew at every cell of the
@@ -380,7 +375,7 @@ def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray, ref: int):
     The D equations of row 1, those of v(tau_max, 1) and of the clamped
     corner v(tau_max, delta_max) for an open stack, and v(1, 1) = 0 close a
     dense (D + 1)- or (D + 3)-square border system; a second pass down the
-    rows recovers v, which is then shifted to v(ref) = 0. An open stack's
+    rows recovers v, which is then shifted to v(1, 1) = 0. An open stack's
     solution takes one step of iterative refinement, as the sparse LU path
     does: the maps' constant column alone is rebuilt for the residual's
     costs, and the correction is recovered the same way.
@@ -554,7 +549,7 @@ def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray, ref: int):
         dx = np.stack([_border_lu_solve(*f, b) for f, b in zip(factors, rhs)])
         v += values(resid, dx)
         x[:, size] += dx[:, size]
-    v -= v.reshape(n, -1)[:, ref, None, None].copy()
+    v -= v[:, :1, :1].copy()
     return x[:, size], v, lambda b: _dense_condition(border[b])
 
 
@@ -592,7 +587,7 @@ def _border_lu_solve(lu: np.ndarray, order: np.ndarray, b: np.ndarray) -> np.nda
     return x
 
 
-def _lu_solve(mdp: MdpSpec, actions: np.ndarray, ref: int):
+def _lu_solve(mdp: MdpSpec, actions: np.ndarray):
     """``_evaluate_stack``'s solve for a stack of one policy of any kind, by
     a direct sparse factorization of the whole evaluation system and one
     step of iterative refinement. Only the threshold heuristic uses it, for
@@ -603,7 +598,7 @@ def _lu_solve(mdp: MdpSpec, actions: np.ndarray, ref: int):
     n = mdp.n_states
     # Only the system and the cost vector stay alive while splu allocates
     # its workspace: the assembly arrays die inside _evaluation_matrix.
-    m = _evaluation_matrix(mdp, actions, ref)
+    m = _evaluation_matrix(mdp, actions)
     b = mdp.cost_table.reshape(n, 3)[np.arange(n), actions.reshape(-1)]
 
     try:
@@ -616,13 +611,13 @@ def _lu_solve(mdp: MdpSpec, actions: np.ndarray, ref: int):
         ) from exc
 
     x = x + lu.solve(b - m @ x)  # one step of iterative refinement
-    v = np.insert(x[:-1], ref, 0.0)
+    v = np.insert(x[:-1], 0, 0.0)
     return x[-1:], v.reshape(1, *mdp.shape), lambda _: _condition_estimate(m, lu)
 
 
-def _evaluation_matrix(mdp: MdpSpec, actions: np.ndarray, ref: int) -> scipy.sparse.csc_matrix:
+def _evaluation_matrix(mdp: MdpSpec, actions: np.ndarray) -> scipy.sparse.csc_matrix:
     """The n x n evaluation system of a policy: row s reads
-    v(s) + gain - sum_s' P(s'|s) v(s'), with v(ref) dropped from the
+    v(s) + gain - sum_s' P(s'|s) v(s'), with v(1, 1) dropped from the
     unknowns and the gain in the last column.
 
     Row s owns at most four entries, in this order: diag, gain, hit, miss.
@@ -635,12 +630,12 @@ def _evaluation_matrix(mdp: MdpSpec, actions: np.ndarray, ref: int) -> scipy.spa
     cols = np.empty((n, 4), dtype=np.int32)
     cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3] = np.arange(n), n, hit, miss
     keep = np.ones((n, 4), dtype=bool)
-    keep[ref, 0] = False
-    keep[:, 2], keep[:, 3] = (p_hit > 0) & (hit != ref), (1.0 - p_hit > 0) & (miss != ref)
+    keep[0, 0] = False
+    keep[:, 2], keep[:, 3] = (p_hit > 0) & (hit != 0), (1.0 - p_hit > 0) & (miss != 0)
     vals = np.ones((n, 4))
     vals[:, 2], vals[:, 3] = -p_hit, -(1.0 - p_hit)
     del hit, miss, p_hit
-    cols -= cols > ref  # v(ref) is not an unknown, and the gain moves to column n - 1
+    cols -= cols > 0  # v(1, 1) is not an unknown, and the gain moves to column n - 1
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
     m = csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
@@ -681,15 +676,15 @@ CONTINUATION_FLOOR = 80
 CONTINUATION_RENEWALS = 4
 
 
-def _continuation_grids(mdp: MdpSpec, ref_state: AgeState = AgeState(1, 1)) -> list[tuple[int, int]]:
+def _continuation_grids(mdp: MdpSpec) -> list[tuple[int, int]]:
     """The grids structured policy iteration solves, coarsest first and
     ending at ``mdp.shape``: both bounds are halved while the halved grid
     keeps at least max(CONTINUATION_FLOOR, 1 + tau_d) channel ages and
     max(CONTINUATION_FLOOR, CONTINUATION_RENEWALS * delta_r) information
-    ages, and still contains ``ref_state``."""
+    ages."""
     ch = mdp.channel
-    min_tau = max(CONTINUATION_FLOOR, 1 + ch.tau_d, ref_state.tau)
-    min_delta = max(CONTINUATION_FLOOR, CONTINUATION_RENEWALS * ch.delta_r, ref_state.delta)
+    min_tau = max(CONTINUATION_FLOOR, 1 + ch.tau_d)
+    min_delta = max(CONTINUATION_FLOOR, CONTINUATION_RENEWALS * ch.delta_r)
     grids = [mdp.shape]
     while grids[-1][0] // 2 >= min_tau and grids[-1][1] // 2 >= min_delta:
         grids.append((grids[-1][0] // 2, grids[-1][1] // 2))
@@ -711,7 +706,7 @@ def structured_policy_iteration(
     ``iterations`` and ``skipped_q_evals`` count the last grid's sweeps,
     and ``continuation`` lists (tau_max, delta_max, sweeps) per level.
     """
-    grids = _continuation_grids(mdp, opts.ref_state)
+    grids = _continuation_grids(mdp)
     actions = np.zeros(grids[0], dtype=np.int8)
     levels = []
     for shape in grids:
@@ -748,7 +743,7 @@ def _policy_iteration(mdp: MdpSpec, opts: SolveOptions, actions: np.ndarray) -> 
     seen: set[bytes] = set()
     best = None
     for sweep in range(1, opts.max_iter + 1):
-        ev = policy_evaluate(mdp, Policy(actions=actions), opts.ref_state)
+        ev = policy_evaluate(mdp, Policy(actions=actions))
         if best is None or ev.gain < best[0]:
             best = (ev.gain, actions)
         seen.add(actions.tobytes())
@@ -758,7 +753,7 @@ def _policy_iteration(mdp: MdpSpec, opts: SolveOptions, actions: np.ndarray) -> 
             if not np.array_equal(new_actions, actions):
                 actions = best[1]
                 del ev  # not alive while the earlier policy is refactorized
-                ev = policy_evaluate(mdp, Policy(actions=actions), opts.ref_state)
+                ev = policy_evaluate(mdp, Policy(actions=actions))
             return _finish(ev.gain, ev.v, Policy(actions=actions), sweep, ev.q, skipped_q_evals=skipped)
         actions = new_actions
         # No Q grid outlives its improvement step, so none is alive during
@@ -811,19 +806,19 @@ def threshold_heuristic(
     for it in rest:
         if it.gain < best.gain - best.floor:
             best = it
-    ev = _threshold_evaluate(mdp, best.policy, opts.ref_state)
+    ev = _threshold_evaluate(mdp, best.policy)
     return _finish(ev.gain, ev.v, best.policy, best.iterations, ev.q)
 
 
-def _threshold_evaluate(mdp: MdpSpec, policy: Policy, ref_state: AgeState) -> Evaluation:
+def _threshold_evaluate(mdp: MdpSpec, policy: Policy) -> Evaluation:
     """``policy_evaluate`` for the threshold heuristic. A table that renews
     nowhere goes to the sparse factorization instead: the 16 x 16 benchmark
     references pin which of two such tables, whose gains tie within 1 ulp,
     wins, and that tie is decided by sparse LU's rounding. Once those
     references are re-recorded under a tie rule, this selector goes."""
     if (policy.actions == Action.RENEW).any():
-        return policy_evaluate(mdp, policy, ref_state)
-    [ev] = _evaluate_stack(mdp, policy.actions[None], mdp.state_index(ref_state), _lu_solve)
+        return policy_evaluate(mdp, policy)
+    [ev] = _evaluate_stack(mdp, policy.actions[None], _lu_solve)
     return ev
 
 
@@ -890,7 +885,7 @@ class _Candidate:
         if self.best is None or ev.gain < self.best.gain:
             self.best = _Iterate(ev.gain, policy, self.sweeps, _float_floor(ev.v, ev.gain))
         new = _transmit_thresholds(ev.q[0], ev.q[1], self.tau_renew) + self.thresholds[self.tau_renew :]
-        self.done = new == self.thresholds or tuple(new) in self.seen or self.sweeps == sweep_cap
+        self.done = tuple(new) in self.seen or self.sweeps == sweep_cap
         self.thresholds = new
 
 
@@ -913,12 +908,12 @@ def _threshold_candidates(mdp: MdpSpec, opts: SolveOptions, taus: list[int]) -> 
         window += itertools.islice(queue, size - len(window))
         if not window:
             break
-        _advance(mdp, window, opts.ref_state, sweep_cap)
+        _advance(mdp, window, sweep_cap)
         window = [c for c in window if not c.done]
     return [c.best for c in runs]
 
 
-def _advance(mdp: MdpSpec, window: list[_Candidate], ref_state: AgeState, sweep_cap: int) -> None:
+def _advance(mdp: MdpSpec, window: list[_Candidate], sweep_cap: int) -> None:
     """One round: evaluates the current table of every run in the window and
     improves it. The table that never renews is factorized first, while no
     batch's grids are alive."""
@@ -927,12 +922,12 @@ def _advance(mdp: MdpSpec, window: list[_Candidate], ref_state: AgeState, sweep_
     for c in window:
         policy = Policy(actions=threshold_actions(d_max, c.tau_renew, c.thresholds))
         if c.tau_renew == t_max:
-            c.improve(_threshold_evaluate(mdp, policy, ref_state), policy, sweep_cap)
+            c.improve(_threshold_evaluate(mdp, policy), policy, sweep_cap)
         else:
             closed.append((c, policy))
     if closed:
         stack = np.stack([policy.actions for _, policy in closed])
-        evs = _evaluate_stack(mdp, stack, mdp.state_index(ref_state), _renewal_closed_solve)
+        evs = _evaluate_stack(mdp, stack, _renewal_closed_solve)
         for (c, policy), ev in zip(closed, evs):
             c.improve(ev, policy, sweep_cap)
 

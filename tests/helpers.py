@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from wearsched import (
     Action,
-    AgeState,
     ChannelModel,
     DomainError,
     EvaluationError,
@@ -157,6 +157,21 @@ def aoi_next(delta: int, u: int, success: bool, delta_r: int, delta_max: int) ->
     return min(delta + 1, delta_max)
 
 
+class AgeState(NamedTuple):
+    """A grid state as (channel age, information age), both 1-based."""
+
+    tau: int
+    delta: int
+
+
+def state_index(mdp: MdpSpec, s: AgeState) -> int:
+    """Flat row-major index of a grid state."""
+    tau, delta = s
+    if not (1 <= tau <= mdp.trunc.tau_max and 1 <= delta <= mdp.trunc.delta_max):
+        raise DomainError(f"state {s} outside grid {mdp.shape}")
+    return (tau - 1) * mdp.trunc.delta_max + (delta - 1)
+
+
 def states(mdp: MdpSpec) -> Iterator[AgeState]:
     """All grid states in the contractual row-major order."""
     for tau in range(1, mdp.trunc.tau_max + 1):
@@ -165,7 +180,7 @@ def states(mdp: MdpSpec) -> Iterator[AgeState]:
 
 
 def _checked_action(mdp: MdpSpec, s: AgeState, u) -> int:
-    mdp.state_index(s)
+    state_index(mdp, s)
     if u not in (0, 1, 2):
         raise DomainError(f"invalid action {u!r}, expected 0, 1 or 2")
     return int(u)
@@ -210,7 +225,6 @@ def reference_rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> So
     """Reference relative value iteration: ``rvi_solve``'s damped iteration
     and stopping rule on ``reference_q_actions``, every array allocated
     afresh in each iteration."""
-    ref = mdp.state_index(opts.ref_state)
     v = np.zeros(mdp.shape)
     for n in range(1, opts.max_iter + 1):
         q_idle, q_tx, q_renew = q = reference_q_actions(mdp, v)
@@ -219,7 +233,7 @@ def reference_rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> So
         span = hi - lo
         if not np.isfinite(span):
             raise AssertionError("reference RVI produced non-finite values")
-        gain = float(diff.reshape(-1)[ref])
+        gain = float(diff[0, 0])
         if span < max(opts.tol, FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max()))):
             q = np.stack(q, axis=2)
             return SolveResult(
@@ -237,9 +251,7 @@ def reference_rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> So
     raise AssertionError(f"reference RVI did not converge in {opts.max_iter} iterations")
 
 
-def reference_renewal_closed_evaluate(
-    mdp: MdpSpec, actions: np.ndarray, ref: int
-) -> tuple[float, np.ndarray, np.ndarray]:
+def reference_renewal_closed_evaluate(mdp: MdpSpec, actions: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Reference back-substitution over the channel age for one policy that
     renews at every cell of the last channel age: (gain, v, q), with q the
     three Q grids at v that its residual gate reads. Its maps keep every
@@ -293,7 +305,7 @@ def reference_renewal_closed_evaluate(
         if has_tx[t]:
             nxt += hit[t] * v[mdp.tau_tx[t], 0]
         v[t] = cost[t] - gain + nxt
-    v -= v_flat[ref]
+    v -= v_flat[0]
 
     q = np.moveaxis(q_backup(mdp, v), 2, 0)
     rel = float(np.abs(np.choose(actions, q) - v - gain).max() / (1.0 + np.abs(cost).max()))
@@ -302,15 +314,15 @@ def reference_renewal_closed_evaluate(
     return gain, v, q
 
 
-def reference_lu_evaluate(mdp: MdpSpec, actions: np.ndarray, ref: int):
+def reference_lu_evaluate(mdp: MdpSpec, actions: np.ndarray):
     """The sparse LU evaluation of one policy of any kind, through the
     package's gate: the reference the renewal-closed path is checked
     against."""
-    [ev] = _evaluate_stack(mdp, actions[None], ref, _lu_solve)
+    [ev] = _evaluate_stack(mdp, actions[None], _lu_solve)
     return ev
 
 
-def reference_evaluation_matrix(mdp: MdpSpec, actions: np.ndarray, ref: int):
+def reference_evaluation_matrix(mdp: MdpSpec, actions: np.ndarray):
     """Reference assembly of the evaluation system, entry lists by kind
     (diagonals, gains, hits, misses) through COO: the CSC matrix that
     ``_evaluation_matrix`` must equal bit for bit."""
@@ -319,20 +331,57 @@ def reference_evaluation_matrix(mdp: MdpSpec, actions: np.ndarray, ref: int):
     n = mdp.n_states
     hit, miss, p_hit = mdp.successors(actions)
     col_of = np.arange(n, dtype=np.int64)
-    col_of[ref + 1 :] -= 1
+    col_of[1:] -= 1
 
-    diag_keep = np.arange(n) != ref
+    diag_keep = np.arange(n) != 0
     rows = [np.arange(n)[diag_keep], np.arange(n)]
     cols = [col_of[diag_keep], np.full(n, n - 1, dtype=np.int64)]
     data = [np.ones(diag_keep.sum()), np.ones(n)]
     for succ, p in ((hit, p_hit), (miss, 1.0 - p_hit)):
-        keep = (p > 0) & (succ != ref)
+        keep = (p > 0) & (succ != 0)
         rows.append(np.arange(n)[keep])
         cols.append(col_of[succ[keep]])
         data.append(-p[keep])
     return csc_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
+
+
+def reference_exact_evaluate(mdp: MdpSpec, actions: np.ndarray) -> tuple[Fraction, list[Fraction]] | None:
+    """The exact solution of one policy's evaluation system, as floats give
+    it: row s reads v(s) + gain - sum_s' P(s'|s) v(s') = c(s) with
+    v(1, 1) = 0, every float entry is taken as the rational it is, and
+    Gauss-Jordan elimination runs in ``fractions.Fraction``. Returns the gain
+    and the flat row-major values, or None if the system is singular."""
+    n = mdp.n_states
+    hit, miss, p_hit = mdp.successors(actions)
+    cost = mdp.cost_table.reshape(n, 3)[np.arange(n), actions.reshape(-1)]
+    # Columns: v(s) for s = 2 .. n as 0 .. n - 2, the gain, the right side.
+    rows = []
+    for s in range(n):
+        row = {n - 1: Fraction(1), n: Fraction(float(cost[s]))}
+        if s:
+            row[s - 1] = Fraction(1)
+        for succ, p in ((int(hit[s]), float(p_hit[s])), (int(miss[s]), 1.0 - float(p_hit[s]))):
+            if succ and p:
+                row[succ - 1] = row.get(succ - 1, 0) - Fraction(p)
+        rows.append(row)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r].get(col)), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        scale = head[col]
+        head = rows[col] = {j: a / scale for j, a in head.items() if a}
+        for r in range(n):
+            f = rows[r].get(col) if r != col else None
+            if f:
+                row = rows[r]
+                for j, a in head.items():
+                    row[j] = row.get(j, 0) - f * a
+    x = [rows[i].get(n, Fraction(0)) for i in range(n)]
+    return x[n - 1], [Fraction(0)] + x[: n - 1]
 
 
 def reference_threshold_heuristic(
@@ -345,7 +394,6 @@ def reference_threshold_heuristic(
     and a later threshold replaces the best so far only if its gain is lower
     by more than the best's float floor."""
     t_max, d_max = mdp.shape
-    ref = mdp.state_index(opts.ref_state)
 
     def solve_fixed(tau):
         thresholds = [1] * t_max
@@ -354,9 +402,9 @@ def reference_threshold_heuristic(
             seen.add(tuple(thresholds))
             actions = threshold_actions(d_max, tau, thresholds)
             if tau < t_max:
-                gain, v, _ = reference_renewal_closed_evaluate(mdp, actions, ref)
+                gain, v, _ = reference_renewal_closed_evaluate(mdp, actions)
             else:
-                gain, v = reference_lu_evaluate(mdp, actions, ref)
+                gain, v = reference_lu_evaluate(mdp, actions)
             if best is None or gain < best[0]:
                 best = (gain, v, Policy(actions=actions), sweep)
             q_idle, q_tx, _ = np.moveaxis(q_backup(mdp, v), 2, 0)
@@ -380,9 +428,9 @@ BRUTE_FORCE_MAX_STATES = 12
 _ORACLE_CHUNK = 4096  # policies scored per batch
 
 
-def brute_force_optimal(mdp: MdpSpec, start: AgeState = AgeState(1, 1)) -> tuple[float, Policy]:
+def brute_force_optimal(mdp: MdpSpec) -> tuple[float, Policy]:
     """Exhaustive minimum over all deterministic stationary policies, each
-    scored by ``policy_gains`` from ``start``; of equal minima the first in
+    scored by ``policy_gains`` from state (1, 1); of equal minima the first in
     ``itertools.product((0, 1, 2), repeat=n)`` order wins. Guarded to tiny
     grids (the enumeration has 3^n policies)."""
     n = mdp.n_states
@@ -391,12 +439,11 @@ def brute_force_optimal(mdp: MdpSpec, start: AgeState = AgeState(1, 1)) -> tuple
             f"brute-force enumeration is limited to {BRUTE_FORCE_MAX_STATES} states "
             f"(3^n policies); grid has {n}"
         )
-    s0 = mdp.state_index(start)
     digits = 3 ** np.arange(n - 1, -1, -1)
     best_gain, best = np.inf, None
     for lo in range(0, 3**n, _ORACLE_CHUNK):
         assignments = np.arange(lo, min(lo + _ORACLE_CHUNK, 3**n))[:, None] // digits % 3
-        gains = policy_gains(mdp, assignments, s0)
+        gains = policy_gains(mdp, assignments, 0)
         i = int(np.argmin(gains))
         if gains[i] < best_gain:
             best_gain, best = float(gains[i]), assignments[i]
@@ -563,19 +610,18 @@ def scalar_write_q_csv(path, q: np.ndarray) -> None:
 def scalar_simulate(
     mdp: MdpSpec,
     policy: Policy,
-    s0: AgeState = AgeState(1, 1),
     epochs: int = 100_000,
     seed: int = 0,
     stream: int = 0,
 ) -> SimStats:
-    """Reference simulator: one pass over all epochs with numpy-scalar reads
-    of the draws and stores into the trajectory, then full-length
-    post-processing of the trajectory and an fsum over the cost array."""
+    """Reference simulator: one pass over all epochs from state (1, 1) with
+    numpy-scalar reads of the draws and stores into the trajectory, then
+    full-length post-processing of the trajectory and an fsum over the cost
+    array."""
     if epochs < 1:
         raise DomainError(f"epochs must be >= 1, got {epochs}")
     if policy.shape != mdp.shape:
         raise DomainError(f"policy grid {policy.shape} does not match MDP grid {mdp.shape}")
-    start = mdp.state_index(s0)
     rng = replication_rng(seed, stream)
 
     n = mdp.n_states
@@ -589,7 +635,7 @@ def scalar_simulate(
     is_tx = (act_flat == Action.TRANSMIT).tolist()
     draws = rng.random(epochs)
     traj = np.empty(epochs, dtype=np.int64)
-    s = start
+    s = 0
     for t in range(epochs):
         traj[t] = s
         if is_tx[s] and draws[t] < theta[s]:

@@ -148,6 +148,33 @@ class TestSolve:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "override, field",
+        [("truncation.tau_max=5", "truncation.tau_max"), ("truncation.delta_max=15", "truncation.delta_max")],
+    )
+    def test_grid_without_headroom_exit_2(self, tmp_path, capsys, override, field):
+        # benchmark-marginal's wear step (tau_d = 6) and renewal downtime
+        # (delta_r = 15) need 7 channel and 16 information ages.
+        out = tmp_path / "x"
+        code, payload = run_cli(
+            capsys, "solve", "--config", CONFIG_DIR / "benchmark-marginal.yaml", "--out", out, "--set", override
+        )
+        assert code == 2
+        assert payload["error"]["kind"] == "config"
+        assert payload["error"]["field"] == field
+        assert "headroom" in payload["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", ["solver.ref_state=[1, 1]", "output.formats=[csv]"])
+    def test_removed_keys_exit_2(self, cfg_path, tmp_path, capsys, override):
+        # Relative values are anchored at (1, 1), and the CSVs always written.
+        code, payload = run_cli(capsys, "solve", "--config", cfg_path, "--out", tmp_path / "x", "--set", override)
+        assert code == 2
+        assert payload["error"]["kind"] == "config"
+        assert payload["error"]["field"] == override.split("=")[0]
+        assert payload["error"]["message"].endswith("unknown key")
+
+
 class TestVerify:
     def test_solves_then_checks(self, cfg_path, tmp_path, capsys):
         code, payload = run_cli(capsys, "verify", "--config", cfg_path, "--out", tmp_path / "v")
@@ -330,6 +357,21 @@ class TestSweep:
         )
         assert code == 5  # per-point failures recorded, sweep completes
         assert not payload["points"]["0.9"]["ok"]
+
+    def test_point_without_headroom_is_its_config_error(self, cfg_path, tmp_path, capsys):
+        # tau_max = 30 leaves room for a wear step of 6 but not of 40: that
+        # point records its configuration error, and the other is solved.
+        code, payload = run_cli(
+            capsys, "sweep", "--config", cfg_path, "--out", tmp_path / "sw",
+            "--axis", "tau_d", "--values", "40,6",
+        )
+        assert code == 5
+        assert payload["points"]["6"]["ok"]
+        failed = payload["points"]["40"]
+        assert not failed["ok"]
+        assert failed["error"].startswith("ConfigError: truncation.tau_max: ")
+        assert "headroom" in failed["error"]
+        assert (tmp_path / "sw" / "tau_d=6" / "policy.csv").exists()
 
     def test_parallel_jobs(self, cfg_path, tmp_path, capsys):
         # beta=0.9 finishes first, yet the points are listed in --values order.

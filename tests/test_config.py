@@ -3,7 +3,7 @@ import pytest
 import yaml
 
 from helpers import ECHO_CONFIGS
-from wearsched import AgeState, ConfigError
+from wearsched import ConfigError
 from wearsched.config import OUTPUT_DIR_ENV, load_config, validate_config_dict
 
 BASE = """
@@ -31,9 +31,7 @@ def test_minimal_config_defaults(tmp_path):
     cfg = load_config(write(tmp_path, BASE))
     assert cfg.solver.method == "rvi"
     assert cfg.solver.tol == 1e-9
-    assert cfg.solver.ref_state == AgeState(1, 1)
     assert cfg.simulate.epochs == 100_000
-    assert cfg.output.formats == ("csv", "json")
 
 
 def test_benchmark_family_matrices(tmp_path):
@@ -88,11 +86,10 @@ def test_theta_order_names_field(tmp_path):
 def test_overrides(tmp_path):
     cfg = load_config(
         write(tmp_path, BASE),
-        overrides=["channel.alpha=0.05", "system.beta=1.1", "solver.ref_state=[2, 3]"],
+        overrides=["channel.alpha=0.05", "system.beta=1.1"],
     )
     assert cfg.build_channel().alpha == 0.05
     assert cfg.system["beta"] == 1.1
-    assert cfg.solver.ref_state == AgeState(2, 3)
 
 
 def test_bad_override_shape(tmp_path):
@@ -100,10 +97,25 @@ def test_bad_override_shape(tmp_path):
         load_config(write(tmp_path, BASE), overrides=["no-equals-sign"])
 
 
-def test_ref_state_outside_grid(tmp_path):
-    with pytest.raises(ConfigError) as exc_info:
-        load_config(write(tmp_path, BASE), overrides=["solver.ref_state=[31, 1]"])
-    assert exc_info.value.field == "solver.ref_state"
+@pytest.mark.parametrize(
+    "override, field, need",
+    [
+        ("truncation.tau_max=6", "truncation.tau_max", 7),  # tau_d = 6
+        ("truncation.delta_max=15", "truncation.delta_max", 16),  # delta_r = 15
+        ("channel.tau_d=30", "truncation.tau_max", 31),
+        ("channel.delta_r=30", "truncation.delta_max", 31),
+    ],
+)
+def test_grid_without_headroom_names_its_bound(tmp_path, override, field, need):
+    with pytest.raises(ConfigError, match="headroom") as exc_info:
+        load_config(write(tmp_path, BASE), overrides=[override])
+    assert exc_info.value.field == field
+    assert f"need >= {need}" in str(exc_info.value)
+
+
+def test_grid_with_exact_headroom_is_accepted(tmp_path):
+    cfg = load_config(write(tmp_path, BASE), overrides=["truncation.tau_max=7", "truncation.delta_max=16"])
+    assert cfg.build_truncation().n_states == 7 * 16
 
 
 def test_tau_renew_beyond_grid(tmp_path):

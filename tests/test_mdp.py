@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    AgeState,
     aoc_next,
     aoi_next,
     benchmark_channel,
@@ -12,9 +13,10 @@ from helpers import (
     eventually_reachable,
     scalar_cost,
     scalar_transitions,
+    state_index,
     states,
 )
-from wearsched import Action, AgeState, DomainError, Truncation, build_mdp
+from wearsched import Action, DomainError, Truncation, build_mdp
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +163,7 @@ class TestKernel:
         hit, miss, p_hit = mdp.successors(actions)
         order = list(states(mdp))
         for s in order:
-            i = mdp.state_index(s)
+            i = state_index(mdp, s)
             branches = [(hit[i], p_hit[i]), (miss[i], 1.0 - p_hit[i])]
             got = [(order[j], float(p)) for j, p in branches if p > 0]
             assert got == scalar_transitions(mdp, s, int(actions[s.tau - 1, s.delta - 1]))
@@ -203,22 +205,16 @@ class TestGridLayout:
         assert order[0] == AgeState(1, 1)
         assert order[1] == AgeState(1, 2)
         assert order[mdp.trunc.delta_max] == AgeState(2, 1)
+        # The kernel's flat index is row-major: idle moves state i, at
+        # (tau, delta), to (tau + 1, delta + 1), clamped.
+        (t_max, d_max), (_, miss, _) = mdp.shape, mdp.successors(np.zeros(mdp.shape, dtype=np.int8))
         for i in (0, 57, 841, mdp.n_states - 1):
-            assert mdp.state_index(order[i]) == i
+            assert miss[i] == min(order[i].tau, t_max - 1) * d_max + min(order[i].delta, d_max - 1)
 
-    def test_headroom_enforced(self):
-        with pytest.raises(DomainError, match="headroom"):
-            build_mdp(benchmark_system(0.9), benchmark_channel(tau_d=6), Truncation(4, 40))
-        with pytest.raises(DomainError, match="headroom"):
-            build_mdp(benchmark_system(0.9), benchmark_channel(delta_r=15), Truncation(40, 10))
-
-    def test_headroom_can_be_waived(self):
-        mdp = build_mdp(
-            benchmark_system(0.9),
-            benchmark_channel(tau_d=2, delta_r=2),
-            Truncation(1, 1),
-            require_headroom=False,
-        )
+    def test_builds_a_grid_without_headroom(self):
+        # Headroom is a configuration check (test_config); the library builds
+        # any grid.
+        mdp = build_mdp(benchmark_system(0.9), benchmark_channel(tau_d=2, delta_r=2), Truncation(1, 1))
         assert mdp.n_states == 1
         # With full clamping every action self-loops.
         for u in (0, 1, 2):

@@ -19,7 +19,6 @@ from helpers import (
 )
 from wearsched import (
     Action,
-    AgeState,
     DomainError,
     Policy,
     SolveOptions,
@@ -53,7 +52,7 @@ class TestSimulate:
         mdp = perfect_channel_mdp
         # Power-of-two epoch count: the exactly-rounded mean of identical
         # costs is bit-exact.
-        stats = simulate(mdp, transmit_always(mdp.trunc), s0=AgeState(1, 1), epochs=512, seed=3)
+        stats = simulate(mdp, transmit_always(mdp.trunc), epochs=512, seed=3)
         # Every transmission succeeds, so every epoch costs the age-1 MSE.
         assert stats.per_epoch_avg_cost == mdp.mse.at(1)
         assert stats.per_slot_avg_cost == mdp.mse.at(1)
@@ -110,8 +109,6 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(mdp, pol, epochs=0, seed=1)
         with pytest.raises(DomainError):
-            simulate(mdp, pol, s0=AgeState(77, 1), epochs=10, seed=1)
-        with pytest.raises(DomainError):
             simulate(mdp, transmit_always(Truncation(3, 3)), epochs=10, seed=1)
 
     def test_rng_validation(self):
@@ -163,24 +160,21 @@ class TestMatchesScalarLoop:
         curve=st.sampled_from(["dead", "perfect", "decaying", "tie"]),
         seed=st.integers(0, 2**64 - 1),
         stream=st.integers(0, 3),
-        data=st.data(),
     )
-    def test_bit_identical(self, epochs, tau_max, delta_max, tau_d, delta_r, curve, seed, stream, data):
+    def test_bit_identical(self, epochs, tau_max, delta_max, tau_d, delta_r, curve, seed, stream):
         # "tie": the reliability equals the first uniform of the replication,
-        # so a transmission from s0 must fail (success needs u < theta).
+        # so a transmission from (1, 1) must fail (success needs u < theta).
         u0 = replication_rng(seed, stream).random()
         theta = {"dead": (0.0, 0.0), "perfect": (1.0, 1.0), "decaying": (0.95, 0.1), "tie": (u0, u0)}[curve]
         mdp = build_mdp(
             benchmark_system(0.9),
             benchmark_channel(0.3, tau_d, delta_r, *theta),
             Truncation(tau_max, delta_max),
-            require_headroom=False,
         )
         actions = np.random.default_rng(seed).integers(0, 3, size=mdp.shape).astype(np.int8)
         policy = Policy(actions=actions)
-        s0 = AgeState(data.draw(st.integers(1, tau_max)), data.draw(st.integers(1, delta_max)))
-        got = simulate(mdp, policy, s0, epochs, seed, stream)
-        assert sim_stats_equal(got, scalar_simulate(mdp, policy, s0, epochs, seed, stream))
+        got = simulate(mdp, policy, epochs, seed, stream)
+        assert sim_stats_equal(got, scalar_simulate(mdp, policy, epochs, seed, stream))
 
     # Chunks of 7 draws: a batch of more than 7 epochs spans several passes,
     # and its last pass is short.
@@ -197,14 +191,12 @@ class TestMatchesScalarLoop:
             benchmark_system(0.9),
             benchmark_channel(0.3, 3, 4, 0.95, 0.1),
             Truncation(tau_max, delta_max),
-            require_headroom=False,
         )
         policy = Policy(actions=np.random.default_rng(seed).integers(0, 3, size=mdp.shape).astype(np.int8))
-        s0 = AgeState(tau_max, 1)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "CHUNK", 7)
-            got = simulate(mdp, policy, s0, epochs, seed, stream)
-        assert sim_stats_equal(got, scalar_simulate(mdp, policy, s0, epochs, seed, stream))
+            got = simulate(mdp, policy, epochs, seed, stream)
+        assert sim_stats_equal(got, scalar_simulate(mdp, policy, epochs, seed, stream))
 
     # Costs that send the total to fsum itself: each visited state's cost is
     # at least 2**1000 / epochs in magnitude or infinite, and with both signs
@@ -224,7 +216,6 @@ class TestMatchesScalarLoop:
             benchmark_system(0.9),
             benchmark_channel(0.3, 3, 4, 0.95, 0.1),
             Truncation(4, 4),
-            require_headroom=False,
         )
         mdp = dataclasses.replace(mdp, cost_table=np.array(huge).reshape(4, 4, 3))
         policy = Policy(actions=np.random.default_rng(seed).integers(0, 3, size=mdp.shape).astype(np.int8))
@@ -232,12 +223,12 @@ class TestMatchesScalarLoop:
         with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "CHUNK", 7)
             try:
-                expected = scalar_simulate(mdp, policy, AgeState(1, 1), epochs, seed)
+                expected = scalar_simulate(mdp, policy, epochs, seed)
             except (OverflowError, ValueError) as exc:
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    simulate(mdp, policy, AgeState(1, 1), epochs, seed)
+                    simulate(mdp, policy, epochs, seed)
                 return
-            assert sim_stats_equal(simulate(mdp, policy, AgeState(1, 1), epochs, seed), expected)
+            assert sim_stats_equal(simulate(mdp, policy, epochs, seed), expected)
 
     def test_fsum_fallback_in_epoch_order(self):
         # One channel age and a perfect channel: idle at information age 1,
@@ -247,7 +238,6 @@ class TestMatchesScalarLoop:
             benchmark_system(0.9),
             benchmark_channel(0.3, 3, 4, 1.0, 1.0),
             Truncation(1, 3),
-            require_headroom=False,
         )
         m = 1.7e308
         costs = np.zeros((1, 3, 3))
@@ -258,8 +248,8 @@ class TestMatchesScalarLoop:
         with pytest.raises(OverflowError):
             math.fsum(sorted([m, -m, m, -m, m]))
         with np.errstate(over="ignore", invalid="ignore"):
-            got = simulate(mdp, policy, AgeState(1, 1), 5, 0)
-            assert sim_stats_equal(got, scalar_simulate(mdp, policy, AgeState(1, 1), 5, 0))
+            got = simulate(mdp, policy, 5, 0)
+            assert sim_stats_equal(got, scalar_simulate(mdp, policy, 5, 0))
         assert got.per_epoch_avg_cost == m / 5
 
     def test_memory_independent_of_epochs(self):
@@ -281,10 +271,10 @@ class TestMatchesScalarLoop:
         mdp = build_mdp(
             benchmark_system(0.9), benchmark_channel(theta_max=u0, theta_min=u0), Truncation(30, 30)
         )
-        stats = simulate(mdp, transmit_always(mdp.trunc), AgeState(1, 1), epochs=2, seed=5)
+        stats = simulate(mdp, transmit_always(mdp.trunc), epochs=2, seed=5)
         # The second epoch sits at information age 2, not back at 1.
         assert stats.aoi_histogram[:2].tolist() == [1, 1]
-        assert sim_stats_equal(stats, scalar_simulate(mdp, transmit_always(mdp.trunc), AgeState(1, 1), 2, 5))
+        assert sim_stats_equal(stats, scalar_simulate(mdp, transmit_always(mdp.trunc), 2, 5))
 
     def test_pinned_benchmark_marginal(self):
         # benchmark-marginal at 40x40 under its SPI policy, seed 2024, as

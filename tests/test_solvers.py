@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    AgeState,
     BRUTE_FORCE_MAX_STATES,
     action_at,
     benchmark_channel,
@@ -20,6 +22,7 @@ from helpers import (
     eventually_reachable,
     policy_gains,
     reference_evaluation_matrix,
+    reference_exact_evaluate,
     reference_lu_evaluate,
     reference_q_actions,
     reference_renewal_closed_evaluate,
@@ -33,7 +36,6 @@ from helpers import (
 )
 from wearsched import (
     Action,
-    AgeState,
     ConvergenceError,
     DomainError,
     EvaluationError,
@@ -97,7 +99,6 @@ def _drawn_mdp(tau_max, delta_max, theta, beta, restricted, tau_costs, data):
         benchmark_system(beta),
         benchmark_channel(0.1, tau_d, delta_r, *theta),
         Truncation(tau_max + extra, delta_max + extra),
-        require_headroom=False,
     )
     if restricted:
         mdp = mdp.restrict(tau_max, delta_max)
@@ -149,7 +150,6 @@ class TestQBackup:
             benchmark_system(0.9),
             benchmark_channel(0.3, tau_d, delta_r, *theta),
             Truncation(tau_max, delta_max),
-            require_headroom=False,
         )
         v = np.random.default_rng(seed).normal(scale=1e3, size=mdp.shape)
         expected = np.empty(mdp.shape + (3,))
@@ -184,7 +184,6 @@ class TestSliceBackup:
             benchmark_system(1.0),
             benchmark_channel(0.1, tau_d, delta_r, *theta),
             Truncation(tau_max + extra, delta_max + extra),
-            require_headroom=False,
         )
         if restricted:
             mdp = mdp.restrict(tau_max, delta_max)
@@ -223,7 +222,7 @@ class TestSliceBackup:
         # slow-decay-long-renewal's downtime of 40 leaves no headroom at 40².
         cfg = load_config(CONFIG_DIR / f"{name}.yaml")
         mdp = build_mdp(
-            cfg.build_system(), cfg.build_channel(), Truncation(40, 40), require_headroom=False
+            cfg.build_system(), cfg.build_channel(), Truncation(40, 40)
         )
         opts = cfg.solver.options()
         res, ref = rvi_solve(mdp, opts), reference_rvi_solve(mdp, opts)
@@ -313,13 +312,6 @@ class TestRvi:
         fresh = q_backup(mdp, res.v).min(axis=2)
         assert np.abs(fresh - res.v - res.gain).max() < 10 * 1e-10
 
-    def test_reference_state_independence(self, small_case):
-        mdp = small_case.mdp
-        tol = 1e-10
-        a = rvi_solve(mdp, SolveOptions(tol=tol, ref_state=AgeState(1, 1)))
-        b = rvi_solve(mdp, SolveOptions(tol=tol, ref_state=AgeState(17, 23)))
-        assert abs(a.gain - b.gain) < 10 * tol
-
     def test_greedy_consistency(self, small_case):
         res = small_case.rvi
         np.testing.assert_array_equal(res.policy.actions, np.argmin(res.q, axis=2))
@@ -342,7 +334,6 @@ class TestRvi:
             benchmark_system(beta),
             benchmark_channel(0.3, tau_d, delta_r, *theta),
             Truncation(tau_max, delta_max),
-            require_headroom=False,
         )
         rvi = rvi_solve(mdp)
         spi = structured_policy_iteration(mdp)
@@ -479,7 +470,7 @@ class TestPolicyEvaluate:
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            _evaluate_stack(mdp, policy.actions[None], 0, _lu_solve)
+            _evaluate_stack(mdp, policy.actions[None], _lu_solve)
         finally:
             tracemalloc.stop()
         [(live, system_bytes)] = calls
@@ -505,9 +496,8 @@ class TestPolicyEvaluate:
         mdp = _drawn_mdp(*shape, theta, 1.0, restricted, False, data)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         actions = rng.integers(0, 3, size=shape).astype(np.int8)
-        ref = data.draw(st.integers(0, mdp.n_states - 1))
-        m = solvers._evaluation_matrix(mdp, actions, ref)
-        expected = reference_evaluation_matrix(mdp, actions, ref)
+        m = solvers._evaluation_matrix(mdp, actions)
+        expected = reference_evaluation_matrix(mdp, actions)
         assert m.format == "csc"
         assert m.indptr.tobytes() == expected.indptr.tobytes()
         assert m.indices.dtype == expected.indices.dtype
@@ -531,21 +521,20 @@ class TestPolicyEvaluate:
         actions = rng.integers(0, 3, size=shape).astype(np.int8)
         if closed:  # renewal-closed, so policy_evaluate takes the other path
             actions[-1] = Action.RENEW
-        ref = data.draw(st.integers(0, mdp.n_states - 1))
         try:
-            ev = policy_evaluate(mdp, Policy(actions=actions), AgeState(ref // shape[1] + 1, ref % shape[1] + 1))
+            ev = policy_evaluate(mdp, Policy(actions=actions))
         except EvaluationError:
             ev = None
         else:
             assert ev.q.tobytes() == np.moveaxis(q_backup(mdp, ev.v), 2, 0).tobytes()
         try:
-            [gain], [v], _ = _lu_solve(mdp, actions[None], ref)
+            [gain], [v], _ = _lu_solve(mdp, actions[None])
         except EvaluationError:  # exactly singular
             return
         gated = np.choose(actions, np.moveaxis(q_backup(mdp, v), 2, 0)) - v - gain
         cost = mdp.cost_table.reshape(-1, 3)[np.arange(mdp.n_states), actions.reshape(-1)]
-        x = np.append(np.delete(v.reshape(-1), ref), gain)
-        system = cost - solvers._evaluation_matrix(mdp, actions, ref) @ x
+        x = np.append(v.reshape(-1)[1:], gain)
+        system = cost - solvers._evaluation_matrix(mdp, actions) @ x
         slack = 4 * np.spacing(np.abs(v).max() + abs(gain) + np.abs(cost).max())
         assert np.abs(gated.reshape(-1) - system).max() <= slack
         if not closed:
@@ -566,11 +555,11 @@ class TestPolicyEvaluate:
         )
         mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
         actions = np.full(mdp.shape, action, dtype=np.int8)
-        solvers._evaluation_matrix(mdp, actions, 0)  # warm the imports
+        solvers._evaluation_matrix(mdp, actions)  # warm the imports
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            m = solvers._evaluation_matrix(mdp, actions, 0)
+            m = solvers._evaluation_matrix(mdp, actions)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -581,20 +570,20 @@ class TestPolicyEvaluate:
             policy_evaluate(small_case.mdp, Policy(actions=np.zeros((3, 3), dtype=np.int8)))
 
 
-def assert_agrees_with_lu(mdp, actions, ref_state=AgeState(1, 1)):
+def assert_agrees_with_lu(mdp, actions):
     """``policy_evaluate`` of a renewal-closed policy refuses what the sparse
     LU path refuses, and otherwise agrees with it to 1e-12 relative: the
     gain, and v against max|v|."""
     try:
-        lu_gain, lu_v = reference_lu_evaluate(mdp, actions, mdp.state_index(ref_state))
+        lu_gain, lu_v = reference_lu_evaluate(mdp, actions)
     except EvaluationError:
         with pytest.raises(EvaluationError):
-            policy_evaluate(mdp, Policy(actions=actions), ref_state)
+            policy_evaluate(mdp, Policy(actions=actions))
         return
-    gain, v = policy_evaluate(mdp, Policy(actions=actions), ref_state)
+    gain, v = policy_evaluate(mdp, Policy(actions=actions))
     assert abs(gain - lu_gain) <= 1e-12 * abs(lu_gain)
     assert np.abs(v - lu_v).max() <= 1e-12 * np.abs(lu_v).max()
-    assert v[ref_state.tau - 1, ref_state.delta - 1] == 0.0
+    assert v[0, 0] == 0.0
 
 
 class TestRenewalClosedEvaluation:
@@ -626,12 +615,10 @@ class TestRenewalClosedEvaluation:
             benchmark_system(beta),
             benchmark_channel(0.1, tau_d, delta_r, *theta),
             Truncation(tau_max + extra, delta_max + extra),
-            require_headroom=False,
         )
         if restricted:
             mdp = mdp.restrict(tau_max, delta_max)
         tau_renew = data.draw(st.integers(0, tau_max - 1))
-        ref = AgeState(data.draw(st.integers(1, tau_max)), data.draw(st.integers(1, delta_max)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         if data.draw(st.booleans()):
             transmit_from = rng.integers(0, tau_max + 1, size=delta_max)
@@ -642,7 +629,7 @@ class TestRenewalClosedEvaluation:
         else:
             thresholds = np.sort(rng.integers(1, delta_max + 2, size=tau_max))[::-1]
             actions = threshold_actions(delta_max, tau_renew, thresholds)
-        assert_agrees_with_lu(mdp, actions, ref)
+        assert_agrees_with_lu(mdp, actions)
 
     def test_multichain_policy_raises(self):
         # A perfect channel with two closed cycles of different cost: the
@@ -768,19 +755,17 @@ class TestOpenRenewalEvaluation:
             actions = _open_policy(rng, shape)
         else:
             actions = _never_renewing_policy(rng, shape, family)
-        ref = data.draw(st.integers(0, mdp.n_states - 1))
-        ref_state = AgeState(ref // shape[1] + 1, ref % shape[1] + 1)
         try:
-            lu = reference_lu_evaluate(mdp, actions, ref)
+            lu = reference_lu_evaluate(mdp, actions)
         except EvaluationError:
             with pytest.raises(EvaluationError):
-                policy_evaluate(mdp, Policy(actions=actions), ref_state)
+                policy_evaluate(mdp, Policy(actions=actions))
             return
-        gain, v = policy_evaluate(mdp, Policy(actions=actions), ref_state)
+        gain, v = policy_evaluate(mdp, Policy(actions=actions))
         scale = np.abs(lu.v).max() + abs(lu.gain)
         assert abs(gain - lu.gain) <= 1e-12 * scale
         assert np.abs(v - lu.v).max() <= 1e-12 * scale
-        assert v.reshape(-1)[ref] == 0.0
+        assert v[0, 0] == 0.0
 
     def test_never_renewing_multichain_policy_is_refused_by_both_paths(self):
         # On a perfect channel (4, 1) transmits onto itself and the rest of
@@ -788,12 +773,11 @@ class TestOpenRenewalEvaluation:
         # classes.
         mdp = build_mdp(
             benchmark_system(0.9), benchmark_channel(0.3, 2, 2, 1.0, 1.0), Truncation(4, 4),
-            require_headroom=False,
         )
         actions = np.zeros(mdp.shape, dtype=np.int8)
         actions[-1, 0] = Action.TRANSMIT
         with pytest.raises(EvaluationError):
-            reference_lu_evaluate(mdp, actions, 0)
+            reference_lu_evaluate(mdp, actions)
         with pytest.raises(EvaluationError):
             policy_evaluate(mdp, Policy(actions=actions))
 
@@ -810,7 +794,7 @@ class TestOpenRenewalEvaluation:
         write_policy_csv(tmp_path / "policy.csv", Policy(actions=actions))
         digest = hashlib.sha256((tmp_path / "policy.csv").read_bytes()).hexdigest()
         assert digest == "57b5221deb6bce1540d56a135b1fa50607d4c236e11445b6db16176951a22e0e"
-        lu = reference_lu_evaluate(mdp, actions, 0)
+        lu = reference_lu_evaluate(mdp, actions)
         gain, v = policy_evaluate(mdp, Policy(actions=actions))
         assert abs(gain - lu.gain) <= 2 * np.spacing(lu.gain)
         assert np.abs(v - lu.v).max() <= 1e-12 * (np.abs(lu.v).max() + abs(lu.gain))
@@ -833,7 +817,6 @@ class TestOpenRenewalEvaluation:
         # raises EvaluationError with the border's condition estimate.
         mdp = build_mdp(
             benchmark_system(0.9), benchmark_channel(0.3, 2, 2, *theta), Truncation(*np.shape(actions)),
-            require_headroom=False,
         )
         estimates = []
         dense_condition = solvers._dense_condition
@@ -865,17 +848,62 @@ class TestOpenRenewalEvaluation:
             actions[-1] = Action.RENEW
         else:
             actions = rng.integers(0, 2, size=shape).astype(np.int8)
-        ref = data.draw(st.integers(0, mdp.n_states - 1))
         try:
-            [expected] = _evaluate_stack(mdp, actions[None], ref, _renewal_closed_solve)
+            [expected] = _evaluate_stack(mdp, actions[None], _renewal_closed_solve)
         except EvaluationError:
             with pytest.raises(EvaluationError):
-                policy_evaluate(mdp, Policy(actions=actions), AgeState(ref // shape[1] + 1, ref % shape[1] + 1))
+                policy_evaluate(mdp, Policy(actions=actions))
             return
-        ev = policy_evaluate(mdp, Policy(actions=actions), AgeState(ref // shape[1] + 1, ref % shape[1] + 1))
+        ev = policy_evaluate(mdp, Policy(actions=actions))
         assert np.float64(ev.gain).tobytes() == np.float64(expected.gain).tobytes()
         assert ev.v.tobytes() == expected.v.tobytes()
         assert ev.q.tobytes() == expected.q.tobytes()
+
+
+class TestExactReference:
+    """``policy_evaluate`` against the exact rational solution of the float
+    evaluation system (``reference_exact_evaluate``) on grids of 1 to 5 ages."""
+
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(1, 5), st.sampled_from([1, 2])),
+            st.tuples(st.sampled_from([1, 2]), st.integers(1, 5)),
+            st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        ),
+        theta=st.sampled_from(["dead", "perfect", "decaying", "random"]),
+        family=st.sampled_from(["closed", "open", "idle", "transmit", "never"]),
+        restricted=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=400)
+    def test_matches_the_exact_solution(self, shape, theta, family, restricted, data):
+        # A system is refused exactly when it is singular, and otherwise
+        # solved to within kappa * eps of max|v| + |g|, kappa the system's
+        # 1-norm condition number: with a reliability drawn per channel age
+        # kappa reaches 1e7, and the error 1.7e-13 at kappa = 1.9e4.
+        curve = {"dead": (0.0, 0.0), "perfect": (1.0, 1.0), "decaying": (0.99, 0.0), "random": (0.5, 0.5)}[theta]
+        mdp = _drawn_mdp(*shape, curve, 1.0, restricted, False, data)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if theta == "random":
+            mdp = dataclasses.replace(mdp, theta=rng.uniform(0.0, 1.0, shape[0]))
+        if family == "closed":
+            actions = _renewal_closed_policy(rng, *shape, data.draw(st.integers(0, shape[0] - 1)))
+        elif family == "open":
+            actions = _open_policy(rng, shape)
+        else:
+            actions = _never_renewing_policy(rng, shape, family)
+        exact = reference_exact_evaluate(mdp, actions)
+        if exact is None:
+            with pytest.raises(EvaluationError):
+                policy_evaluate(mdp, Policy(actions=actions))
+            return
+        gain, v = policy_evaluate(mdp, Policy(actions=actions))
+        exact_gain, exact_v = exact
+        err = max(abs(Fraction(x) - y) for x, y in zip([gain, *v.reshape(-1).tolist()], [exact_gain, *exact_v]))
+        kappa = np.linalg.cond(reference_evaluation_matrix(mdp, actions).toarray(), 1)
+        scale = abs(exact_gain) + max(map(abs, exact_v))
+        assert err <= Fraction(kappa * np.finfo(float).eps) * scale
+        assert v[0, 0] == 0.0
 
 
 class TestBatchedRenewalClosedEvaluation:
@@ -897,17 +925,16 @@ class TestBatchedRenewalClosedEvaluation:
         # renew blocks start at different rows and the batch's shared ring
         # and block top exceed most members' own.
         mdp = _drawn_mdp(tau_max, delta_max, theta, beta, restricted, tau_costs, data)
-        ref = mdp.state_index(AgeState(data.draw(st.integers(1, tau_max)), data.draw(st.integers(1, delta_max))))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         taus = data.draw(st.lists(st.integers(0, tau_max - 1), min_size=1, max_size=6))
         stack = np.stack([_renewal_closed_policy(rng, tau_max, delta_max, tau) for tau in taus])
         try:
-            expected = [reference_renewal_closed_evaluate(mdp, a, ref) for a in stack]
+            expected = [reference_renewal_closed_evaluate(mdp, a) for a in stack]
         except EvaluationError:
             with pytest.raises(EvaluationError):
-                _evaluate_stack(mdp, stack, ref, _renewal_closed_solve)
+                _evaluate_stack(mdp, stack, _renewal_closed_solve)
             return
-        got = _evaluate_stack(mdp, stack, ref, _renewal_closed_solve)
+        got = _evaluate_stack(mdp, stack, _renewal_closed_solve)
         assert len(got) == len(stack)
         for ev, (gain, v, q) in zip(got, expected):
             assert np.float64(ev.gain).tobytes() == np.float64(gain).tobytes()
@@ -926,10 +953,10 @@ class TestBatchedRenewalClosedEvaluation:
         multichain[:-1, -1] = Action.IDLE
         multichain[0, 2] = Action.TRANSMIT
         unichain = threshold_actions(5, 3, [2] * 5)
-        for ev in _evaluate_stack(mdp, np.stack([unichain, unichain]), 0, _renewal_closed_solve):
+        for ev in _evaluate_stack(mdp, np.stack([unichain, unichain]), _renewal_closed_solve):
             assert np.isfinite(ev.gain)
         with pytest.raises(EvaluationError) as exc_info:
-            _evaluate_stack(mdp, np.stack([unichain, multichain, unichain]), 0, _renewal_closed_solve)
+            _evaluate_stack(mdp, np.stack([unichain, multichain, unichain]), _renewal_closed_solve)
         assert exc_info.value.condition_estimate > 1e8
 
     def test_batch_size_bounds_the_working_set(self):
@@ -972,7 +999,6 @@ class TestStructuredPolicyIteration:
             benchmark_system(0.5),
             benchmark_channel(tau_d=10, delta_r=5, theta_max=0.0, theta_min=0.0),
             Truncation(5, 4),
-            require_headroom=False,
         )
         idle = np.zeros(mdp.shape, dtype=np.int8)
         transmit = idle.copy()
@@ -1031,8 +1057,6 @@ class TestContinuation:
         # Four renewal downtimes of information age: delta_r = 40 needs 160.
         mdp = benchmark_mdp(1.0, alpha=0.05, delta_r=40, grid=320)
         assert _continuation_grids(mdp) == [(160, 160), (320, 320)]
-        # A coarse grid must contain the reference state.
-        assert _continuation_grids(benchmark_mdp(1.0, grid=160), AgeState(81, 1)) == [(160, 160)]
 
     def test_benchmark_marginal_160_is_bit_equal_to_a_single_level_solve(self):
         mdp, opts = _shipped_mdp("benchmark-marginal", 160)
@@ -1078,10 +1102,10 @@ class TestContinuation:
     def test_evaluation_failure_at_any_level_propagates(self, monkeypatch, failing_grid):
         evaluate = solvers.policy_evaluate
 
-        def failing(mdp, policy, ref_state=AgeState(1, 1)):
+        def failing(mdp, policy):
             if mdp.shape == (failing_grid, failing_grid):
                 raise EvaluationError("injected", condition_estimate=float("inf"))
-            return evaluate(mdp, policy, ref_state)
+            return evaluate(mdp, policy)
 
         monkeypatch.setattr(solvers, "CONTINUATION_FLOOR", 16)
         monkeypatch.setattr(solvers, "policy_evaluate", failing)
@@ -1106,7 +1130,6 @@ class TestBruteForce:
             benchmark_system(beta),
             benchmark_channel(alpha, tau_d, delta_r, theta_max, theta_min),
             Truncation(tau_max, delta_max),
-            require_headroom=False,
         )
         bf_gain, _ = brute_force_optimal(mdp)
         rvi = rvi_solve(mdp, SolveOptions(tol=1e-12, max_iter=10**6))
@@ -1119,7 +1142,6 @@ class TestBruteForce:
             benchmark_system(0.9),
             benchmark_channel(tau_d=2, delta_r=2),
             Truncation(1, 1),
-            require_headroom=False,
         )
         gain, policy = brute_force_optimal(mdp)
         assert gain == pytest.approx(mdp.mse.at(1), rel=1e-12)
@@ -1143,7 +1165,6 @@ class TestBruteForce:
             benchmark_system(0.9),
             benchmark_channel(0.3, 2, 3, *theta),
             Truncation(tau_max, delta_max),
-            require_headroom=False,
         )
         n = mdp.n_states
         assignments = np.array(list(itertools.product((0, 1, 2), repeat=n)))
