@@ -83,7 +83,7 @@ def _solve(cfg: ExperimentConfig, mdp: MdpSpec) -> SolveResult:
         return rvi_solve(mdp, opts)
     if cfg.solver.method == "spi":
         return structured_policy_iteration(mdp, opts)
-    return threshold_heuristic(mdp, opts, tau_renew=cfg.solver.tau_renew)
+    return threshold_heuristic(mdp)
 
 
 def _stability_dict(cfg: ExperimentConfig) -> dict:
@@ -331,6 +331,11 @@ def run_sweep(
         raise ConfigError(field="sweep.axis", message=f"axis must be one of {SWEEP_AXES}")
     if not values:
         raise ConfigError(field="sweep.values", message="no sweep values given")
+    non_finite = [f"{v:g}" for v in values if not math.isfinite(v)]
+    if non_finite:
+        raise ConfigError(
+            field="sweep.values", message=f"sweep values must be finite; got {', '.join(non_finite)}"
+        )
     if axis in ("tau_d", "delta_r"):
         fractional = [f"{x:g}" for x in values if not float(x).is_integer()]
         if fractional:
@@ -338,11 +343,6 @@ def run_sweep(
                 field="sweep.values", message=f"{axis} takes integer values; got {', '.join(fractional)}"
             )
         values = [int(x) for x in values]
-    non_finite = [f"{v:g}" for v in values if not math.isfinite(v)]
-    if non_finite:
-        raise ConfigError(
-            field="sweep.values", message=f"sweep values must be finite; got {', '.join(non_finite)}"
-        )
     if jobs < 1:
         raise ConfigError(field="sweep.jobs", message=f"jobs must be at least 1, got {jobs}")
     # Each point's directory, summary key and frontier rows carry its label.

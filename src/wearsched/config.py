@@ -33,7 +33,6 @@ class SolverConfig:
     method: str = "rvi"
     tol: float = SolveOptions.tol
     max_iter: int = SolveOptions.max_iter
-    tau_renew: int | None = None  # threshold-heuristic only; None = search
 
     def options(self) -> SolveOptions:
         return SolveOptions(tol=self.tol, max_iter=self.max_iter)
@@ -197,24 +196,16 @@ def _validate_solver(section, path="solver") -> dict:
         section = {}
     if not isinstance(section, dict):
         raise _field_error(path, "expected a mapping")
-    known = {"method", "tol", "max_iter", "tau_renew"}
+    known = {"method", "tol", "max_iter"}
     _require_keys(section, path, known, set())
     method = section.get("method", SolverConfig.method)
     if method not in SOLVER_METHODS:
         raise _field_error(f"{path}.method", f"must be one of {SOLVER_METHODS}, got {method!r}")
-    if section.get("tau_renew") is not None and method != "threshold-heuristic":
-        raise _field_error(
-            f"{path}.tau_renew", f"applies to the threshold-heuristic method only, not {method!r}"
-        )
-    out = {
+    return {
         "method": method,
         "tol": _number(section, path, "tol", SolverConfig.tol, minimum=0.0, strict_min=True),
         "max_iter": _number(section, path, "max_iter", SolverConfig.max_iter, integer=True, minimum=1),
     }
-    tau_renew = _number(section, path, "tau_renew", integer=True, minimum=0)
-    if tau_renew is not None:
-        out["tau_renew"] = tau_renew
-    return out
 
 
 def _validate_simulate(section, path="simulate") -> dict:
@@ -294,11 +285,6 @@ def validate_config_dict(data: dict) -> ExperimentConfig:
                 f"truncation.{bound}",
                 f"{bound}={truncation[bound]} leaves no headroom for {what} (need >= {1 + channel[step]})",
             )
-    tau_renew = cfg.solver.tau_renew
-    if tau_renew is not None and tau_renew > truncation["tau_max"]:
-        raise _field_error(
-            "solver.tau_renew", f"renewal threshold {tau_renew} exceeds tau_max={truncation['tau_max']}"
-        )
     return cfg
 
 

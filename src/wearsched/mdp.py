@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .errors import DomainError, check_integer
-from .linear_model import MseTable, SystemModel, mse_table, steady_state
+from .linear_model import SystemModel, mse_table, steady_state
 
 
 class Action(IntEnum):
@@ -48,10 +48,12 @@ class Truncation:
 
 @dataclass(frozen=True)
 class MdpSpec:
-    """Assembled cost table and age-shift transition kernel.
+    """Assembled costs and age-shift transition kernel, every array 1-d.
 
-    ``cost_table`` has shape (tau_max, delta_max, 3). Every transition is a
-    clamped age shift, stored as 0-based index vectors: idle moves (t, d) to
+    No cost depends on the channel age: idle and transmit pay ``mse[d]`` and
+    renew pays ``renew_cost[d]`` at information age d+1, and ``costs`` reads
+    them for an action grid. Every transition is a clamped age shift, stored
+    as 0-based index vectors: idle moves (t, d) to
     (``tau_idle[t]``, ``delta_up[d]``); transmit moves to (``tau_tx[t]``, 0)
     with probability ``theta[t]`` and to (``tau_tx[t]``, ``delta_up[d]``)
     otherwise; renew moves to (0, ``delta_renew[d]``).
@@ -61,9 +63,9 @@ class MdpSpec:
 
     trunc: Truncation
     channel: ChannelModel
-    mse: MseTable
+    mse: np.ndarray          # (delta_max,) MSE at each information age
+    renew_cost: np.ndarray   # (delta_max,) renewal lump sum at each information age
     theta: np.ndarray        # (tau_max,) reliability at each channel age
-    cost_table: np.ndarray   # (tau_max, delta_max, 3)
     tau_idle: np.ndarray     # (tau_max,) channel age after idle
     tau_tx: np.ndarray       # (tau_max,) channel age after a transmission
     delta_up: np.ndarray     # (delta_max,) information age after no delivery
@@ -76,6 +78,11 @@ class MdpSpec:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.trunc.tau_max, self.trunc.delta_max)
+
+    def costs(self, actions: np.ndarray) -> np.ndarray:
+        """The cost of each cell's action, for one action grid or a stack
+        of them."""
+        return np.where(np.asarray(actions) == Action.RENEW, self.renew_cost, self.mse)
 
     def successors(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat successor indices of every state under an action grid.
@@ -98,13 +105,13 @@ class MdpSpec:
 
     def restrict(self, tau_max: int, delta_max: int) -> MdpSpec:
         """The MDP on the sub-grid [1, tau_max] x [1, delta_max]: the same
-        reliabilities, MSE table and costs, cut to the sub-grid, with every
-        age shift re-clamped to its new boundary.
+        reliabilities and costs, cut to the sub-grid, with every age shift
+        re-clamped to its new boundary.
 
         It equals ``build_mdp`` at the sub-grid except in the renewal costs
         of the last ``delta_r`` information ages: those keep the lump sums
-        of this grid's MSE table instead of clamping the summands at the
-        sub-grid's last entry.
+        of this grid's MSE instead of clamping the summands at the sub-grid's
+        last entry.
         """
         trunc = Truncation(tau_max, delta_max)
         if trunc.tau_max > self.trunc.tau_max or trunc.delta_max > self.trunc.delta_max:
@@ -121,9 +128,9 @@ class MdpSpec:
         return MdpSpec(
             trunc=trunc,
             channel=self.channel,
-            mse=MseTable(self.mse.values[:d]),
+            mse=self.mse[:d],
+            renew_cost=self.renew_cost[:d],
             theta=self.theta[:t],
-            cost_table=self.cost_table[:t, :d],
             **shifts,
         )
 
@@ -139,8 +146,7 @@ def build_mdp(model: SystemModel, channel: ChannelModel, trunc: Truncation) -> M
     clamped dynamics.
     """
     t_max, d_max = trunc.tau_max, trunc.delta_max
-    mse = mse_table(model, steady_state(model), d_max)
-    f = mse.values  # f[j] = MSE at information age j+1
+    f = mse_table(model, steady_state(model), d_max).values  # f[j] = MSE at information age j+1
 
     theta = np.asarray(channel.reliability(np.arange(1, t_max + 1)), dtype=float).reshape(t_max)
 
@@ -149,10 +155,6 @@ def build_mdp(model: SystemModel, channel: ChannelModel, trunc: Truncation) -> M
     f_pad = np.concatenate([f, np.full(channel.delta_r, f[-1])])
     csum = np.concatenate([[0.0], np.cumsum(f_pad)])
     renew_cost = csum[channel.delta_r : channel.delta_r + d_max] - csum[:d_max]
-    cost = np.empty((t_max, d_max, 3))
-    cost[:, :, Action.IDLE] = f[np.newaxis, :]
-    cost[:, :, Action.TRANSMIT] = f[np.newaxis, :]
-    cost[:, :, Action.RENEW] = renew_cost[np.newaxis, :]
 
     # Clamped age updates, 0-based.
     tau_idle = np.minimum(np.arange(t_max) + 1, t_max - 1)
@@ -160,14 +162,14 @@ def build_mdp(model: SystemModel, channel: ChannelModel, trunc: Truncation) -> M
     delta_up = np.minimum(np.arange(d_max) + 1, d_max - 1)
     delta_renew = np.minimum(np.arange(d_max) + channel.delta_r, d_max - 1)
 
-    for arr in (theta, cost, tau_idle, tau_tx, delta_up, delta_renew):
+    for arr in (f, renew_cost, theta, tau_idle, tau_tx, delta_up, delta_renew):
         arr.flags.writeable = False
     return MdpSpec(
         trunc=trunc,
         channel=channel,
-        mse=mse,
+        mse=f,
+        renew_cost=renew_cost,
         theta=theta,
-        cost_table=cost,
         tau_idle=tau_idle,
         tau_tx=tau_tx,
         delta_up=delta_up,

@@ -110,32 +110,32 @@ def _shift_slices(shift: np.ndarray) -> tuple[tuple[slice, slice], tuple[slice, 
     return (slice(None, m), slice(-m, None)), (slice(m, None), slice(-1, None))
 
 
-def _backup(mdp: MdpSpec, v: np.ndarray, costs, out, v_up: np.ndarray) -> None:
+def _backup(mdp: MdpSpec, v: np.ndarray, out, v_up: np.ndarray) -> None:
     """Q-values of idle, transmit and renew at v, written into the three
-    grids of ``out``; ``costs`` holds the matching (tau_max, delta_max) cost
-    grids and ``v_up`` is scratch space of v's shape. v may carry leading
-    batch axes, which ``out`` and ``v_up`` share, and every member of the
-    batch is backed up by the same operations as alone. Every age shift of
-    the kernel is read by slices (``_shift_slices``), with no index gather."""
-    (c_idle, c_tx, c_renew), (q_idle, q_tx, q_renew) = costs, out
+    grids of ``out``; ``v_up`` is scratch space of v's shape. v may carry
+    leading batch axes, which ``out`` and ``v_up`` share, and every member
+    of the batch is backed up by the same operations as alone. Every age
+    shift of the kernel is read by slices (``_shift_slices``), with no index
+    gather, and the cost vectors are broadcast along the channel age."""
+    (q_idle, q_tx, q_renew), f, r = out, mdp.mse, mdp.renew_cost
     theta = mdp.theta[:, None]
     for dst, src in _shift_slices(mdp.delta_up):
         v_up[..., dst] = v[..., src]  # v at (t, delta_up[d])
     for dst, src in _shift_slices(mdp.tau_idle):
-        np.add(c_idle[dst], v_up[..., src, :], out=q_idle[..., dst, :])
+        np.add(f, v_up[..., src, :], out=q_idle[..., dst, :])
     for dst, src in _shift_slices(mdp.tau_tx):
         q = q_tx[..., dst, :]
         np.multiply(1.0 - theta[dst], v_up[..., src, :], out=q)
         q += theta[dst] * v[..., src, :1]
-        q += c_tx[dst]
+        q += f
     for dst, src in _shift_slices(mdp.delta_renew):
-        np.add(c_renew[:, dst], v[..., :1, src], out=q_renew[..., dst])
+        np.add(r[dst], v[..., :1, src], out=q_renew[..., dst])
 
 
 def q_backup(mdp: MdpSpec, v: np.ndarray) -> np.ndarray:
     """One-step lookahead Q(s, u) = c(s, u) + sum_s' P(s'|s, u) v(s')."""
     q = np.empty((*mdp.shape, 3))
-    _backup(mdp, v, np.moveaxis(mdp.cost_table, 2, 0), np.moveaxis(q, 2, 0), np.empty(mdp.shape))
+    _backup(mdp, v, np.moveaxis(q, 2, 0), np.empty(mdp.shape))
     return q
 
 
@@ -193,13 +193,12 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
     (1, 1) and its bracket on lambda*.
     """
     v = np.zeros(mdp.shape)
-    # Buffers every iteration reuses, and the cost grids as contiguous copies.
+    # Buffers every iteration reuses.
     q = np.empty((3, *mdp.shape))
     v_up, diff = np.empty(mdp.shape), np.empty(mdp.shape)
-    costs = np.moveaxis(mdp.cost_table, 2, 0).copy()
     history: list[float] = []
     for n in range(1, opts.max_iter + 1):
-        _backup(mdp, v, costs, q, v_up)
+        _backup(mdp, v, q, v_up)
         np.minimum(q[0], q[1], out=diff)
         np.minimum(diff, q[2], out=diff)
         diff -= v
@@ -213,7 +212,7 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
         history.append(span)
         gain = float(diff[0, 0])
         if span < max(opts.tol, FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max()))):
-            del costs, v_up, diff  # not alive while q is restacked
+            del v_up, diff  # not alive while q is restacked
             q = np.stack(q, axis=2)
             return SolveResult(
                 gain=gain,
@@ -276,23 +275,24 @@ def policy_evaluate(mdp: MdpSpec, policy: Policy) -> Evaluation:
 def _evaluate_stack(mdp: MdpSpec, actions: np.ndarray, solve) -> list[Evaluation]:
     """The evaluations of a (B, tau_max, delta_max) stack of policies.
 
-    ``solve(mdp, actions)`` returns the B gains, the B value grids with
-    v(1, 1) == 0, and ``condition``, which gives member b's condition
-    estimate when called with b. One backup of the stack at v gives each
-    member's Q grids. The gate reads the residual max|Q_pi(v) - v - gain|
-    off them: for the sparse system, whose row s reads
+    ``solve(mdp, actions, cost)``, given the stack's cell costs, returns the
+    B gains, the B value grids with v(1, 1) == 0, and ``condition``, which
+    gives member b's condition estimate when called with b. One backup of
+    the stack at v gives each member's Q grids. The gate reads the residual
+    max|Q_pi(v) - v - gain| off them: for the sparse system, whose row s reads
     v(s) + gain - sum_s' P(s'|s) v(s') = c(s), that is b - M x. A member
     whose residual is above 1e-8 of 1 + max cost, or not finite, refuses
     the stack. The gate cannot tell a multichain policy from values too
     large for their differences to resolve, so its message names both.
     """
-    gain, v, condition = solve(mdp, actions)
+    cost = mdp.costs(actions)
+    gain, v, condition = solve(mdp, actions, cost)
     n, (t_max, d_max) = len(actions), mdp.shape
     q = np.empty((n, 3, t_max, d_max))
-    _backup(mdp, v, np.moveaxis(mdp.cost_table, 2, 0), q.swapaxes(0, 1), np.empty(v.shape))
+    _backup(mdp, v, q.swapaxes(0, 1), np.empty(v.shape))
     cells = np.arange(t_max)[:, None], np.arange(d_max)
     resid = q[(np.arange(n)[:, None, None], actions, *cells)] - v - gain[:, None, None]
-    rel = np.abs(resid).max(axis=(1, 2)) / (1.0 + np.abs(mdp.cost_table[(*cells, actions)]).max(axis=(1, 2)))
+    rel = np.abs(resid).max(axis=(1, 2)) / (1.0 + np.abs(cost).max(axis=(1, 2)))
     passed = rel <= 1e-8  # false where rel is nan
     if not passed.all():
         b = int(passed.argmin())
@@ -348,7 +348,7 @@ def _members(mask: np.ndarray) -> slice | np.ndarray:
     return sel
 
 
-def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray):
+def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray, cost: np.ndarray):
     """``_evaluate_stack``'s solve for a (B, tau_max, delta_max) stack of
     policies, by back-substitution over the channel age. Each member of a
     renewal-closed stack, one whose members all renew at every cell of the
@@ -382,8 +382,6 @@ def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray):
     """
     n, (t_max, d_max) = len(actions), mdp.shape
     idle, tx, renew = (actions == u for u in (Action.IDLE, Action.TRANSMIT, Action.RENEW))
-    cells = np.arange(t_max)[:, None], np.arange(d_max)
-    cost = mdp.cost_table[(*cells, actions)]
     # 1 for an open stack, whose last row adds two unknowns, else 0.
     open_ = int(not renew[:, -1].all())
     # Rows from r on renew everywhere, and read only v(1, .).
@@ -587,19 +585,17 @@ def _border_lu_solve(lu: np.ndarray, order: np.ndarray, b: np.ndarray) -> np.nda
     return x
 
 
-def _lu_solve(mdp: MdpSpec, actions: np.ndarray):
+def _lu_solve(mdp: MdpSpec, actions: np.ndarray, cost: np.ndarray):
     """``_evaluate_stack``'s solve for a stack of one policy of any kind, by
     a direct sparse factorization of the whole evaluation system and one
     step of iterative refinement. Only the threshold heuristic uses it, for
     the tables that renew nowhere (``_threshold_evaluate``)."""
     from scipy.sparse.linalg import splu
 
-    [actions] = actions  # a stack of one
-    n = mdp.n_states
+    [actions], b = actions, cost.reshape(-1)  # a stack of one
     # Only the system and the cost vector stay alive while splu allocates
     # its workspace: the assembly arrays die inside _evaluation_matrix.
     m = _evaluation_matrix(mdp, actions)
-    b = mdp.cost_table.reshape(n, 3)[np.arange(n), actions.reshape(-1)]
 
     try:
         lu = splu(m)
@@ -781,28 +777,22 @@ def _monotone_improvement(q_idle, q_tx, q_renew) -> tuple[np.ndarray, int]:
     return started.astype(np.int8) + renewed, int(skipped)
 
 
-def threshold_heuristic(
-    mdp: MdpSpec, opts: SolveOptions = SolveOptions(), tau_renew: int | None = None
-) -> SolveResult:
+def threshold_heuristic(mdp: MdpSpec) -> SolveResult:
     """Best policy that renews whenever the channel age exceeds a threshold.
 
-    For a fixed renewal threshold, alternates policy evaluation with a
+    For each renewal threshold, alternates policy evaluation with a
     restricted improvement step that only re-optimizes the per-channel-age
-    transmission thresholds, kept nonincreasing in the channel age. When
-    ``tau_renew`` is None, searches every renewal threshold and returns the
-    best: a later threshold replaces the best so far only if its gain is
-    lower by more than the float floor of the best's values and gain, so of
-    thresholds tied within rounding the smallest wins. The thresholds are
-    searched side by side in batched rounds (``_threshold_candidates``),
-    with the result of searching them one after another. The result is the
-    optimum of the threshold family, not of the full policy space.
+    transmission thresholds, kept nonincreasing in the channel age, for at
+    most ``_THRESHOLD_SWEEP_CAP`` sweeps. Every renewal threshold is
+    searched and the best returned: a later threshold replaces the best so
+    far only if its gain is lower by more than the float floor of the best's
+    values and gain, so of thresholds tied within rounding the smallest
+    wins. The thresholds are searched side by side in batched rounds
+    (``_threshold_candidates``), with the result of searching them one after
+    another. The result is the optimum of the threshold family, not of the
+    full policy space.
     """
-    t_max, _ = mdp.shape
-    if tau_renew is not None:
-        taus = [check_tau_renew(tau_renew, t_max)]
-    else:
-        taus = list(range(t_max + 1))
-    best, *rest = _threshold_candidates(mdp, opts, taus)
+    best, *rest = _threshold_candidates(mdp, list(range(mdp.shape[0] + 1)))
     for it in rest:
         if it.gain < best.gain - best.floor:
             best = it
@@ -820,14 +810,6 @@ def _threshold_evaluate(mdp: MdpSpec, policy: Policy) -> Evaluation:
         return policy_evaluate(mdp, policy)
     [ev] = _evaluate_stack(mdp, policy.actions[None], _lu_solve)
     return ev
-
-
-def check_tau_renew(tau_renew, t_max: int) -> int:
-    """The renewal threshold as an int, if it is an integer in [0, t_max]."""
-    tau = check_integer("tau_renew", tau_renew)
-    if not 0 <= tau <= t_max:
-        raise DomainError(f"tau_renew must be an integer in [0, {t_max}], got {tau_renew!r}")
-    return tau
 
 
 def threshold_actions(d_max, tau_renew, thresholds) -> np.ndarray:
@@ -877,7 +859,7 @@ class _Candidate:
         self.sweeps = 0
         self.done = False
 
-    def improve(self, ev: Evaluation, policy: Policy, sweep_cap: int) -> None:
+    def improve(self, ev: Evaluation, policy: Policy) -> None:
         """Takes the evaluation of the current table, then steps to the next
         one, or finishes at a fixed point, a table seen before or the cap."""
         self.sweeps += 1
@@ -885,11 +867,11 @@ class _Candidate:
         if self.best is None or ev.gain < self.best.gain:
             self.best = _Iterate(ev.gain, policy, self.sweeps, _float_floor(ev.v, ev.gain))
         new = _transmit_thresholds(ev.q[0], ev.q[1], self.tau_renew) + self.thresholds[self.tau_renew :]
-        self.done = tuple(new) in self.seen or self.sweeps == sweep_cap
+        self.done = tuple(new) in self.seen or self.sweeps == _THRESHOLD_SWEEP_CAP
         self.thresholds = new
 
 
-def _threshold_candidates(mdp: MdpSpec, opts: SolveOptions, taus: list[int]) -> list[_Iterate]:
+def _threshold_candidates(mdp: MdpSpec, taus: list[int]) -> list[_Iterate]:
     """The best evaluated iterate of the threshold heuristic at each renewal
     threshold of the ascending list ``taus``.
 
@@ -899,7 +881,6 @@ def _threshold_candidates(mdp: MdpSpec, opts: SolveOptions, taus: list[int]) -> 
     renews by itself. A finished run leaves its place to the next threshold.
     """
     t_max = mdp.shape[0]
-    sweep_cap = min(opts.max_iter, _THRESHOLD_SWEEP_CAP)
     size = _eval_batch_size(mdp)
     runs = [_Candidate(tau, t_max) for tau in taus]
     window: list[_Candidate] = []
@@ -908,12 +889,12 @@ def _threshold_candidates(mdp: MdpSpec, opts: SolveOptions, taus: list[int]) -> 
         window += itertools.islice(queue, size - len(window))
         if not window:
             break
-        _advance(mdp, window, sweep_cap)
+        _advance(mdp, window)
         window = [c for c in window if not c.done]
     return [c.best for c in runs]
 
 
-def _advance(mdp: MdpSpec, window: list[_Candidate], sweep_cap: int) -> None:
+def _advance(mdp: MdpSpec, window: list[_Candidate]) -> None:
     """One round: evaluates the current table of every run in the window and
     improves it. The table that never renews is factorized first, while no
     batch's grids are alive."""
@@ -922,12 +903,12 @@ def _advance(mdp: MdpSpec, window: list[_Candidate], sweep_cap: int) -> None:
     for c in window:
         policy = Policy(actions=threshold_actions(d_max, c.tau_renew, c.thresholds))
         if c.tau_renew == t_max:
-            c.improve(_threshold_evaluate(mdp, policy), policy, sweep_cap)
+            c.improve(_threshold_evaluate(mdp, policy), policy)
         else:
             closed.append((c, policy))
     if closed:
         stack = np.stack([policy.actions for _, policy in closed])
         evs = _evaluate_stack(mdp, stack, _renewal_closed_solve)
         for (c, policy), ev in zip(closed, evs):
-            c.improve(ev, policy, sweep_cap)
+            c.improve(ev, policy)
 

@@ -188,7 +188,16 @@ def _checked_action(mdp: MdpSpec, s: AgeState, u) -> int:
 
 def scalar_cost(mdp: MdpSpec, s: AgeState, u) -> float:
     """Reference per-epoch cost of action ``u`` in state ``s``."""
-    return float(mdp.cost_table[s.tau - 1, s.delta - 1, _checked_action(mdp, s, u)])
+    per_age = mdp.renew_cost if _checked_action(mdp, s, u) == Action.RENEW else mdp.mse
+    return float(per_age[s.delta - 1])
+
+
+def reference_costs(mdp: MdpSpec, actions: np.ndarray) -> np.ndarray:
+    """Reference cost gather: the cost of each cell's action in an action
+    grid or a stack of them, read off a (tau_max, delta_max, 3) table of
+    every action's cost."""
+    table = np.broadcast_to(np.stack([mdp.mse, mdp.mse, mdp.renew_cost], axis=1), (*actions.shape, 3))
+    return np.take_along_axis(table, actions[..., None].astype(np.intp), axis=-1)[..., 0]
 
 
 def scalar_transitions(mdp: MdpSpec, s: AgeState, u) -> list[tuple[AgeState, float]]:
@@ -210,14 +219,12 @@ def reference_q_actions(mdp: MdpSpec, v: np.ndarray) -> tuple[np.ndarray, np.nda
     """Reference Q-backup: Q-values of idle, transmit and renew read off the
     age-shift kernel by index gathers, in the order of operations the
     package's slice-shift kernel must reproduce bit for bit."""
-    c = mdp.cost_table
+    f, r = mdp.mse, mdp.renew_cost
     theta = mdp.theta[:, None]
     v_up = v[:, mdp.delta_up]  # v at (t, delta_up[d])
-    q_idle = c[:, :, Action.IDLE] + v_up[mdp.tau_idle]
-    q_tx = c[:, :, Action.TRANSMIT] + (
-        theta * v[mdp.tau_tx, :1] + (1.0 - theta) * v_up[mdp.tau_tx]
-    )
-    q_renew = c[:, :, Action.RENEW] + v[0, mdp.delta_renew]
+    q_idle = f + v_up[mdp.tau_idle]
+    q_tx = f + (theta * v[mdp.tau_tx, :1] + (1.0 - theta) * v_up[mdp.tau_tx])
+    q_renew = np.broadcast_to(r + v[0, mdp.delta_renew], mdp.shape)
     return q_idle, q_tx, q_renew
 
 
@@ -259,7 +266,7 @@ def reference_renewal_closed_evaluate(mdp: MdpSpec, actions: np.ndarray) -> tupl
     batched ``_renewal_closed_solve`` must give every member these bits."""
     t_max, d_max = mdp.shape
     idle, tx, renew = (actions == u for u in (Action.IDLE, Action.TRANSMIT, Action.RENEW))
-    cost = np.take_along_axis(mdp.cost_table, actions[:, :, None].astype(np.intp), axis=2)[:, :, 0]
+    cost = reference_costs(mdp, actions)
     r = max(1, int(np.count_nonzero(~np.logical_and.accumulate(renew.all(axis=1)[::-1]))))
     w = max(1, int((np.maximum(mdp.tau_idle[:r], mdp.tau_tx[:r]) - np.arange(r)).max()))
     k, top = w + 1, min(r + w, t_max)
@@ -355,7 +362,7 @@ def reference_exact_evaluate(mdp: MdpSpec, actions: np.ndarray) -> tuple[Fractio
     and the flat row-major values, or None if the system is singular."""
     n = mdp.n_states
     hit, miss, p_hit = mdp.successors(actions)
-    cost = mdp.cost_table.reshape(n, 3)[np.arange(n), actions.reshape(-1)]
+    cost = reference_costs(mdp, actions).reshape(-1)
     # Columns: v(s) for s = 2 .. n as 0 .. n - 2, the gain, the right side.
     rows = []
     for s in range(n):
@@ -384,40 +391,40 @@ def reference_exact_evaluate(mdp: MdpSpec, actions: np.ndarray) -> tuple[Fractio
     return x[n - 1], [Fraction(0)] + x[: n - 1]
 
 
-def reference_threshold_heuristic(
-    mdp: MdpSpec, opts: SolveOptions = SolveOptions(), tau_renew: int | None = None
-) -> SolveResult:
-    """Reference threshold heuristic: each renewal threshold's sweeps run to
-    the end before the next threshold starts, every policy is evaluated
-    alone (``reference_renewal_closed_evaluate``, or the sparse path for the
-    table that never renews) and backed up again for its improvement step,
-    and a later threshold replaces the best so far only if its gain is lower
-    by more than the best's float floor."""
+def reference_threshold_candidate(mdp: MdpSpec, tau: int) -> tuple[float, np.ndarray, Policy, int]:
+    """Reference run of the threshold heuristic at the renewal threshold
+    ``tau``: its sweeps run to the end, every policy is evaluated alone
+    (``reference_renewal_closed_evaluate``, or the sparse path for the table
+    that never renews) and backed up again for its improvement step. Returns
+    the best iterate's gain, values, policy and sweep."""
     t_max, d_max = mdp.shape
+    thresholds = [1] * t_max
+    seen, best = set(), None
+    for sweep in range(1, _THRESHOLD_SWEEP_CAP + 1):
+        seen.add(tuple(thresholds))
+        actions = threshold_actions(d_max, tau, thresholds)
+        if tau < t_max:
+            gain, v, _ = reference_renewal_closed_evaluate(mdp, actions)
+        else:
+            gain, v = reference_lu_evaluate(mdp, actions)
+        if best is None or gain < best[0]:
+            best = (gain, v, Policy(actions=actions), sweep)
+        q_idle, q_tx, _ = np.moveaxis(q_backup(mdp, v), 2, 0)
+        new = _transmit_thresholds(q_idle, q_tx, tau) + thresholds[tau:]
+        if new == thresholds or tuple(new) in seen:
+            break
+        thresholds = new
+    return best
 
-    def solve_fixed(tau):
-        thresholds = [1] * t_max
-        seen, best = set(), None
-        for sweep in range(1, min(opts.max_iter, _THRESHOLD_SWEEP_CAP) + 1):
-            seen.add(tuple(thresholds))
-            actions = threshold_actions(d_max, tau, thresholds)
-            if tau < t_max:
-                gain, v, _ = reference_renewal_closed_evaluate(mdp, actions)
-            else:
-                gain, v = reference_lu_evaluate(mdp, actions)
-            if best is None or gain < best[0]:
-                best = (gain, v, Policy(actions=actions), sweep)
-            q_idle, q_tx, _ = np.moveaxis(q_backup(mdp, v), 2, 0)
-            new = _transmit_thresholds(q_idle, q_tx, tau) + thresholds[tau:]
-            if new == thresholds or tuple(new) in seen:
-                break
-            thresholds = new
-        return best
 
-    taus = range(t_max + 1) if tau_renew is None else [tau_renew]
+def reference_threshold_heuristic(mdp: MdpSpec) -> SolveResult:
+    """Reference threshold heuristic: each renewal threshold's run
+    (``reference_threshold_candidate``) ends before the next threshold
+    starts, and a later threshold replaces the best so far only if its gain
+    is lower by more than the best's float floor."""
     best = None
-    for tau in taus:
-        res = solve_fixed(tau)
+    for tau in range(mdp.shape[0] + 1):
+        res = reference_threshold_candidate(mdp, tau)
         if best is None or res[0] < best[0] - _float_floor(best[1], best[0]):
             best = res
     gain, v, policy, iterations = best
@@ -469,7 +476,7 @@ def policy_gains(mdp: MdpSpec, assignments: np.ndarray, s0: int) -> np.ndarray:
     p = np.zeros((m, n, n))
     p[policies, rows, hit] = p_hit
     p[policies, rows, miss] += 1.0 - p_hit
-    c = mdp.cost_table.reshape(n, 3)[rows, assignments]
+    c = reference_costs(mdp, assignments.reshape(m, *mdp.shape)).reshape(m, n)
 
     reach = (p > 0) | np.eye(n, dtype=bool)
     for _ in range((n - 1).bit_length()):  # paths of up to 2^k >= n - 1 steps
@@ -626,7 +633,7 @@ def scalar_simulate(
 
     n = mdp.n_states
     act_flat = policy.actions.reshape(-1).astype(np.int64)
-    cost_flat = mdp.cost_table.reshape(n, 3)[np.arange(n), act_flat]
+    cost_flat = reference_costs(mdp, policy.actions).reshape(-1)
     succ_hit, succ_miss, p_hit = mdp.successors(policy.actions)
 
     hit = succ_hit.tolist()

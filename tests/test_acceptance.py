@@ -219,7 +219,7 @@ def test_criterion_8_degenerate_channel():
         Truncation(40, 40),
     )
     res = rvi_solve(mdp, SolveOptions(tol=1e-12))
-    f1 = mdp.mse.at(1)
+    f1 = mdp.mse[0]
     stats = simulate(mdp, transmit_always(mdp.trunc), epochs=1024, seed=5)
     ok = abs(res.gain - f1) < 1e-9 and stats.per_epoch_avg_cost == f1
     report(

@@ -109,6 +109,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", ["rvi", "spi"])
     def test_tau_renew_outside_the_heuristic_exit_2(self, cfg_path, tmp_path, capsys, method):
+        # No method takes a fixed renewal threshold (test_config covers the
+        # heuristic too).
         out = tmp_path / "x"
         code, payload = run_cli(
             capsys, "solve", "--config", cfg_path, "--out", out,
@@ -117,6 +119,7 @@ class TestSolve:
         assert code == 2
         assert payload["error"]["kind"] == "config"
         assert payload["error"]["field"] == "solver.tau_renew"
+        assert "unknown key" in payload["error"]["message"]
         assert not out.exists()
 
     def test_malformed_config_exit_2(self, cfg_path, tmp_path, capsys):
@@ -474,15 +477,20 @@ class TestSweep:
         assert values.split(",")[-1] in payload["error"]["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("axis,values", [("beta", "nan,0.9"), ("alpha", "0.1,inf"), ("beta", "0.9,-inf")])
+    @pytest.mark.parametrize(
+        "axis,values",
+        [("beta", "nan,0.9"), ("alpha", "0.1,inf"), ("beta", "0.9,-inf"), ("tau_d", "6,inf"), ("delta_r", "nan")],
+    )
     def test_non_finite_values_rejected_before_solving(self, cfg_path, tmp_path, capsys, axis, values):
         # A NaN point would also print as a bare NaN token, which is not JSON.
+        # The integer axes check finiteness before integrality.
         out = tmp_path / "sw"
         code, payload = run_cli(
             capsys, "sweep", "--config", cfg_path, "--out", out, "--axis", axis, "--values", values,
         )
         assert code == 2
         assert payload["error"]["field"] == "sweep.values"
+        assert payload["error"]["message"].startswith("sweep.values: sweep values must be finite; got ")
         assert not out.exists()
 
     def test_integral_age_values_keep_integer_labels(self, cfg_path, tmp_path, capsys):
@@ -569,14 +577,18 @@ print(json.dumps(loaded))
 """
 
 
+def _src_env() -> dict:
+    """This environment with the source tree first on PYTHONPATH."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def scipy_after(*commands) -> list[list[str]]:
     """Scipy modules loaded in a new process after ``import wearsched.cli``
     and after each of ``commands``; this process may already hold scipy."""
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-c", COLD_START, json.dumps([[str(a) for a in c] for c in commands])],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -614,12 +626,23 @@ class TestColdStart:
         )
         assert loaded == [[], [], []]
 
-    def test_renewal_closed_heuristic_loads_no_scipy(self, tmp_path):
-        # With tau_renew below tau_max every policy the heuristic evaluates
-        # renews at the last channel age, so none needs the sparse LU.
-        loaded = scipy_after(
-            ["solve", "--config", CONFIG_DIR / "benchmark-marginal.yaml", "--out", tmp_path,
-             "--set", "solver.method=threshold-heuristic", "--set", "solver.tau_renew=10",
-             "--set", "truncation.tau_max=80", "--set", "truncation.delta_max=80"]
+    def test_renewal_closed_heuristic_loads_no_scipy(self):
+        # Below tau_max every renewal threshold's tables renew at the last
+        # channel age, so none needs the sparse LU; only the table that
+        # never renews does.
+        code = (
+            "import json, sys\n"
+            "from wearsched import build_mdp\n"
+            "from wearsched.config import load_config\n"
+            "from wearsched.solvers import _threshold_candidates\n"
+            "cfg = load_config(sys.argv[1])\n"
+            "mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())\n"
+            "_threshold_candidates(mdp, list(range(mdp.shape[0])))\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         )
-        assert loaded == [[], []]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(CONFIG_DIR / "benchmark-marginal.yaml")],
+            env=_src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []

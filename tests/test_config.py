@@ -118,23 +118,14 @@ def test_grid_with_exact_headroom_is_accepted(tmp_path):
     assert cfg.build_truncation().n_states == 7 * 16
 
 
-def test_tau_renew_beyond_grid(tmp_path):
-    heuristic = "solver.method=threshold-heuristic"
-    with pytest.raises(ConfigError) as exc_info:
-        load_config(write(tmp_path, BASE), overrides=[heuristic, "solver.tau_renew=31"])
-    assert exc_info.value.field == "solver.tau_renew"
-    cfg = load_config(write(tmp_path, BASE), overrides=[heuristic, "solver.tau_renew=30"])
-    assert cfg.solver.tau_renew == 30
-
-
-@pytest.mark.parametrize("method", ["rvi", "spi"])
-def test_tau_renew_only_for_the_heuristic(tmp_path, method):
-    with pytest.raises(ConfigError) as exc_info:
+@pytest.mark.parametrize("method", ["rvi", "spi", "threshold-heuristic"])
+def test_tau_renew_is_an_unknown_key(tmp_path, method):
+    # The threshold heuristic always searches every renewal threshold.
+    with pytest.raises(ConfigError, match="unknown key") as exc_info:
         load_config(
             write(tmp_path, BASE), overrides=[f"solver.method={method}", "solver.tau_renew=5"]
         )
     assert exc_info.value.field == "solver.tau_renew"
-    assert method in str(exc_info.value)
 
 
 def test_solver_method_validated(tmp_path):

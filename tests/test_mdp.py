@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -34,40 +36,67 @@ class TestCost:
     def test_idle_and_transmit_pay_current_mse(self, mdp):
         f = mdp.mse
         for s in (AgeState(5, 3), AgeState(1, 1), AgeState(40, 17)):
-            assert scalar_cost(mdp, s, Action.IDLE) == pytest.approx(f.at(s.delta), rel=1e-14)
-            assert scalar_cost(mdp, s, Action.TRANSMIT) == pytest.approx(f.at(s.delta), rel=1e-14)
+            assert scalar_cost(mdp, s, Action.IDLE) == pytest.approx(f[s.delta - 1], rel=1e-14)
+            assert scalar_cost(mdp, s, Action.TRANSMIT) == pytest.approx(f[s.delta - 1], rel=1e-14)
 
     def test_transmission_not_additively_penalized(self, mdp):
         assert scalar_cost(mdp, AgeState(1, 1), Action.TRANSMIT) == pytest.approx(
-            mdp.mse.at(1), rel=1e-14
+            mdp.mse[0], rel=1e-14
         )
 
     def test_renewal_lump_sum_two_slots(self, mdp_dr2):
         f = mdp_dr2.mse
         assert scalar_cost(mdp_dr2, AgeState(4, 3), Action.RENEW) == pytest.approx(
-            f.at(3) + f.at(4), rel=1e-14
+            f[2] + f[3], rel=1e-14
         )
 
     def test_renewal_lump_sum_clamps_at_grid_edge(self, mdp):
         d_max = mdp.trunc.delta_max
-        expected = mdp.channel.delta_r * mdp.mse.at(d_max)
+        expected = mdp.channel.delta_r * mdp.mse[d_max - 1]
         assert scalar_cost(mdp, AgeState(5, d_max), Action.RENEW) == pytest.approx(expected, rel=1e-14)
 
     def test_renewal_lump_sum_general(self, mdp):
         f, dr, d_max = mdp.mse, mdp.channel.delta_r, mdp.trunc.delta_max
         for delta in (1, 10, 30, 39):
-            expected = sum(f.at(min(delta + r, d_max)) for r in range(dr))
+            expected = _lump_sum(f, dr, delta)
             assert scalar_cost(mdp, AgeState(2, delta), Action.RENEW) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("shape", [(40, 40), (25, 30), (7, 40), (40, 16)])
+    def test_costs_match_the_mse_and_the_lump_sum(self, mdp, shape):
+        # Every cell and action, on the built grid and on restricted ones,
+        # whose lump sums keep the summands of the built grid's MSE.
+        grid = mdp.restrict(*shape)
+        stack = np.random.default_rng(3).integers(0, 3, size=(4, *shape)).astype(np.int8)
+        stack[0], stack[1], stack[2] = Action.IDLE, Action.TRANSMIT, Action.RENEW
+        got = grid.costs(stack)
+        assert got.shape == stack.shape
+        for b, actions in enumerate(stack):
+            assert grid.costs(actions).tobytes() == got[b].tobytes()
+            for s in states(grid):
+                cost, u = got[b, s.tau - 1, s.delta - 1], actions[s.tau - 1, s.delta - 1]
+                if u == Action.RENEW:
+                    assert cost == pytest.approx(_lump_sum(mdp.mse, mdp.channel.delta_r, s.delta), rel=1e-13)
+                else:
+                    assert cost == mdp.mse[s.delta - 1]
+
+    def test_every_array_field_is_one_dimensional(self, mdp):
+        for grid in (mdp, mdp.restrict(7, 30)):
+            arrays = [getattr(grid, f.name) for f in dataclasses.fields(grid)]
+            arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+            assert len(arrays) == 7
+            assert all(a.ndim == 1 and not a.flags.writeable for a in arrays)
+
     def test_cost_constant_in_channel_age(self, mdp):
-        table = mdp.cost_table
-        assert np.all(table.max(axis=0) == table.min(axis=0))
+        for u in Action:
+            grid = mdp.costs(np.full(mdp.shape, u))
+            assert np.all(grid.max(axis=0) == grid.min(axis=0))
 
     def test_cost_supermodular_between_renew_and_others(self, mdp):
         # c(d', 2) + c(d, u) - c(d', u) - c(d, 2) >= 0 for d' >= d away from
         # the clamp region, for u in {idle, transmit}.
         d_hi = mdp.trunc.delta_max - mdp.channel.delta_r
-        c = mdp.cost_table[0]  # independent of channel age
+        # Row 0 serves every channel age: no cost depends on it.
+        c = np.stack([mdp.costs(np.full(mdp.shape, u))[0] for u in Action], axis=1)
         for u in (0, 1):
             gap = (c[1:d_hi, 2] + c[: d_hi - 1, u]) - (c[1:d_hi, u] + c[: d_hi - 1, 2])
             assert np.all(gap >= -1e-12)
@@ -81,6 +110,12 @@ class TestCost:
     def test_invalid_action_rejected(self, mdp):
         with pytest.raises(DomainError):
             scalar_cost(mdp, AgeState(1, 1), 3)
+
+
+def _lump_sum(f, delta_r, delta):
+    """The MSE accrued over a renewal downtime from information age
+    ``delta``, its summands clamped at the last entry of ``f``."""
+    return sum(f[min(delta + r, len(f)) - 1] for r in range(delta_r))
 
 
 def _assert_kernel_stochastic_in_grid(mdp):
@@ -250,17 +285,14 @@ class TestRestrict:
         assert sub.shape == built.shape == shape
         for name in ("theta", "tau_idle", "tau_tx", "delta_up", "delta_renew"):
             np.testing.assert_array_equal(getattr(sub, name), getattr(built, name), err_msg=name)
-        np.testing.assert_array_equal(sub.mse.values, built.mse.values)
-        for u in (Action.IDLE, Action.TRANSMIT):
-            np.testing.assert_array_equal(sub.cost_table[:, :, u], built.cost_table[:, :, u])
+        np.testing.assert_array_equal(sub.mse, built.mse)
         # A renewal lump sum on the sub-grid keeps the summands of the larger
-        # grid's MSE table where build_mdp clamps them at its last entry, so
-        # the two differ only in the last delta_r information ages, and
-        # there the restricted sums are the larger ones.
+        # grid's MSE where build_mdp clamps them at its last entry, so the
+        # two differ only in the last delta_r information ages, and there the
+        # restricted sums are the larger ones.
         keep = shape[1] - mdp.channel.delta_r
-        renew_sub, renew_built = sub.cost_table[:, :, Action.RENEW], built.cost_table[:, :, Action.RENEW]
-        np.testing.assert_array_equal(renew_sub[:, :keep], renew_built[:, :keep])
-        assert (renew_sub[:, keep:] >= renew_built[:, keep:]).all()
+        np.testing.assert_array_equal(sub.renew_cost[:keep], built.renew_cost[:keep])
+        assert (sub.renew_cost[keep:] >= built.renew_cost[keep:]).all()
 
     def test_rejects_a_larger_grid(self, mdp):
         with pytest.raises(DomainError, match="exceeds"):

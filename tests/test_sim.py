@@ -54,8 +54,8 @@ class TestSimulate:
         # costs is bit-exact.
         stats = simulate(mdp, transmit_always(mdp.trunc), epochs=512, seed=3)
         # Every transmission succeeds, so every epoch costs the age-1 MSE.
-        assert stats.per_epoch_avg_cost == mdp.mse.at(1)
-        assert stats.per_slot_avg_cost == mdp.mse.at(1)
+        assert stats.per_epoch_avg_cost == mdp.mse[0]
+        assert stats.per_slot_avg_cost == mdp.mse[0]
         assert stats.std_error == 0.0
         assert stats.aoi_histogram[0] == 512
 
@@ -200,15 +200,16 @@ class TestMatchesScalarLoop:
 
     # Costs that send the total to fsum itself: each visited state's cost is
     # at least 2**1000 / epochs in magnitude or infinite, and with both signs
-    # fsum's intermediate overflow depends on the order of the epochs.
+    # fsum's intermediate overflow depends on the order of the epochs. The
+    # MSE and the renewal lump sum are drawn per information age.
     @pytest.mark.parametrize("epochs", [1, 2, 40, 7 * BATCH_COUNT + 5])
     @settings(max_examples=25)
     @given(
         seed=st.integers(0, 2**64 - 1),
         huge=st.lists(
             st.sampled_from([2.0**1000, -(2.0**1000), 1.7e308, -1.7e308, np.inf, -np.inf]),
-            min_size=16 * 3,
-            max_size=16 * 3,
+            min_size=2 * 4,
+            max_size=2 * 4,
         ),
     )
     def test_fsum_fallback_matches_scalar(self, epochs, seed, huge):
@@ -217,7 +218,8 @@ class TestMatchesScalarLoop:
             benchmark_channel(0.3, 3, 4, 0.95, 0.1),
             Truncation(4, 4),
         )
-        mdp = dataclasses.replace(mdp, cost_table=np.array(huge).reshape(4, 4, 3))
+        mse, renew_cost = np.array(huge).reshape(2, 4)
+        mdp = dataclasses.replace(mdp, mse=mse, renew_cost=renew_cost)
         policy = Policy(actions=np.random.default_rng(seed).integers(0, 3, size=mdp.shape).astype(np.int8))
         # The batch means and their spread overflow too.
         with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
@@ -240,10 +242,7 @@ class TestMatchesScalarLoop:
             Truncation(1, 3),
         )
         m = 1.7e308
-        costs = np.zeros((1, 3, 3))
-        costs[0, 0, Action.IDLE] = m
-        costs[0, 1, Action.TRANSMIT] = -m
-        mdp = dataclasses.replace(mdp, cost_table=costs)
+        mdp = dataclasses.replace(mdp, mse=np.array([m, -m, 0.0]), renew_cost=np.zeros(3))
         policy = Policy(actions=np.array([[Action.IDLE, Action.TRANSMIT, Action.IDLE]], dtype=np.int8))
         with pytest.raises(OverflowError):
             math.fsum(sorted([m, -m, m, -m, m]))
@@ -425,9 +424,14 @@ class TestThresholdPolicy:
         with pytest.raises(DomainError, match="nonincreasing"):
             threshold_policy(4, [1, 3, 2, 1], Truncation(4, 6))
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "3"], ids=repr)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "3", 2.5], ids=repr)
     def test_non_integer_renewal_threshold_is_named(self, bad):
         with pytest.raises(DomainError, match=re.escape(f"tau_renew must be an integer, got {bad!r}")):
+            threshold_policy(bad, [1] * 4, Truncation(4, 6))
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_renewal_threshold_outside_grid_rejected(self, bad):
+        with pytest.raises(DomainError, match=re.escape(f"tau_renew must be an integer in [0, 4], got {bad!r}")):
             threshold_policy(bad, [1] * 4, Truncation(4, 6))
 
     def test_thresholds_outside_grid_rejected(self):

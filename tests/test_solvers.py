@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import itertools
-import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +26,7 @@ from helpers import (
     reference_q_actions,
     reference_renewal_closed_evaluate,
     reference_rvi_solve,
+    reference_threshold_candidate,
     reference_threshold_heuristic,
     scalar_cost,
     scalar_spi_improvement,
@@ -88,10 +88,10 @@ def perfect_channel_mdp():
     )
 
 
-def _drawn_mdp(tau_max, delta_max, theta, beta, restricted, tau_costs, data):
+def _drawn_mdp(tau_max, delta_max, theta, beta, restricted, drawn_costs, data):
     """A benchmark MDP with wear and downtime drawn small or near the grid
     bounds, where the age shifts clamp; optionally restricted from a larger
-    grid, and with costs that vary with the channel age too."""
+    grid, and with arbitrary costs per information age."""
     tau_d = data.draw(st.one_of(st.integers(2, 6), st.integers(max(2, tau_max - 2), tau_max + 2)))
     delta_r = data.draw(st.one_of(st.integers(2, 6), st.integers(max(2, delta_max - 2), delta_max + 2)))
     extra = 7 if restricted else 0
@@ -102,16 +102,22 @@ def _drawn_mdp(tau_max, delta_max, theta, beta, restricted, tau_costs, data):
     )
     if restricted:
         mdp = mdp.restrict(tau_max, delta_max)
-    if tau_costs:
-        scale = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(0.5, 2.0, (tau_max, 1, 3))
-        mdp = dataclasses.replace(mdp, cost_table=mdp.cost_table * scale)
+    if drawn_costs:
+        mdp = _with_drawn_costs(mdp, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     return mdp
+
+
+def _with_drawn_costs(mdp, rng):
+    """The MDP with its MSE and renewal lump sums each scaled by a random
+    factor per information age, so neither is monotone in the age."""
+    mse, renew_cost = rng.uniform(0.5, 2.0, (2, mdp.trunc.delta_max)) * (mdp.mse, mdp.renew_cost)
+    return dataclasses.replace(mdp, mse=mse, renew_cost=renew_cost)
 
 
 class TestQBackup:
     def test_zero_continuation_returns_cost(self, toy):
         q = q_backup(toy, np.zeros(toy.shape))
-        np.testing.assert_array_equal(q, toy.cost_table)
+        np.testing.assert_array_equal(q, np.stack([toy.costs(np.full(toy.shape, u)) for u in Action], axis=2))
 
     def test_renew_backup_formula(self, small_case):
         # Q(s, renew) = lump sum + v at (1, delta + downtime), clamped.
@@ -120,7 +126,7 @@ class TestQBackup:
         dr, d_max = mdp.channel.delta_r, mdp.trunc.delta_max
         for tau, delta in ((3, 2), (11, 9), (30, 1)):
             expected = sum(
-                mdp.mse.at(min(delta + r, d_max)) for r in range(dr)
+                mdp.mse[min(delta + r, d_max) - 1] for r in range(dr)
             ) + v[0, min(delta + dr, d_max) - 1]
             assert q[tau - 1, delta - 1, Action.RENEW] == pytest.approx(expected, rel=1e-12)
 
@@ -169,10 +175,10 @@ class TestSliceBackup:
         delta_max=st.integers(1, 40),
         theta=st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.99, 0.0), (0.95, 0.3)]),
         restricted=st.booleans(),
-        tau_costs=st.booleans(),
+        drawn_costs=st.booleans(),
         data=st.data(),
     )
-    def test_matches_the_gather_reference(self, tau_max, delta_max, theta, restricted, tau_costs, data):
+    def test_matches_the_gather_reference(self, tau_max, delta_max, theta, restricted, drawn_costs, data):
         # Wear and downtime are drawn small or at least the grid bound less
         # one, where a single clamp covers the whole axis.
         tau_d = data.draw(st.one_of(st.integers(2, 6), st.integers(max(2, tau_max - 1), tau_max + 3)))
@@ -188,9 +194,8 @@ class TestSliceBackup:
         if restricted:
             mdp = mdp.restrict(tau_max, delta_max)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        if tau_costs:  # costs that vary with the channel age too
-            costs = mdp.cost_table * rng.uniform(0.5, 2.0, size=(tau_max, 1, 3))
-            mdp = dataclasses.replace(mdp, cost_table=costs)
+        if drawn_costs:
+            mdp = _with_drawn_costs(mdp, rng)
         v = rng.normal(scale=1e3, size=mdp.shape)
         expected = np.stack(reference_q_actions(mdp, v), axis=2)
         assert q_backup(mdp, v).tobytes() == expected.tobytes()
@@ -200,20 +205,20 @@ class TestSliceBackup:
         delta_max=st.integers(1, 30),
         batch=st.integers(1, 4),
         restricted=st.booleans(),
-        tau_costs=st.booleans(),
+        drawn_costs=st.booleans(),
         data=st.data(),
     )
-    def test_a_stack_backs_up_as_its_members(self, tau_max, delta_max, batch, restricted, tau_costs, data):
+    def test_a_stack_backs_up_as_its_members(self, tau_max, delta_max, batch, restricted, drawn_costs, data):
         # Signed zeros and infinities included: each member's Q grids must
         # carry the bits its own 2-d backup gives.
-        mdp = _drawn_mdp(tau_max, delta_max, (0.95, 0.3), 1.0, restricted, tau_costs, data)
+        mdp = _drawn_mdp(tau_max, delta_max, (0.95, 0.3), 1.0, restricted, drawn_costs, data)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         v = rng.normal(scale=1e3, size=(batch, *mdp.shape))
         v[rng.random(v.shape) < 0.1] = -0.0
         v[rng.random(v.shape) < 0.02] = np.inf
         q = np.empty((3, *v.shape))
         with np.errstate(invalid="ignore"):
-            solvers._backup(mdp, v, np.moveaxis(mdp.cost_table, 2, 0), q, np.empty(v.shape))
+            solvers._backup(mdp, v, q, np.empty(v.shape))
             for b in range(batch):
                 assert q[:, b].tobytes() == np.moveaxis(q_backup(mdp, v[b]), 2, 0).tobytes()
 
@@ -288,7 +293,7 @@ class TestVectorisedScans:
 class TestRvi:
     def test_perfect_channel_gain_is_first_age_mse(self, perfect_channel_mdp):
         res = rvi_solve(perfect_channel_mdp, SolveOptions(tol=1e-12))
-        assert res.gain == pytest.approx(perfect_channel_mdp.mse.at(1), abs=1e-9)
+        assert res.gain == pytest.approx(perfect_channel_mdp.mse[0], abs=1e-9)
         # Transmission succeeds surely, so the greedy policy transmits on the
         # recurrent set it induces from the best state.
         assert action_at(res.policy, 1, 1) == Action.TRANSMIT
@@ -397,14 +402,14 @@ class TestPolicyEvaluate:
     def test_transmit_always_perfect_channel(self, perfect_channel_mdp):
         pol = Policy(actions=np.ones(perfect_channel_mdp.shape, dtype=np.int8))
         gain, v = policy_evaluate(perfect_channel_mdp, pol)
-        assert gain == pytest.approx(perfect_channel_mdp.mse.at(1), rel=1e-12)
+        assert gain == pytest.approx(perfect_channel_mdp.mse[0], rel=1e-12)
         assert v[0, 0] == 0.0
 
     def test_renew_always_clamped_cycle(self, small_case):
         mdp = small_case.mdp
         pol = Policy(actions=np.full(mdp.shape, 2, dtype=np.int8))
         gain, _ = policy_evaluate(mdp, pol)
-        expected = mdp.channel.delta_r * mdp.mse.at(mdp.trunc.delta_max)
+        expected = mdp.channel.delta_r * mdp.mse[-1]
         assert gain == pytest.approx(expected, rel=1e-10)
 
     def test_optimal_policy_evaluates_to_optimal_gain(self, case_stable):
@@ -428,7 +433,7 @@ class TestPolicyEvaluate:
         mdp = build_mdp(benchmark_system(1.0), benchmark_channel(), Truncation(450, 450))
         assert mdp.n_states > 200_000
         gain, _ = policy_evaluate(mdp, Policy(actions=np.full(mdp.shape, Action.RENEW, dtype=np.int8)))
-        assert gain == pytest.approx(mdp.cost_table[0, -1, Action.RENEW], rel=1e-12)
+        assert gain == pytest.approx(mdp.renew_cost[-1], rel=1e-12)
 
     def test_multichain_policy_raises(self):
         # A dead channel plus a policy with two absorbing loops of different
@@ -528,11 +533,11 @@ class TestPolicyEvaluate:
         else:
             assert ev.q.tobytes() == np.moveaxis(q_backup(mdp, ev.v), 2, 0).tobytes()
         try:
-            [gain], [v], _ = _lu_solve(mdp, actions[None])
+            [gain], [v], _ = _lu_solve(mdp, actions[None], mdp.costs(actions[None]))
         except EvaluationError:  # exactly singular
             return
         gated = np.choose(actions, np.moveaxis(q_backup(mdp, v), 2, 0)) - v - gain
-        cost = mdp.cost_table.reshape(-1, 3)[np.arange(mdp.n_states), actions.reshape(-1)]
+        cost = mdp.costs(actions).reshape(-1)
         x = np.append(v.reshape(-1)[1:], gain)
         system = cost - solvers._evaluation_matrix(mdp, actions) @ x
         slack = 4 * np.spacing(np.abs(v).max() + abs(gain) + np.abs(cost).max())
@@ -916,15 +921,15 @@ class TestBatchedRenewalClosedEvaluation:
         theta=st.sampled_from([(0.0, 0.0), (0.99, 0.0), (0.95, 0.3)]),
         beta=st.sampled_from([0.9, 1.0]),
         restricted=st.booleans(),
-        tau_costs=st.booleans(),
+        drawn_costs=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_members_match_the_reference(self, tau_max, delta_max, theta, beta, restricted, tau_costs, data):
+    def test_members_match_the_reference(self, tau_max, delta_max, theta, beta, restricted, drawn_costs, data):
         # Each member draws its own renewal threshold, so the members' all-
         # renew blocks start at different rows and the batch's shared ring
         # and block top exceed most members' own.
-        mdp = _drawn_mdp(tau_max, delta_max, theta, beta, restricted, tau_costs, data)
+        mdp = _drawn_mdp(tau_max, delta_max, theta, beta, restricted, drawn_costs, data)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         taus = data.draw(st.lists(st.integers(0, tau_max - 1), min_size=1, max_size=6))
         stack = np.stack([_renewal_closed_policy(rng, tau_max, delta_max, tau) for tau in taus])
@@ -973,7 +978,7 @@ class TestStructuredPolicyIteration:
 
     def test_perfect_channel(self, perfect_channel_mdp):
         res = structured_policy_iteration(perfect_channel_mdp, SolveOptions(tol=1e-12))
-        assert res.gain == pytest.approx(perfect_channel_mdp.mse.at(1), abs=1e-9)
+        assert res.gain == pytest.approx(perfect_channel_mdp.mse[0], abs=1e-9)
 
     def test_fixed_point_is_greedy(self, small_case):
         # Termination at an unchanged policy also means the returned policy
@@ -1144,7 +1149,7 @@ class TestBruteForce:
             Truncation(1, 1),
         )
         gain, policy = brute_force_optimal(mdp)
-        assert gain == pytest.approx(mdp.mse.at(1), rel=1e-12)
+        assert gain == pytest.approx(mdp.mse[0], rel=1e-12)
         assert action_at(policy, 1, 1) in (Action.IDLE, Action.TRANSMIT)
 
     def test_refuses_large_grids(self, small_case):
@@ -1189,7 +1194,7 @@ class TestBruteForce:
             Truncation(3, 3),
         )
         gain, policy = brute_force_optimal(mdp)
-        assert gain == pytest.approx(mdp.mse.at(1), rel=1e-10)
+        assert gain == pytest.approx(mdp.mse[0], rel=1e-10)
         eval_gain, _ = policy_evaluate(mdp, policy)
         assert eval_gain == pytest.approx(gain, rel=1e-10)
 
@@ -1201,38 +1206,28 @@ class TestBruteForce:
 
 class TestThresholdHeuristic:
     def test_never_beats_optimum(self, small_case):
-        res = threshold_heuristic(small_case.mdp, SolveOptions(tol=1e-10))
+        res = threshold_heuristic(small_case.mdp)
         assert res.gain >= small_case.rvi.gain - 1e-9
 
     def test_fixed_renew_threshold_structure(self, small_case):
-        mdp = small_case.mdp
-        res = threshold_heuristic(mdp, SolveOptions(tol=1e-10), tau_renew=10)
-        acts = res.policy.actions
+        [best] = solvers._threshold_candidates(small_case.mdp, [10])
+        acts = best.policy.actions
         assert np.all(acts[10:, :] == 2)
         assert np.all(acts[:10, :] != 2)
 
     def test_renew_everywhere_candidate(self, small_case):
         mdp = small_case.mdp
-        res = threshold_heuristic(mdp, SolveOptions(tol=1e-10), tau_renew=0)
-        assert np.all(res.policy.actions == 2)
-        expected = mdp.channel.delta_r * mdp.mse.at(mdp.trunc.delta_max)
-        assert res.gain == pytest.approx(expected, rel=1e-10)
+        [best] = solvers._threshold_candidates(mdp, [0])
+        assert np.all(best.policy.actions == 2)
+        expected = mdp.channel.delta_r * mdp.mse[-1]
+        assert best.gain == pytest.approx(expected, rel=1e-10)
 
     def test_residual_is_bellman_residual(self, small_case):
-        # Renewing everywhere is far from optimal, so the optimality equation
+        # The threshold family misses the optimum, so the optimality equation
         # is visibly violated; the residual is read off the returned Q.
-        res = threshold_heuristic(small_case.mdp, SolveOptions(tol=1e-10), tau_renew=0)
+        res = threshold_heuristic(small_case.mdp)
         assert res.residual > 0
         assert res.residual == np.abs(res.q.min(axis=2) - res.v - res.gain).max()
-
-    def test_invalid_threshold(self, small_case):
-        with pytest.raises(DomainError):
-            threshold_heuristic(small_case.mdp, tau_renew=31)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "3", 2.5], ids=repr)
-    def test_non_integer_threshold_is_named(self, small_case, bad):
-        with pytest.raises(DomainError, match=re.escape(f"tau_renew must be an integer, got {bad!r}")):
-            threshold_heuristic(small_case.mdp, tau_renew=bad)
 
     @pytest.mark.parametrize("lower,winner", [(1, 0), (10**6, 1)], ids=["one-ulp", "clear"])
     def test_earliest_of_tied_candidates_wins(self, monkeypatch, small_case, lower, winner):
@@ -1245,7 +1240,7 @@ class TestThresholdHeuristic:
         gains = [gain, gain - lower * float(np.spacing(gain))] + [gain + 1.0] * mdp.shape[0]
         assert (gain - gains[1] > _float_floor(v, gain)) == bool(winner)
 
-        def candidates(mdp, opts, taus):
+        def candidates(mdp, taus):
             return [
                 solvers._Iterate(
                     gain=gains[tau], policy=Policy(actions=np.full(mdp.shape, tau % 3)),
@@ -1279,34 +1274,36 @@ class TestBatchedThresholdHeuristic:
     def test_matches_the_reference_on_every_config(self, name):
         # The smallest square grid the config's wear and downtime allow.
         ch = load_config(CONFIG_DIR / f"{name}.yaml").build_channel()
-        mdp, opts = _shipped_mdp(name, max(1 + ch.tau_d, 1 + ch.delta_r))
-        assert_same_result(threshold_heuristic(mdp, opts), reference_threshold_heuristic(mdp, opts))
+        mdp, _ = _shipped_mdp(name, max(1 + ch.tau_d, 1 + ch.delta_r))
+        assert_same_result(threshold_heuristic(mdp), reference_threshold_heuristic(mdp))
 
     @pytest.mark.parametrize("beta", [0.9, 0.95, 1.0, 1.05])
     def test_matches_the_reference_on_the_benchmark_sweep(self, beta):
         cfg = load_config(CONFIG_DIR / "benchmark-marginal.yaml", overrides=[f"system.beta={beta}"])
-        mdp, opts = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation()), cfg.solver.options()
+        mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
         assert mdp.shape == (80, 80)
-        assert_same_result(threshold_heuristic(mdp, opts), reference_threshold_heuristic(mdp, opts))
+        assert_same_result(threshold_heuristic(mdp), reference_threshold_heuristic(mdp))
 
     @pytest.mark.parametrize("tau_renew", [0, 7, 29, 30])
     def test_fixed_threshold_matches_the_reference(self, small_case, tau_renew):
-        mdp, opts = small_case.mdp, SolveOptions(tol=1e-10)
-        assert_same_result(
-            threshold_heuristic(mdp, opts, tau_renew=tau_renew),
-            reference_threshold_heuristic(mdp, opts, tau_renew=tau_renew),
-        )
+        mdp = small_case.mdp
+        [best] = solvers._threshold_candidates(mdp, [tau_renew])
+        gain, v, policy, sweep = reference_threshold_candidate(mdp, tau_renew)
+        assert np.float64(best.gain).tobytes() == np.float64(gain).tobytes()
+        assert best.policy == policy
+        assert best.iterations == sweep
+        assert best.floor == _float_floor(v, gain)
 
     def test_memory_at_80(self):
         # A batch of eight renewal-closed evaluations works in about 6 MiB.
         # A threshold's best iterate keeps its gain and policy, not its
         # values, so the whole 81-threshold search stays near one batch.
-        mdp, opts = _shipped_mdp("benchmark-marginal", 80)
+        mdp, _ = _shipped_mdp("benchmark-marginal", 80)
         solvers.load_evaluator()  # scipy's import is not the search's memory
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            threshold_heuristic(mdp, opts)
+            threshold_heuristic(mdp)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
