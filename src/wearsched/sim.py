@@ -21,7 +21,7 @@ from .channel import ChannelModel
 from .errors import DomainError, check_integer
 from .linear_model import SystemModel, stability_report
 from .mdp import Action, MdpSpec, Truncation
-from .solvers import Policy, threshold_actions
+from .solvers import Policy, check_tau_renew, threshold_actions
 
 # Number of contiguous batches used for the batch-means standard error.
 BATCH_COUNT = 32
@@ -211,14 +211,6 @@ def boundary_renewal(model: SystemModel, channel: ChannelModel, trunc: Truncatio
     col = np.full(trunc.tau_max, Action.RENEW, dtype=np.int8)
     col[:n_stable] = Action.TRANSMIT
     return Policy(actions=np.tile(col[:, None], (1, trunc.delta_max)))
-
-
-def check_tau_renew(tau_renew, t_max: int) -> int:
-    """The renewal threshold as an int, if it is an integer in [0, t_max]."""
-    tau = check_integer("tau_renew", tau_renew)
-    if not 0 <= tau <= t_max:
-        raise DomainError(f"tau_renew must be an integer in [0, {t_max}], got {tau_renew!r}")
-    return tau
 
 
 def threshold_policy(tau_renew: int, transmit_thresholds, trunc: Truncation) -> Policy:

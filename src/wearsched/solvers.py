@@ -812,6 +812,14 @@ def _threshold_evaluate(mdp: MdpSpec, policy: Policy) -> Evaluation:
     return ev
 
 
+def check_tau_renew(tau_renew, t_max: int) -> int:
+    """The renewal threshold as an int, if it is an integer in [0, t_max]."""
+    tau = check_integer("tau_renew", tau_renew)
+    if not 0 <= tau <= t_max:
+        raise DomainError(f"tau_renew must be an integer in [0, {t_max}], got {tau_renew!r}")
+    return tau
+
+
 def threshold_actions(d_max, tau_renew, thresholds) -> np.ndarray:
     """Action grid that renews at channel ages above ``tau_renew`` and below
     them transmits from information age ``thresholds[t]`` on, else idles.
@@ -873,7 +881,8 @@ class _Candidate:
 
 def _threshold_candidates(mdp: MdpSpec, taus: list[int]) -> list[_Iterate]:
     """The best evaluated iterate of the threshold heuristic at each renewal
-    threshold of the ascending list ``taus``.
+    threshold of the ascending list ``taus``, each checked to be an integer
+    in [0, tau_max].
 
     The runs advance in rounds over a window of the lowest unfinished
     thresholds, ``_eval_batch_size`` of them: each round evaluates the
@@ -882,7 +891,7 @@ def _threshold_candidates(mdp: MdpSpec, taus: list[int]) -> list[_Iterate]:
     """
     t_max = mdp.shape[0]
     size = _eval_batch_size(mdp)
-    runs = [_Candidate(tau, t_max) for tau in taus]
+    runs = [_Candidate(check_tau_renew(tau, t_max), t_max) for tau in taus]
     window: list[_Candidate] = []
     queue = iter(runs)
     while True:

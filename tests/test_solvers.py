@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -1228,6 +1229,15 @@ class TestThresholdHeuristic:
         res = threshold_heuristic(small_case.mdp)
         assert res.residual > 0
         assert res.residual == np.abs(res.q.min(axis=2) - res.v - res.gain).max()
+
+    def test_invalid_threshold(self, small_case):
+        with pytest.raises(DomainError):
+            solvers._threshold_candidates(small_case.mdp, [31])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "3", 2.5], ids=repr)
+    def test_non_integer_threshold_is_named(self, small_case, bad):
+        with pytest.raises(DomainError, match=re.escape(f"tau_renew must be an integer, got {bad!r}")):
+            solvers._threshold_candidates(small_case.mdp, [bad])
 
     @pytest.mark.parametrize("lower,winner", [(1, 0), (10**6, 1)], ids=["one-ulp", "clear"])
     def test_earliest_of_tied_candidates_wins(self, monkeypatch, small_case, lower, winner):
