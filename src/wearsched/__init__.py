@@ -25,7 +25,6 @@ from .errors import (
     WearschedError,
 )
 from .linear_model import (
-    MseTable,
     StabilityReport,
     SteadyState,
     SystemModel,
@@ -71,7 +70,6 @@ __all__ = [
     "InvalidModelError",
     "MdpSpec",
     "MissingArtifactError",
-    "MseTable",
     "NumericalOverflowError",
     "Policy",
     "Region",

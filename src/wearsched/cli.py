@@ -239,18 +239,25 @@ def run_verify(
 
 def run_simulate(cfg: ExperimentConfig, out_dir: Path, policy_path: str | None = None) -> dict:
     """Simulate the configured number of epochs/replications under either the
-    solved optimal policy or a policy loaded from CSV."""
+    solved optimal policy or a policy loaded from CSV.
+
+    ``timings_s`` has a stage for building the MDP, for reading the policy
+    (``read``) or solving for it (``solve``), for the replications, and for
+    assembling the report and creating the output directory (``write``);
+    like every command's ``total``, it ends before the JSON's own write."""
     t_start = time.perf_counter()
     mdp = _build(cfg)
+    t_build = time.perf_counter()
     lam = None
     if policy_path:
         policy = read_policy_csv(policy_path)
         _check_grid("policy", policy.shape, mdp.shape)
-        source = str(policy_path)
+        source, stage = str(policy_path), "read"
     else:
         res = _solve(cfg, mdp)
         policy, lam = res.policy, res.gain
-        source = "optimal"
+        source, stage = "optimal", "solve"
+    t_policy = time.perf_counter()
 
     sim_cfg = cfg.simulate
     reps = []
@@ -270,6 +277,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, policy_path: str | None =
                 "boundary_hit_fraction": stats.boundary_hit_fraction,
             }
         )
+    t_sim = time.perf_counter()
     per_epoch = np.array([r["per_epoch_avg_cost"] for r in reps])
     pooled = {
         "mean_per_epoch_avg_cost": float(per_epoch.mean()),
@@ -286,9 +294,16 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, policy_path: str | None =
         "lambda": lam,
         "replications": reps,
         "pooled": pooled,
-        "timings_s": {"total": time.perf_counter() - t_start},
     }
     out_dir.mkdir(parents=True, exist_ok=True)
+    t_write = time.perf_counter()
+    payload["timings_s"] = {
+        "build": t_build - t_start,
+        stage: t_policy - t_build,
+        "simulate": t_sim - t_policy,
+        "write": t_write - t_sim,
+        "total": t_write - t_start,
+    }
     write_json(out_dir / "simulate.json", payload)
     return payload
 

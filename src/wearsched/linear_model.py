@@ -164,43 +164,12 @@ def steady_state(model: SystemModel, tol: float = 1e-12, max_iter: int = 100_000
     )
 
 
-@dataclass(frozen=True)
-class MseTable:
-    """Estimation MSE at the receiver indexed by information age.
-
-    ``values[k]`` is the MSE at age k+1. Nondecreasing in the age by
-    construction of the covariance recursion.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise InvalidModelError("MseTable values must be a nonempty 1-d array")
-        if not np.all(np.isfinite(v)):
-            raise InvalidModelError("MseTable values must be finite")
-        scale = max(1.0, float(np.abs(v).max()))
-        if np.any(np.diff(v) < -1e-12 * scale):
-            raise InvalidModelError("MSE values must be nondecreasing in the age")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def delta_max(self) -> int:
-        return int(self.values.size)
-
-    def at(self, delta: int) -> float:
-        if not 1 <= delta <= self.delta_max:
-            raise DomainError(f"age {delta} outside table range 1..{self.delta_max}")
-        return float(self.values[delta - 1])
-
-
-def mse_table(model: SystemModel, ss: SteadyState, delta_max: int) -> MseTable:
+def mse_table(model: SystemModel, ss: SteadyState, delta_max: int) -> np.ndarray:
     """MSE-versus-age table via the covariance recurrence P -> A P A' + Q.
 
-    Starts from the steady-state posterior covariance; entry for age d is the
-    trace after d recurrence steps. Raises on overflow to non-finite values,
+    Starts from the steady-state posterior covariance; entry ``k`` of the
+    returned read-only array is the MSE at information age k+1, the trace
+    after k+1 recurrence steps. Raises on overflow to non-finite values,
     naming the first offending age.
     """
     if delta_max < 1:
@@ -216,7 +185,15 @@ def mse_table(model: SystemModel, ss: SteadyState, delta_max: int) -> MseTable:
                     f"MSE overflowed to non-finite values at age {d}", first_offending_index=d
                 )
             values[d - 1] = t
-    return MseTable(values=values)
+    if values.ndim != 1 or values.size < 1:
+        raise InvalidModelError("MseTable values must be a nonempty 1-d array")
+    if not np.all(np.isfinite(values)):
+        raise InvalidModelError("MseTable values must be finite")
+    scale = max(1.0, float(np.abs(values).max()))
+    if np.any(np.diff(values) < -1e-12 * scale):
+        raise InvalidModelError("MSE values must be nondecreasing in the age")
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,7 @@ def build_mdp(model: SystemModel, channel: ChannelModel, trunc: Truncation) -> M
     clamped dynamics.
     """
     t_max, d_max = trunc.tau_max, trunc.delta_max
-    f = mse_table(model, steady_state(model), d_max).values  # f[j] = MSE at information age j+1
+    f = mse_table(model, steady_state(model), d_max)  # f[j] = MSE at information age j+1
 
     theta = np.asarray(channel.reliability(np.arange(1, t_max + 1)), dtype=float).reshape(t_max)
 

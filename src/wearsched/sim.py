@@ -8,6 +8,14 @@ computing the per-slot average. Randomness comes from numpy's PCG64: one
 uniform draw is consumed per epoch regardless of the action, so trajectories
 are reproducible bit-for-bit from ``(seed, stream)``. Replication r of an
 experiment uses ``stream=r``.
+
+The trajectory is walked a window of at most ``CHUNK`` epochs at a time,
+cut into segments of ``SEGMENT`` epochs that numpy advances side by side.
+Two copies of the chain driven by the same draws agree from the step where
+they meet (they couple), so a segment walked from a guessed start is
+re-run from its true start only until the re-run meets it; the stitched
+segments are the serial trajectory bit for bit. A chain that does not
+couple is walked serially, one epoch at a time, as are short windows.
 """
 
 from __future__ import annotations
@@ -25,8 +33,22 @@ from .solvers import Policy, check_tau_renew, threshold_actions
 
 # Number of contiguous batches used for the batch-means standard error.
 BATCH_COUNT = 32
-# Epochs drawn and stored per pass of the simulation loop.
-CHUNK = 1 << 16
+# Most draws held at once: the run is walked one window of at most CHUNK
+# epochs at a time.
+CHUNK = 1 << 17
+# Epochs per segment: a window's segments are advanced side by side.
+SEGMENT = 512
+# Windows cut into fewer segments are walked serially.
+MIN_SEGMENTS = 64
+# Fix-up passes before the rest of an unsettled window is walked serially.
+FIXUP_PASSES = 4
+# Re-runs left when this few are still active finish in plain Python.
+PY_FINISH = 32
+# Steps a re-run advances between looks at whether it has met its stored
+# trajectory.
+CHECK_EVERY = 16
+# Draws the serial loop turns into a list at a time.
+_PIECE = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,26 +111,164 @@ def replication_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
 
-def _walk(hit: list, miss: list, threshold: list, rng: np.random.Generator, sizes: list):
-    """Yield the states visited in each of ``len(sizes)`` consecutive runs of
-    ``sizes[i]`` epochs from state (1, 1), as int64 arrays.
+def _serial(hit: list, miss: list, threshold: list, draws: np.ndarray, s: int, out: np.ndarray) -> int:
+    """Walk ``len(draws)`` epochs from state ``s`` one at a time, storing the
+    visited states in ``out``; return the state after them.
 
     The loop touches only plain-python lists and floats: one uniform per
     epoch against a per-state threshold, theta for transmit and -1.0 for idle
     and renew (whose sole successor sits in the miss slot), so
-    ``u < threshold[s]`` alone picks the branch. Draws are taken at most
-    ``CHUNK`` at a time; PCG64 yields the same uniforms chunked as in one call.
+    ``u < threshold[s]`` alone picks the branch.
     """
-    s = 0
+    visited = []
+    append = visited.append
+    for u in draws.tolist():
+        append(s)
+        s = hit[s] if u < threshold[s] else miss[s]
+    out[:] = visited
+    return s
+
+
+def _finish_serially(lists, U: np.ndarray, S: np.ndarray, c: int, w: int, out: np.ndarray) -> int:
+    """Walk a window serially from the start of segment ``c``, whose
+    predecessors are settled, into ``out``; return the state after it."""
+    L, segments = U.shape
+    s = int(S[L, c - 1]) >> 1
+    per = max(1, _PIECE // L)
+    for c0 in range(c, segments, per):
+        lo, hi = c0 * L, min((c0 + per) * L, w)
+        s = _serial(*lists, U[:, c0 : c0 + per].T.reshape(-1)[: hi - lo], s, out[lo:hi])
+    return s
+
+
+def _rerun(lists, succ: np.ndarray, thr: np.ndarray, U: np.ndarray, S: np.ndarray, cols: np.ndarray) -> bool:
+    """Re-run segments ``cols`` of a window from their starts ``S[0, cols]``;
+    return False if the pass gives up.
+
+    A re-run stops once it meets its stored trajectory: the same state and
+    the same draws give the same remaining states, so the stored rest of the
+    segment, its end included, is then its own. Re-runs advance
+    ``CHECK_EVERY`` steps between looks at whether they have met (states
+    written after a meeting equal the stored ones), and the last
+    ``PY_FINISH`` finish in plain Python. A pass in which fewer than half the
+    re-runs have met by the middle of the segment gives up: the chain is not
+    coupling, and the stored trajectories of ``cols`` are left part-written.
+    """
+    L = U.shape[0]
+    total = cols.size
+    x = S[0, cols]
+    k = 0
+    while k < L and cols.size > PY_FINISH:
+        k1 = min(k + CHECK_EVERY, L)
+        run = np.empty((k1 - k, cols.size), dtype=np.int32)
+        for j, u in enumerate(U[k:k1][:, cols]):
+            x = succ.take(x + (u < thr.take(x)), out=run[j])
+        met = x == S[k1, cols]
+        S[k + 1 : k1 + 1, cols] = run
+        cols, x, k = cols[~met], x[~met], k1
+        if 2 * k >= L and 2 * cols.size > total:
+            return False
+    hit, miss, threshold = lists
+    for c, x0 in zip(cols.tolist(), x.tolist()):
+        s, new = x0 >> 1, []
+        for u, old in zip(U[k:, c].tolist(), S[k + 1 :, c].tolist()):
+            s = hit[s] if u < threshold[s] else miss[s]
+            if 2 * s == old:
+                break
+            new.append(2 * s)
+        S[k + 1 : k + 1 + len(new), c] = new
+    return True
+
+
+def _window(lists, succ: np.ndarray, thr: np.ndarray, rng: np.random.Generator, w: int, s: int, serial: bool):
+    """The ``w`` states visited from state ``s``, as an int32 array in epoch
+    order, the state after them, and whether the rest of the run is to be
+    walked serially.
+
+    The window's draws are laid out as segments of ``SEGMENT`` consecutive
+    epochs, step-major, so that step k of every segment is one row; states
+    are held doubled, 2s, so that ``succ[2s + hit]`` is the next one. Pass 1
+    advances every segment from ``s``, a guess for all but the first. A
+    segment is settled once its start equals its predecessor's end, and then
+    so is its trajectory if its predecessors are settled. The fix-up re-runs
+    the unsettled segments from their corrected starts (``_rerun``). If the
+    window is not settled after ``FIXUP_PASSES`` passes, or a pass gives up,
+    its rest is walked serially from the first unsettled segment. A pass
+    gives up on a chain that does not couple within a segment, so the rest
+    of the run is then walked serially too, as are windows too short to cut
+    into ``MIN_SEGMENTS`` segments. Every stored state follows from its
+    predecessor by the serial update on the same draw, so the result is the
+    serial trajectory bit for bit.
+    """
+    L = SEGMENT
+    segments = -(-w // L)
+    if serial or segments < MIN_SEGMENTS:
+        out = np.empty(w, dtype=np.int32)
+        for lo in range(0, w, _PIECE):
+            hi = min(lo + _PIECE, w)
+            s = _serial(*lists, rng.random(hi - lo), s, out[lo:hi])
+        return out, s, serial
+    # Draw in epoch order, 64 KiB at a time; a short last segment's steps
+    # past the window are padding whose states are never used.
+    U = np.ones((L, segments))
+    full, short = divmod(w, L)
+    per = max(1, (1 << 13) // L)
+    for c0 in range(0, full, per):
+        c1 = min(c0 + per, full)
+        U[:, c0:c1] = rng.random((c1 - c0, L)).T
+    U[:short, full:] = rng.random((short, 1))
+    S = np.empty((L + 1, segments), dtype=np.int32)
+    S[0] = 2 * s
+    for k in range(L):
+        succ.take(S[k] + (U[k] < thr.take(S[k])), out=S[k + 1])
+
+    def unsettled():
+        return np.flatnonzero(S[0, 1:] != S[L, :-1]) + 1
+
+    cols = unsettled()
+    for _ in range(FIXUP_PASSES):
+        if not cols.size:
+            break
+        S[0, cols] = S[L, cols - 1]
+        if not _rerun(lists, succ, thr, U, S, cols):
+            serial = True
+            break
+        cols = unsettled()
+    if not cols.size:
+        del U  # spent: the output takes its place
+    out = np.empty(segments * L, dtype=np.int32)
+    np.right_shift(S[:L].T, 1, out=out.reshape(segments, L))
+    if cols.size:
+        return out[:w], _finish_serially(lists, U, S, int(cols[0]), w, out), serial
+    return out[:w], int(S[w - (segments - 1) * L, -1]) >> 1, serial
+
+
+def _walk(hit: list, miss: list, threshold: list, rng: np.random.Generator, sizes: list):
+    """Yield the states visited in each of ``len(sizes)`` consecutive runs of
+    ``sizes[i]`` epochs from state (1, 1), as int32 arrays.
+
+    The run is walked one window of at most ``CHUNK`` draws at a time
+    (``_window``); PCG64 yields the same uniforms in windows as in one call.
+    """
+    lists = (hit, miss, threshold)
+    succ = 2 * np.column_stack([miss, hit]).astype(np.int32).reshape(-1)
+    thr = np.repeat(threshold, 2)
+    left = sum(sizes)
+    win, pos, s, serial = np.empty(0, dtype=np.int32), 0, 0, False
     for size in sizes:
-        states = np.empty(size, dtype=np.int64)
-        for lo in range(0, size, CHUNK):
-            visited = []
-            append = visited.append
-            for u in rng.random(min(CHUNK, size - lo)).tolist():
-                append(s)
-                s = hit[s] if u < threshold[s] else miss[s]
-            states[lo : lo + len(visited)] = visited
+        lo, states = 0, None
+        while lo < size:
+            if pos == win.size:
+                win = None  # released before the next window is walked
+                win, s, serial = _window(lists, succ, thr, rng, min(CHUNK, left), s, serial)
+                left -= win.size
+                pos = 0
+            if states is None:  # allocated once the window it starts in is walked
+                states = np.empty(size, dtype=np.int32)
+            take = min(size - lo, win.size - pos)
+            states[lo : lo + take] = win[pos : pos + take]
+            lo += take
+            pos += take
         yield states
 
 

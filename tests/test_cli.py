@@ -266,6 +266,19 @@ class TestSimulate:
         assert len(payload["replications"]) == 2
         assert payload["replications"][0]["stream"] == 0
 
+    def test_timings_per_stage(self, cfg_path, tmp_path, capsys):
+        # The policy's stage is named for how it was obtained; the stages
+        # add up to the total.
+        run_cli(capsys, "solve", "--config", cfg_path, "--out", tmp_path / "run")
+        for extra, stage in [([], "solve"), (["--policy", tmp_path / "run" / "policy.csv"], "read")]:
+            code, payload = run_cli(capsys, "simulate", "--config", cfg_path, "--out", tmp_path / stage, *extra)
+            assert code == 0
+            timings = json.loads((tmp_path / stage / "simulate.json").read_text())["timings_s"]
+            assert list(timings) == ["build", stage, "simulate", "write", "total"]
+            assert timings == payload["timings_s"]
+            assert all(t >= 0.0 for t in timings.values())
+            assert sum(timings.values()) - timings["total"] == pytest.approx(timings["total"], abs=1e-9)
+
     def test_corrupt_policy_exit_4(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "run"
         run_cli(capsys, "solve", "--config", cfg_path, "--out", out)

@@ -111,20 +111,20 @@ class TestMseTable:
         ss = steady_state(model)
         p = ss.p_bar[0, 0]
         table = mse_table(model, ss, delta_max=20)
-        np.testing.assert_allclose(table.values, p + np.arange(1, 21), rtol=1e-12)
+        np.testing.assert_allclose(table, p + np.arange(1, 21), rtol=1e-12)
 
     def test_zero_dynamics_constant_mse(self):
         model = SystemModel(A=np.zeros((2, 2)), C=np.eye(2), Q=np.diag([1.0, 2.0]), R=np.eye(2))
         table = mse_table(model, steady_state(model), delta_max=10)
-        np.testing.assert_allclose(table.values, 3.0, rtol=1e-12)
+        np.testing.assert_allclose(table, 3.0, rtol=1e-12)
 
     def test_benchmark_first_entry_matches_oracle(self):
         model = benchmark_system(0.9)
         ss = steady_state(model, tol=1e-12)
         table = mse_table(model, ss, delta_max=5)
-        assert table.values[0] == pytest.approx(F1_BETA_09, abs=1e-9)
+        assert table[0] == pytest.approx(F1_BETA_09, abs=1e-9)
         expected = np.trace(model.A @ PBAR_BETA_09 @ model.A.T + model.Q)
-        assert table.at(1) == pytest.approx(expected, abs=1e-9)
+        assert table[0] == pytest.approx(expected, abs=1e-9)
 
     def test_overflow_names_offending_age(self):
         model = scalar_model(a=2.0, q=1.0, r=1.0)
@@ -133,12 +133,6 @@ class TestMseTable:
             mse_table(model, ss, delta_max=2000)
         assert exc_info.value.first_offending_index is not None
         assert 1 <= exc_info.value.first_offending_index <= 2000
-
-    def test_at_bounds(self):
-        model = scalar_model(a=0.5)
-        table = mse_table(model, steady_state(model), delta_max=3)
-        with pytest.raises(Exception):
-            table.at(4)
 
     @given(
         a=st.floats(-1.4, 1.4),
@@ -150,15 +144,15 @@ class TestMseTable:
         assume(abs(a) > 1e-3)
         model = scalar_model(a=a, q=q, r=r)
         table = mse_table(model, steady_state(model), delta_max=delta_max)
-        diffs = np.diff(table.values)
-        assert np.all(diffs >= -1e-12 * np.abs(table.values[:-1]))
+        diffs = np.diff(table)
+        assert np.all(diffs >= -1e-12 * np.abs(table[:-1]))
 
     @given(a=st.floats(-0.95, 0.95), q=st.floats(0.05, 4.0))
     def test_stable_mse_differences_decay(self, a, q):
         assume(abs(a) > 1e-3)
         model = scalar_model(a=a, q=q)
         table = mse_table(model, steady_state(model), delta_max=40)
-        v = table.values
+        v = table
         assert np.all(v <= v[-1] + 1e-12)
         assert v[-1] - v[-2] <= v[1] - v[0] + 1e-12
 

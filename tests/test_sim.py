@@ -38,6 +38,19 @@ from wearsched import sim
 from wearsched.sim import BATCH_COUNT, CHUNK, _fsum_counted
 
 
+# Walk settings for runs cut into windows of a few draws: one serial
+# window; segments of 2 re-run in numpy and checked every step, where a pass
+# gives up once most re-runs have not met; segments of 3 re-run in plain
+# Python; and one fix-up pass, after which the serial bound finishes an
+# unsettled window.
+WALKS = [
+    {},
+    {"SEGMENT": 2, "MIN_SEGMENTS": 2, "PY_FINISH": 0, "CHECK_EVERY": 1},
+    {"SEGMENT": 3, "MIN_SEGMENTS": 2},
+    {"SEGMENT": 2, "MIN_SEGMENTS": 2, "FIXUP_PASSES": 1},
+]
+
+
 @pytest.fixture(scope="module")
 def perfect_channel_mdp():
     return build_mdp(
@@ -176,8 +189,9 @@ class TestMatchesScalarLoop:
         got = simulate(mdp, policy, epochs, seed, stream)
         assert sim_stats_equal(got, scalar_simulate(mdp, policy, epochs, seed, stream))
 
-    # Chunks of 7 draws: a batch of more than 7 epochs spans several passes,
-    # and its last pass is short.
+    # Chunks of 7 draws: a batch of more than 7 epochs spans several
+    # windows, and its last window is short. Each run is walked under every
+    # setting in WALKS.
     @pytest.mark.parametrize("epochs", [1, 6, 7, 8, 100, 7 * BATCH_COUNT + 5, 2000])
     @settings(max_examples=10)
     @given(
@@ -193,10 +207,13 @@ class TestMatchesScalarLoop:
             Truncation(tau_max, delta_max),
         )
         policy = Policy(actions=np.random.default_rng(seed).integers(0, 3, size=mdp.shape).astype(np.int8))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "CHUNK", 7)
-            got = simulate(mdp, policy, epochs, seed, stream)
-        assert sim_stats_equal(got, scalar_simulate(mdp, policy, epochs, seed, stream))
+        expected = scalar_simulate(mdp, policy, epochs, seed, stream)
+        for walk in WALKS:
+            with pytest.MonkeyPatch.context() as mp:
+                for name, value in {"CHUNK": 7, **walk}.items():
+                    mp.setattr(sim, name, value)
+                got = simulate(mdp, policy, epochs, seed, stream)
+            assert sim_stats_equal(got, expected), walk
 
     # Costs that send the total to fsum itself: each visited state's cost is
     # at least 2**1000 / epochs in magnitude or infinite, and with both signs
@@ -222,15 +239,20 @@ class TestMatchesScalarLoop:
         mdp = dataclasses.replace(mdp, mse=mse, renew_cost=renew_cost)
         policy = Policy(actions=np.random.default_rng(seed).integers(0, 3, size=mdp.shape).astype(np.int8))
         # The batch means and their spread overflow too.
-        with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "CHUNK", 7)
+        with np.errstate(over="ignore", invalid="ignore"):
             try:
                 expected = scalar_simulate(mdp, policy, epochs, seed)
             except (OverflowError, ValueError) as exc:
-                with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    simulate(mdp, policy, epochs, seed)
-                return
-            assert sim_stats_equal(simulate(mdp, policy, epochs, seed), expected)
+                expected = exc
+            for walk in WALKS:
+                with pytest.MonkeyPatch.context() as mp:
+                    for name, value in {"CHUNK": 7, **walk}.items():
+                        mp.setattr(sim, name, value)
+                    if isinstance(expected, Exception):
+                        with pytest.raises(type(expected), match=re.escape(str(expected))):
+                            simulate(mdp, policy, epochs, seed)
+                    else:
+                        assert sim_stats_equal(simulate(mdp, policy, epochs, seed), expected), walk
 
     def test_fsum_fallback_in_epoch_order(self):
         # One channel age and a perfect channel: idle at information age 1,
@@ -274,6 +296,31 @@ class TestMatchesScalarLoop:
         # The second epoch sits at information age 2, not back at 1.
         assert stats.aoi_histogram[:2].tolist() == [1, 1]
         assert sim_stats_equal(stats, scalar_simulate(mdp, transmit_always(mdp.trunc), 2, 5))
+
+    def test_non_coupling_chain_is_walked_serially(self):
+        # Idle below channel age 5 and renew from it: whatever the draws,
+        # the chain cycles with period 5 once the information age clamps,
+        # so segments that start in different phases never meet. The first
+        # window's fix-up gives up and the serial bound walks the rest of
+        # the run.
+        mdp = build_mdp(benchmark_system(0.9), benchmark_channel(), Truncation(30, 30))
+        actions = np.full(mdp.shape, Action.IDLE, dtype=np.int8)
+        actions[4:] = Action.RENEW
+        policy = Policy(actions=actions)
+        finish = sim._finish_serially
+        calls = []
+
+        def spy(*args):
+            calls.append(args[3])
+            return finish(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "CHUNK", 1 << 12)
+            mp.setattr(sim, "SEGMENT", 32)
+            mp.setattr(sim, "_finish_serially", spy)
+            got = simulate(mdp, policy, epochs=5 * (1 << 12) + 77, seed=3)
+        assert calls == [1]
+        assert sim_stats_equal(got, scalar_simulate(mdp, policy, 5 * (1 << 12) + 77, 3))
 
     def test_pinned_benchmark_marginal(self):
         # benchmark-marginal at 40x40 under its SPI policy, seed 2024, as
