@@ -33,7 +33,7 @@ def main() -> int:
     cfg = load_config(CONFIG)
     model, channel, trunc = cfg.build_system(), cfg.build_channel(), cfg.build_truncation()
     mdp = build_mdp(model, channel, trunc)
-    res = rvi_solve(mdp, cfg.solver.options())
+    res = rvi_solve(mdp)
 
     policies = {
         "optimal": res.policy,

@@ -28,7 +28,6 @@ def main() -> int:
             "--values", "0.9,1.0,1.1",
             "--out", args.out,
             "--jobs", str(args.jobs),
-            "--emit-q",
         ]
     )
 

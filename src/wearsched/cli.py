@@ -78,11 +78,10 @@ def _build(cfg: ExperimentConfig) -> MdpSpec:
 
 
 def _solve(cfg: ExperimentConfig, mdp: MdpSpec) -> SolveResult:
-    opts = cfg.solver.options()
     if cfg.solver.method == "rvi":
-        return rvi_solve(mdp, opts)
+        return rvi_solve(mdp)
     if cfg.solver.method == "spi":
-        return structured_policy_iteration(mdp, opts)
+        return structured_policy_iteration(mdp)
     return threshold_heuristic(mdp)
 
 
@@ -136,7 +135,7 @@ def _frontier_dict(policy: Policy) -> dict:
     return {"transmit": list(fr.transmit), "renew": list(fr.renew)}
 
 
-def run_solve(cfg: ExperimentConfig, out_dir: Path, emit_q: bool) -> dict:
+def run_solve(cfg: ExperimentConfig, out_dir: Path, emit_q: bool = False) -> dict:
     """Solve per the configured method and write policy/value grids plus a
     JSON summary. Returns the summary payload."""
     t_start = time.perf_counter()
@@ -150,7 +149,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, emit_q: bool) -> dict:
     write_policy_csv(out_dir / "policy.csv", res.policy)
     write_value_csv(out_dir / "value.csv", res.v)
     if emit_q:
-        write_q_csv(out_dir / "q.csv", res.q)
+        write_q_csv(out_dir / "q.csv", q_backup(mdp, res.v))
         artifacts["q_csv"] = "q.csv"
     t_write = time.perf_counter()
 
@@ -212,7 +211,7 @@ def run_verify(
         lam = None
     else:
         res = _solve(cfg, mdp)
-        policy, v, q, lam = res.policy, res.v, res.q, res.gain
+        policy, v, q, lam = res.policy, res.v, q_backup(mdp, res.v), res.gain
 
     interior = interior_region(mdp.trunc, mdp.channel)
     full = full_region(mdp.trunc)
@@ -308,7 +307,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, policy_path: str | None =
     return payload
 
 
-def _sweep_point(raw_config: dict, axis: str, value, out_dir: str, emit_q: bool) -> dict:
+def _sweep_point(raw_config: dict, axis: str, value, out_dir: str) -> dict:
     """Solve one sweep point, isolated so it can run in a worker process.
     Returns ``{"ok": True, "summary": ...}``, or on any failure
     ``{"ok": False, "error": ...}``, so one point cannot stop the sweep."""
@@ -323,7 +322,7 @@ def _sweep_point(raw_config: dict, axis: str, value, out_dir: str, emit_q: bool)
             data["system"]["beta"] = value
         else:
             data["channel"][axis] = value
-        return {"ok": True, "summary": run_solve(validate_config_dict(data), Path(out_dir), emit_q)}
+        return {"ok": True, "summary": run_solve(validate_config_dict(data), Path(out_dir))}
     except Exception as exc:  # noqa: BLE001 - recorded as this point's error
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -334,7 +333,6 @@ def run_sweep(
     axis: str,
     values: list,
     jobs: int = 1,
-    emit_q: bool = False,
 ) -> tuple[dict, int]:
     """Solve once per sweep value; failures are recorded and do not stop the
     sweep. Values must be finite, integral on the ``tau_d`` and ``delta_r``
@@ -373,7 +371,7 @@ def run_sweep(
     point_dirs = {v: out_dir / f"{axis}={label[v]}" for v in values}
 
     workers = min(jobs, len(values))
-    args = (repeat(cfg.echo()), repeat(axis), values, [str(point_dirs[v]) for v in values], repeat(emit_q))
+    args = (repeat(cfg.echo()), repeat(axis), values, [str(point_dirs[v]) for v in values])
     if workers > 1:
         if cfg.solver.method == "threshold-heuristic":
             # Loaded once here, the heuristic's sparse factorization reaches
@@ -485,7 +483,6 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True, help="comma-separated sweep values")
     p_sweep.add_argument("--jobs", type=int, default=1, help="concurrent sweep points")
-    p_sweep.add_argument("--emit-q", action="store_true")
     return parser
 
 
@@ -508,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
                 values = [float(x) for x in args.values.split(",") if x.strip()]
             except ValueError as exc:
                 raise ConfigError(field="sweep.values", message=str(exc)) from exc
-            payload, code = run_sweep(cfg, out_dir, args.axis, values, args.jobs, args.emit_q)
+            payload, code = run_sweep(cfg, out_dir, args.axis, values, args.jobs)
     except Exception as exc:  # noqa: BLE001 - classified and reported below
         code, kind = _classify(exc)
         print(json.dumps(_error_payload(code, kind, exc)))

@@ -21,7 +21,6 @@ from .channel import ChannelModel
 from .errors import ConfigError, WearschedError
 from .linear_model import SystemModel
 from .mdp import Truncation
-from .solvers import SolveOptions
 
 OUTPUT_DIR_ENV = "WEARSCHED_OUT"
 
@@ -31,11 +30,6 @@ SOLVER_METHODS = ("rvi", "spi", "threshold-heuristic")
 @dataclass(frozen=True)
 class SolverConfig:
     method: str = "rvi"
-    tol: float = SolveOptions.tol
-    max_iter: int = SolveOptions.max_iter
-
-    def options(self) -> SolveOptions:
-        return SolveOptions(tol=self.tol, max_iter=self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -196,16 +190,11 @@ def _validate_solver(section, path="solver") -> dict:
         section = {}
     if not isinstance(section, dict):
         raise _field_error(path, "expected a mapping")
-    known = {"method", "tol", "max_iter"}
-    _require_keys(section, path, known, set())
+    _require_keys(section, path, {"method"}, set())
     method = section.get("method", SolverConfig.method)
     if method not in SOLVER_METHODS:
         raise _field_error(f"{path}.method", f"must be one of {SOLVER_METHODS}, got {method!r}")
-    return {
-        "method": method,
-        "tol": _number(section, path, "tol", SolverConfig.tol, minimum=0.0, strict_min=True),
-        "max_iter": _number(section, path, "max_iter", SolverConfig.max_iter, integer=True, minimum=1),
-    }
+    return {"method": method}
 
 
 def _validate_simulate(section, path="simulate") -> dict:

@@ -185,10 +185,6 @@ def mse_table(model: SystemModel, ss: SteadyState, delta_max: int) -> np.ndarray
                     f"MSE overflowed to non-finite values at age {d}", first_offending_index=d
                 )
             values[d - 1] = t
-    if values.ndim != 1 or values.size < 1:
-        raise InvalidModelError("MseTable values must be a nonempty 1-d array")
-    if not np.all(np.isfinite(values)):
-        raise InvalidModelError("MseTable values must be finite")
     scale = max(1.0, float(np.abs(values).max()))
     if np.any(np.diff(values) < -1e-12 * scale):
         raise InvalidModelError("MSE values must be nondecreasing in the age")

@@ -25,7 +25,7 @@ FLOAT_FLOOR_ULPS = 2
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver options: span-seminorm stopping threshold and iteration cap.
+    """RVI's options: span-seminorm stopping threshold and iteration cap.
 
     Relative value iteration stops at the first iterate v whose Bellman
     difference Tv - v has span below ``max(tol, 2 * spacing(max|v|))``: the
@@ -34,7 +34,7 @@ class SolveOptions:
     """
 
     tol: float = 1e-9
-    max_iter: int = 200_000
+    max_iter: int = 500_000
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -78,10 +78,11 @@ class Policy:
 @dataclass(frozen=True)
 class SolveResult:
     """Solver output: optimal average cost, relative values anchored at
-    v(1, 1) = 0, the greedy policy, and convergence diagnostics.
+    v(1, 1) = 0, the greedy policy, and convergence diagnostics. The
+    Q-factors at v are ``q_backup(mdp, v)``.
 
     ``lambda_bounds`` is the bracket [min(Tv - v), max(Tv - v)] read off the
-    returned Q-factors, widened outward by the float resolution of Tv - v;
+    Q-factors at v, widened outward by the float resolution of Tv - v;
     it contains the optimal average cost lambda* (Odoni 1969) whatever
     policy the solver returns, so for the threshold heuristic it also bounds
     the heuristic's gap to the optimum. ``continuation`` is set by
@@ -96,7 +97,6 @@ class SolveResult:
     policy: Policy
     iterations: int
     residual: float
-    q: np.ndarray           # (tau_max, delta_max, 3) Q-factors at v
     lambda_bounds: tuple[float, float]
     skipped_q_evals: int | None = None
     continuation: tuple[tuple[int, int, int], ...] | None = None
@@ -166,7 +166,6 @@ def _finish(gain, v, policy, iterations, q_actions, **extra) -> SolveResult:
         policy=policy,
         iterations=iterations,
         residual=max(hi - gain, gain - lo),
-        q=np.stack(q_actions, axis=2),
         lambda_bounds=_bracket(lo, hi, v),
         **extra,
     )
@@ -212,15 +211,12 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
         history.append(span)
         gain = float(diff[0, 0])
         if span < max(opts.tol, FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max()))):
-            del v_up, diff  # not alive while q is restacked
-            q = np.stack(q, axis=2)
             return SolveResult(
                 gain=gain,
                 v=v,
-                policy=greedy_policy(q),
+                policy=greedy_policy(np.moveaxis(q, 0, 2)),
                 iterations=n,
                 residual=span,
-                q=q,
                 lambda_bounds=_bracket(lo, hi, v),
             )
         diff -= gain
@@ -234,27 +230,16 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
     )
 
 
-class Evaluation(tuple):
-    """What ``policy_evaluate`` returns: the pair (gain, v), v anchored at
-    v(1, 1) == 0, carrying the policy's Q-factors at v as ``q``, three
+class Evaluation(NamedTuple):
+    """What ``policy_evaluate`` returns: the policy's gain, its values v
+    anchored at v(1, 1) == 0, and its Q-factors at v, three
     (tau_max, delta_max) grids from the one backup ``_evaluate_stack`` makes
     of every evaluated policy, which serves the residual gate and the
     improvement step."""
 
+    gain: float
+    v: np.ndarray
     q: np.ndarray
-
-    def __new__(cls, gain: float, v: np.ndarray, q: np.ndarray):
-        ev = super().__new__(cls, (gain, v))
-        ev.q = q
-        return ev
-
-    @property
-    def gain(self) -> float:
-        return self[0]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self[1]
 
 
 def policy_evaluate(mdp: MdpSpec, policy: Policy) -> Evaluation:
@@ -687,9 +672,7 @@ def _continuation_grids(mdp: MdpSpec) -> list[tuple[int, int]]:
     return grids[::-1]
 
 
-def structured_policy_iteration(
-    mdp: MdpSpec, opts: SolveOptions = SolveOptions()
-) -> SolveResult:
+def structured_policy_iteration(mdp: MdpSpec) -> SolveResult:
     """Structured policy iteration, continued from coarse grids to the grid
     of ``mdp`` (one-way multigrid: Chow and Tsitsiklis 1991).
 
@@ -707,7 +690,7 @@ def structured_policy_iteration(
     levels = []
     for shape in grids:
         level = mdp if shape == mdp.shape else mdp.restrict(*shape)
-        res = _policy_iteration(level, opts, _prolong(actions, shape))
+        res = _policy_iteration(level, _prolong(actions, shape))
         levels.append((*shape, res.iterations))
         actions = res.policy.actions
     return replace(res, continuation=tuple(levels))
@@ -721,7 +704,13 @@ def _prolong(actions: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.pad(actions, ((0, t_max - t), (0, d_max - d)), mode="edge")
 
 
-def _policy_iteration(mdp: MdpSpec, opts: SolveOptions, actions: np.ndarray) -> SolveResult:
+# Sweeps per SPI continuation level and per heuristic renewal threshold.
+# The heuristic's restricted improvement can cycle between equal-gain tables,
+# so it stops here and its best iterate wins; SPI has needed at most 11.
+_SWEEP_CAP = 100
+
+
+def _policy_iteration(mdp: MdpSpec, actions: np.ndarray) -> SolveResult:
     """Policy iteration from the policy ``actions`` with the monotone
     improvement step.
 
@@ -738,7 +727,7 @@ def _policy_iteration(mdp: MdpSpec, opts: SolveOptions, actions: np.ndarray) -> 
     skipped = 0
     seen: set[bytes] = set()
     best = None
-    for sweep in range(1, opts.max_iter + 1):
+    for sweep in range(1, _SWEEP_CAP + 1):
         ev = policy_evaluate(mdp, Policy(actions=actions))
         if best is None or ev.gain < best[0]:
             best = (ev.gain, actions)
@@ -756,7 +745,7 @@ def _policy_iteration(mdp: MdpSpec, opts: SolveOptions, actions: np.ndarray) -> 
         # the next factorization.
         del ev
     raise ConvergenceError(
-        f"policy iteration did not terminate within {opts.max_iter} sweeps",
+        f"policy iteration did not terminate within {_SWEEP_CAP} sweeps",
         residual=float("nan"),
     )
 
@@ -783,7 +772,7 @@ def threshold_heuristic(mdp: MdpSpec) -> SolveResult:
     For each renewal threshold, alternates policy evaluation with a
     restricted improvement step that only re-optimizes the per-channel-age
     transmission thresholds, kept nonincreasing in the channel age, for at
-    most ``_THRESHOLD_SWEEP_CAP`` sweeps. Every renewal threshold is
+    most ``_SWEEP_CAP`` sweeps. Every renewal threshold is
     searched and the best returned: a later threshold replaces the best so
     far only if its gain is lower by more than the float floor of the best's
     values and gain, so of thresholds tied within rounding the smallest
@@ -838,12 +827,6 @@ def _transmit_thresholds(q_idle, q_tx, tau_renew: int) -> list[int]:
     return np.minimum.accumulate(first).tolist()
 
 
-# Improvement inside a restricted policy class can cycle between equal-gain
-# threshold tables, so the per-candidate sweep count is capped and the
-# best-evaluated iterate wins.
-_THRESHOLD_SWEEP_CAP = 100
-
-
 class _Iterate(NamedTuple):
     """An evaluated policy of the threshold heuristic, with its fields named
     as in ``SolveResult``: ``iterations`` is the sweep that evaluated it, and
@@ -875,7 +858,7 @@ class _Candidate:
         if self.best is None or ev.gain < self.best.gain:
             self.best = _Iterate(ev.gain, policy, self.sweeps, _float_floor(ev.v, ev.gain))
         new = _transmit_thresholds(ev.q[0], ev.q[1], self.tau_renew) + self.thresholds[self.tau_renew :]
-        self.done = tuple(new) in self.seen or self.sweeps == _THRESHOLD_SWEEP_CAP
+        self.done = tuple(new) in self.seen or self.sweeps == _SWEEP_CAP
         self.thresholds = new
 
 

@@ -39,7 +39,7 @@ from wearsched import (
 )
 from wearsched.sim import BATCH_COUNT
 from wearsched.solvers import (
-    _THRESHOLD_SWEEP_CAP,
+    _SWEEP_CAP,
     FLOAT_FLOOR_ULPS,
     RVI_DAMPING,
     _bracket,
@@ -122,8 +122,7 @@ class SolvedCase:
 
 def solve_case(beta, alpha=0.1, tau_d=6, delta_r=15, grid=80, tol=1e-9) -> SolvedCase:
     mdp = benchmark_mdp(beta, alpha, tau_d, delta_r, grid)
-    opts = SolveOptions(tol=tol, max_iter=500_000)
-    return SolvedCase(mdp=mdp, rvi=rvi_solve(mdp, opts), spi=structured_policy_iteration(mdp, opts))
+    return SolvedCase(mdp=mdp, rvi=rvi_solve(mdp, SolveOptions(tol=tol)), spi=structured_policy_iteration(mdp))
 
 
 def aoc_next(ch: ChannelModel, tau: int, u: int, tau_max: int) -> int:
@@ -242,14 +241,12 @@ def reference_rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> So
             raise AssertionError("reference RVI produced non-finite values")
         gain = float(diff[0, 0])
         if span < max(opts.tol, FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max()))):
-            q = np.stack(q, axis=2)
             return SolveResult(
                 gain=gain,
                 v=v,
-                policy=greedy_policy(q),
+                policy=greedy_policy(np.stack(q, axis=2)),
                 iterations=n,
                 residual=span,
-                q=q,
                 lambda_bounds=_bracket(lo, hi, v),
             )
         diff -= gain
@@ -400,13 +397,13 @@ def reference_threshold_candidate(mdp: MdpSpec, tau: int) -> tuple[float, np.nda
     t_max, d_max = mdp.shape
     thresholds = [1] * t_max
     seen, best = set(), None
-    for sweep in range(1, _THRESHOLD_SWEEP_CAP + 1):
+    for sweep in range(1, _SWEEP_CAP + 1):
         seen.add(tuple(thresholds))
         actions = threshold_actions(d_max, tau, thresholds)
         if tau < t_max:
             gain, v, _ = reference_renewal_closed_evaluate(mdp, actions)
         else:
-            gain, v = reference_lu_evaluate(mdp, actions)
+            gain, v, _ = reference_lu_evaluate(mdp, actions)
         if best is None or gain < best[0]:
             best = (gain, v, Policy(actions=actions), sweep)
         q_idle, q_tx, _ = np.moveaxis(q_backup(mdp, v), 2, 0)

@@ -11,8 +11,8 @@ import pytest
 import yaml
 
 from helpers import ECHO_CONFIGS
-from wearsched import ConfigError, Policy, check_submodular, interior_region
-from wearsched.artifacts import write_policy_csv
+from wearsched import ConfigError, Policy, build_mdp, check_submodular, interior_region, q_backup
+from wearsched.artifacts import read_value_csv, write_policy_csv, write_q_csv
 from wearsched.cli import _report_dict, main, run_sweep
 from wearsched.config import load_config
 
@@ -31,8 +31,6 @@ channel:
 truncation:
   tau_max: 30
   delta_max: 30
-solver:
-  tol: 1.0e-10
 simulate:
   epochs: 20000
   seed: 7
@@ -134,11 +132,8 @@ class TestSolve:
     @pytest.mark.parametrize(
         "override",
         [
-            "solver.tol=.nan",
-            "solver.tol=.inf",
             "simulate.epochs=.inf",
             "truncation.tau_max=.inf",
-            "solver.max_iter=.nan",
             "simulate.seed=.nan",
         ],
     )
@@ -168,9 +163,12 @@ class TestSolve:
         assert "headroom" in payload["error"]["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("override", ["solver.ref_state=[1, 1]", "output.formats=[csv]"])
+    @pytest.mark.parametrize(
+        "override", ["solver.ref_state=[1, 1]", "output.formats=[csv]", "solver.tol=1e-9", "solver.max_iter=10"]
+    )
     def test_removed_keys_exit_2(self, cfg_path, tmp_path, capsys, override):
-        # Relative values are anchored at (1, 1), and the CSVs always written.
+        # Relative values are anchored at (1, 1), the CSVs always written,
+        # and RVI stops at SolveOptions' defaults.
         code, payload = run_cli(capsys, "solve", "--config", cfg_path, "--out", tmp_path / "x", "--set", override)
         assert code == 2
         assert payload["error"]["kind"] == "config"
@@ -254,6 +252,36 @@ class TestVerify:
         kinds = {c["kind"]: c for c in payload["checks"]}
         assert kinds["policy-monotone-aoi"]["passed"]
         assert kinds["policy-monotone-aoc"]["passed"]
+
+
+@pytest.mark.parametrize("method", ["rvi", "spi", "threshold-heuristic"])
+@pytest.mark.parametrize("name", ["benchmark-marginal", "heavy-wear"])
+def test_q_factors_are_derived_from_the_values(name, method, tmp_path, capsys):
+    # At 16x16, the smallest grid with headroom for both configs' renewal
+    # downtime of 15: solve --emit-q writes the backup of the values it
+    # writes, and verify without --q checks the Q-factors it would read.
+    config = CONFIG_DIR / f"{name}.yaml"
+    overrides = [f"solver.method={method}", "truncation.tau_max=16", "truncation.delta_max=16"]
+    common = ["--config", config, *(a for o in overrides for a in ("--set", o))]
+    run = tmp_path / "run"
+    code, _ = run_cli(capsys, "solve", *common, "--out", run, "--emit-q")
+    assert code == 0
+    cfg = load_config(config, overrides)
+    mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
+    write_q_csv(tmp_path / "q.csv", q_backup(mdp, read_value_csv(run / "value.csv")))
+    assert (run / "q.csv").read_bytes() == (tmp_path / "q.csv").read_bytes()
+    reports = []
+    for extra in ([], ["--q", run / "q.csv"]):
+        out = tmp_path / f"verify{len(extra)}"
+        code, _ = run_cli(
+            capsys, "verify", *common, "--out", out,
+            "--policy", run / "policy.csv", "--value", run / "value.csv", *extra,
+        )
+        assert code == 0
+        report = json.loads((out / "verify.json").read_text())
+        del report["timings_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 class TestSimulate:
@@ -536,7 +564,7 @@ class TestSweep:
 
 def test_report_lists_only_the_shown_violations(case_stable):
     mdp = case_stable.mdp
-    report = check_submodular(case_stable.rvi.q, "aoc", interior_region(mdp.trunc, mdp.channel))
+    report = check_submodular(q_backup(mdp, case_stable.rvi.v), "aoc", interior_region(mdp.trunc, mdp.channel))
     listed = _report_dict(report)["violations"]
     assert "violations" not in report.__dict__  # the full list was never built
     assert report.count() > 50

@@ -30,7 +30,6 @@ def write(tmp_path, text):
 def test_minimal_config_defaults(tmp_path):
     cfg = load_config(write(tmp_path, BASE))
     assert cfg.solver.method == "rvi"
-    assert cfg.solver.tol == 1e-9
     assert cfg.simulate.epochs == 100_000
 
 
@@ -135,7 +134,7 @@ def test_solver_method_validated(tmp_path):
 
 
 def test_config_echo_revalidates(tmp_path):
-    cfg = load_config(write(tmp_path, BASE), overrides=["solver.tol=1e-8"])
+    cfg = load_config(write(tmp_path, BASE), overrides=["channel.alpha=5e-2"])
     again = validate_config_dict(cfg.echo())
     assert again.echo() == cfg.echo()
 

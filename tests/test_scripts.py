@@ -24,7 +24,7 @@ def test_policy_maps(tmp_path):
     assert proc.returncode == 0, proc.stderr
     labels = ("0.9", "1", "1.1")
     for label in labels:
-        for name in ("policy.csv", "value.csv", "q.csv", "summary.json"):
+        for name in ("policy.csv", "value.csv", "summary.json"):
             assert (tmp_path / f"beta={label}" / name).is_file()
     summary = json.loads((tmp_path / "sweep_summary.json").read_text())
     assert sorted(summary["points"]) == sorted(labels)

@@ -21,7 +21,6 @@ from wearsched import (
     Action,
     DomainError,
     Policy,
-    SolveOptions,
     Truncation,
     boundary_renewal,
     build_mdp,
@@ -326,7 +325,7 @@ class TestMatchesScalarLoop:
         # benchmark-marginal at 40x40 under its SPI policy, seed 2024, as
         # recorded with the per-epoch numpy-scalar loop.
         mdp = benchmark_mdp(1.0, grid=40)
-        policy = structured_policy_iteration(mdp, SolveOptions(tol=1e-9, max_iter=500_000)).policy
+        policy = structured_policy_iteration(mdp).policy
         expected = {
             0: dict(
                 per_epoch_avg_cost=117.6491962120391,
@@ -496,7 +495,7 @@ class TestThresholdPolicy:
             pol = threshold_policy(tau_renew, [1] * 30, mdp.trunc)
             stats = simulate(mdp, pol, epochs=100_000, seed=55)
             assert stats.per_epoch_avg_cost >= lam - 3 * stats.std_error
-            gain, _ = policy_evaluate(mdp, pol)
+            gain = policy_evaluate(mdp, pol).gain
             assert gain >= lam - 1e-9
 
 

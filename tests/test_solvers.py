@@ -230,8 +230,7 @@ class TestSliceBackup:
         mdp = build_mdp(
             cfg.build_system(), cfg.build_channel(), Truncation(40, 40)
         )
-        opts = cfg.solver.options()
-        res, ref = rvi_solve(mdp, opts), reference_rvi_solve(mdp, opts)
+        res, ref = rvi_solve(mdp), reference_rvi_solve(mdp)
         for field in dataclasses.fields(SolveResult):
             got, want = getattr(res, field.name), getattr(ref, field.name)
             if isinstance(got, Policy):
@@ -320,7 +319,7 @@ class TestRvi:
 
     def test_greedy_consistency(self, small_case):
         res = small_case.rvi
-        np.testing.assert_array_equal(res.policy.actions, np.argmin(res.q, axis=2))
+        np.testing.assert_array_equal(res.policy.actions, np.argmin(q_backup(small_case.mdp, res.v), axis=2))
 
     @settings(max_examples=150)
     @given(
@@ -343,7 +342,7 @@ class TestRvi:
         )
         rvi = rvi_solve(mdp)
         spi = structured_policy_iteration(mdp)
-        exact, _ = policy_evaluate(mdp, spi.policy)
+        exact = policy_evaluate(mdp, spi.policy).gain
         lo, hi = rvi.lambda_bounds
         assert lo <= rvi.gain <= hi
         assert lo <= exact <= hi
@@ -362,7 +361,7 @@ class TestRvi:
             overrides=["truncation.tau_max=160", "truncation.delta_max=160"],
         )
         mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
-        res = rvi_solve(mdp, cfg.solver.options())
+        res = rvi_solve(mdp)
         write_policy_csv(tmp_path / "policy.csv", res.policy)
         digest = hashlib.sha256((tmp_path / "policy.csv").read_bytes()).hexdigest()
         assert digest == "6baca134120b5719349dae01587d727cb3f4a4f9ec3852cd21a9f77eb74dec57"
@@ -376,13 +375,12 @@ class TestRvi:
         # place of the values. At 80x80 the damped span levels off at about
         # one such unit, so a floor of one unit would never be met.
         mdp = benchmark_mdp(beta, grid=grid)
-        opts = SolveOptions(tol=1e-9, max_iter=500_000)
-        rvi = rvi_solve(mdp, opts)
+        rvi = rvi_solve(mdp)
         assert rvi.iterations < 400
-        assert rvi.residual >= opts.tol
+        assert rvi.residual >= SolveOptions.tol
         assert rvi.residual < 2 * np.spacing(np.abs(rvi.v).max())
         lo, hi = rvi.lambda_bounds
-        assert lo <= structured_policy_iteration(mdp, opts).gain <= hi
+        assert lo <= structured_policy_iteration(mdp).gain <= hi
 
     def test_options_validation(self):
         with pytest.raises(DomainError):
@@ -402,19 +400,19 @@ class TestRvi:
 class TestPolicyEvaluate:
     def test_transmit_always_perfect_channel(self, perfect_channel_mdp):
         pol = Policy(actions=np.ones(perfect_channel_mdp.shape, dtype=np.int8))
-        gain, v = policy_evaluate(perfect_channel_mdp, pol)
-        assert gain == pytest.approx(perfect_channel_mdp.mse[0], rel=1e-12)
-        assert v[0, 0] == 0.0
+        ev = policy_evaluate(perfect_channel_mdp, pol)
+        assert ev.gain == pytest.approx(perfect_channel_mdp.mse[0], rel=1e-12)
+        assert ev.v[0, 0] == 0.0
 
     def test_renew_always_clamped_cycle(self, small_case):
         mdp = small_case.mdp
         pol = Policy(actions=np.full(mdp.shape, 2, dtype=np.int8))
-        gain, _ = policy_evaluate(mdp, pol)
+        gain = policy_evaluate(mdp, pol).gain
         expected = mdp.channel.delta_r * mdp.mse[-1]
         assert gain == pytest.approx(expected, rel=1e-10)
 
     def test_optimal_policy_evaluates_to_optimal_gain(self, case_stable):
-        gain, _ = policy_evaluate(case_stable.mdp, case_stable.rvi.policy)
+        gain = policy_evaluate(case_stable.mdp, case_stable.rvi.policy).gain
         assert gain == pytest.approx(case_stable.rvi.gain, abs=1e-6)
 
     def test_gain_ignores_actions_outside_the_reachable_set(self, case_marginal):
@@ -425,7 +423,7 @@ class TestPolicyEvaluate:
         assert not reach.all()
         pol = Policy(actions=np.where(reach, res.policy.actions, Action.TRANSMIT))
         assert pol != res.policy
-        gain, _ = policy_evaluate(mdp, pol)
+        gain = policy_evaluate(mdp, pol).gain
         assert gain == pytest.approx(res.gain, rel=1e-9)
 
     def test_direct_solve_above_200k_states(self):
@@ -433,7 +431,7 @@ class TestPolicyEvaluate:
         # cost of renewing there, whatever the grid size.
         mdp = build_mdp(benchmark_system(1.0), benchmark_channel(), Truncation(450, 450))
         assert mdp.n_states > 200_000
-        gain, _ = policy_evaluate(mdp, Policy(actions=np.full(mdp.shape, Action.RENEW, dtype=np.int8)))
+        gain = policy_evaluate(mdp, Policy(actions=np.full(mdp.shape, Action.RENEW, dtype=np.int8))).gain
         assert gain == pytest.approx(mdp.renew_cost[-1], rel=1e-12)
 
     def test_multichain_policy_raises(self):
@@ -581,15 +579,15 @@ def assert_agrees_with_lu(mdp, actions):
     LU path refuses, and otherwise agrees with it to 1e-12 relative: the
     gain, and v against max|v|."""
     try:
-        lu_gain, lu_v = reference_lu_evaluate(mdp, actions)
+        lu = reference_lu_evaluate(mdp, actions)
     except EvaluationError:
         with pytest.raises(EvaluationError):
             policy_evaluate(mdp, Policy(actions=actions))
         return
-    gain, v = policy_evaluate(mdp, Policy(actions=actions))
-    assert abs(gain - lu_gain) <= 1e-12 * abs(lu_gain)
-    assert np.abs(v - lu_v).max() <= 1e-12 * np.abs(lu_v).max()
-    assert v[0, 0] == 0.0
+    ev = policy_evaluate(mdp, Policy(actions=actions))
+    assert abs(ev.gain - lu.gain) <= 1e-12 * abs(lu.gain)
+    assert np.abs(ev.v - lu.v).max() <= 1e-12 * np.abs(lu.v).max()
+    assert ev.v[0, 0] == 0.0
 
 
 class TestRenewalClosedEvaluation:
@@ -767,11 +765,11 @@ class TestOpenRenewalEvaluation:
             with pytest.raises(EvaluationError):
                 policy_evaluate(mdp, Policy(actions=actions))
             return
-        gain, v = policy_evaluate(mdp, Policy(actions=actions))
+        ev = policy_evaluate(mdp, Policy(actions=actions))
         scale = np.abs(lu.v).max() + abs(lu.gain)
-        assert abs(gain - lu.gain) <= 1e-12 * scale
-        assert np.abs(v - lu.v).max() <= 1e-12 * scale
-        assert v[0, 0] == 0.0
+        assert abs(ev.gain - lu.gain) <= 1e-12 * scale
+        assert np.abs(ev.v - lu.v).max() <= 1e-12 * scale
+        assert ev.v[0, 0] == 0.0
 
     def test_never_renewing_multichain_policy_is_refused_by_both_paths(self):
         # On a perfect channel (4, 1) transmits onto itself and the rest of
@@ -794,16 +792,16 @@ class TestOpenRenewalEvaluation:
         # of max|Q|. With its refinement step the solve's gain is as close to
         # the exact one as sparse LU's (0.4 units in the last place, against
         # 10 without the step).
-        mdp, opts = _shipped_mdp("benchmark-marginal", 320)
-        actions = structured_policy_iteration(mdp, opts).policy.actions
+        mdp = _shipped_mdp("benchmark-marginal", 320)
+        actions = structured_policy_iteration(mdp).policy.actions
         assert not (actions[-1] == Action.RENEW).all()
         write_policy_csv(tmp_path / "policy.csv", Policy(actions=actions))
         digest = hashlib.sha256((tmp_path / "policy.csv").read_bytes()).hexdigest()
         assert digest == "57b5221deb6bce1540d56a135b1fa50607d4c236e11445b6db16176951a22e0e"
         lu = reference_lu_evaluate(mdp, actions)
-        gain, v = policy_evaluate(mdp, Policy(actions=actions))
-        assert abs(gain - lu.gain) <= 2 * np.spacing(lu.gain)
-        assert np.abs(v - lu.v).max() <= 1e-12 * (np.abs(lu.v).max() + abs(lu.gain))
+        ev = policy_evaluate(mdp, Policy(actions=actions))
+        assert abs(ev.gain - lu.gain) <= 2 * np.spacing(lu.gain)
+        assert np.abs(ev.v - lu.v).max() <= 1e-12 * (np.abs(lu.v).max() + abs(lu.gain))
 
     @pytest.mark.parametrize(
         "theta,actions",
@@ -903,13 +901,13 @@ class TestExactReference:
             with pytest.raises(EvaluationError):
                 policy_evaluate(mdp, Policy(actions=actions))
             return
-        gain, v = policy_evaluate(mdp, Policy(actions=actions))
+        ev = policy_evaluate(mdp, Policy(actions=actions))
         exact_gain, exact_v = exact
-        err = max(abs(Fraction(x) - y) for x, y in zip([gain, *v.reshape(-1).tolist()], [exact_gain, *exact_v]))
+        err = max(abs(Fraction(x) - y) for x, y in zip([ev.gain, *ev.v.reshape(-1).tolist()], [exact_gain, *exact_v]))
         kappa = np.linalg.cond(reference_evaluation_matrix(mdp, actions).toarray(), 1)
         scale = abs(exact_gain) + max(map(abs, exact_v))
         assert err <= Fraction(kappa * np.finfo(float).eps) * scale
-        assert v[0, 0] == 0.0
+        assert ev.v[0, 0] == 0.0
 
 
 class TestBatchedRenewalClosedEvaluation:
@@ -968,8 +966,8 @@ class TestBatchedRenewalClosedEvaluation:
     def test_batch_size_bounds_the_working_set(self):
         # Eight policies at 80 x 80; at 320 x 320 the row maps of one policy
         # alone take about 6 MB, so it goes alone.
-        assert solvers._eval_batch_size(_shipped_mdp("benchmark-marginal", 80)[0]) == 8
-        assert solvers._eval_batch_size(_shipped_mdp("benchmark-marginal", 320)[0]) == 1
+        assert solvers._eval_batch_size(_shipped_mdp("benchmark-marginal", 80)) == 8
+        assert solvers._eval_batch_size(_shipped_mdp("benchmark-marginal", 320)) == 1
 
 
 class TestStructuredPolicyIteration:
@@ -978,22 +976,28 @@ class TestStructuredPolicyIteration:
         assert small_case.spi.skipped_q_evals > 0
 
     def test_perfect_channel(self, perfect_channel_mdp):
-        res = structured_policy_iteration(perfect_channel_mdp, SolveOptions(tol=1e-12))
+        res = structured_policy_iteration(perfect_channel_mdp)
         assert res.gain == pytest.approx(perfect_channel_mdp.mse[0], abs=1e-9)
 
     def test_fixed_point_is_greedy(self, small_case):
         # Termination at an unchanged policy also means the returned policy
         # is greedy for its own converged Q-factors.
         res = small_case.spi
-        np.testing.assert_array_equal(res.policy.actions, np.argmin(res.q, axis=2))
+        np.testing.assert_array_equal(res.policy.actions, np.argmin(q_backup(small_case.mdp, res.v), axis=2))
 
     def test_matches_brute_force_on_toy(self, toy):
         bf_gain, _ = brute_force_optimal(toy)
-        res = structured_policy_iteration(toy, SolveOptions(tol=1e-12))
+        res = structured_policy_iteration(toy)
         assert res.gain == pytest.approx(bf_gain, abs=1e-8)
 
     def test_reference_value_zero(self, small_case):
         assert small_case.spi.v[0, 0] == 0.0
+
+    def test_sweep_cap_raises(self, monkeypatch, toy):
+        # The toy needs more than one sweep from idling everywhere.
+        monkeypatch.setattr(solvers, "_SWEEP_CAP", 1)
+        with pytest.raises(ConvergenceError, match="within 1 sweeps"):
+            structured_policy_iteration(toy)
 
     def test_stops_when_tied_policies_cycle(self, monkeypatch):
         # On a dead channel idling everywhere and transmitting on column
@@ -1011,7 +1015,7 @@ class TestStructuredPolicyIteration:
         transmit[:, 1] = Action.TRANSMIT
         improve, steps = solvers._monotone_improvement, itertools.cycle([transmit, idle])
         monkeypatch.setattr(solvers, "_monotone_improvement", lambda *q: (next(steps), improve(*q)[1]))
-        res = structured_policy_iteration(mdp, SolveOptions(max_iter=50))
+        res = structured_policy_iteration(mdp)
         lo, hi = rvi_solve(mdp).lambda_bounds
         assert lo <= res.gain <= hi
         assert res.gain == policy_evaluate(mdp, res.policy)[0]
@@ -1020,9 +1024,9 @@ class TestStructuredPolicyIteration:
         assert policy_evaluate(mdp, Policy(actions=transmit)).gain == res.gain
         assert res.iterations == 2
         assert res.policy == Policy(actions=idle)
-        # The returned Q-factors belong to the returned v, not to the last
-        # policy evaluated.
-        np.testing.assert_array_equal(res.q, q_backup(mdp, res.v))
+        # The residual is read off the Q-factors at the returned v, not at
+        # the last policy evaluated.
+        assert res.residual == np.abs(q_backup(mdp, res.v).min(axis=2) - res.v - res.gain).max()
         assert res.v.tobytes() == policy_evaluate(mdp, res.policy).v.tobytes()
 
     def test_bellman_residual_at_fixed_point(self, small_case):
@@ -1031,13 +1035,12 @@ class TestStructuredPolicyIteration:
         res = small_case.spi
         assert res.residual < 1e-8
         q = q_backup(small_case.mdp, res.v)
-        np.testing.assert_array_equal(res.q, q)
         assert np.abs(q.min(axis=2) - res.v - res.gain).max() < 1e-8
 
 
-def _solve_from_idle(mdp, opts=SolveOptions()):
+def _solve_from_idle(mdp):
     """Structured policy iteration on ``mdp``'s grid alone, from idling."""
-    return _policy_iteration(mdp, opts, np.zeros(mdp.shape, dtype=np.int8))
+    return _policy_iteration(mdp, np.zeros(mdp.shape, dtype=np.int8))
 
 
 def _shipped_mdp(name, grid):
@@ -1045,7 +1048,7 @@ def _shipped_mdp(name, grid):
         CONFIG_DIR / f"{name}.yaml",
         overrides=[f"truncation.tau_max={grid}", f"truncation.delta_max={grid}"],
     )
-    return build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation()), cfg.solver.options()
+    return build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
 
 
 class TestContinuation:
@@ -1065,13 +1068,12 @@ class TestContinuation:
         assert _continuation_grids(mdp) == [(160, 160), (320, 320)]
 
     def test_benchmark_marginal_160_is_bit_equal_to_a_single_level_solve(self):
-        mdp, opts = _shipped_mdp("benchmark-marginal", 160)
-        cold = _solve_from_idle(mdp, opts)
-        res = structured_policy_iteration(mdp, opts)
+        mdp = _shipped_mdp("benchmark-marginal", 160)
+        cold = _solve_from_idle(mdp)
+        res = structured_policy_iteration(mdp)
         assert res.policy == cold.policy
         assert res.gain == cold.gain
         np.testing.assert_array_equal(res.v, cold.v)
-        np.testing.assert_array_equal(res.q, cold.q)
         assert res.lambda_bounds == cold.lambda_bounds
         coarse, fine = res.continuation
         assert coarse[:2] == (80, 80) and coarse[2] >= 1
@@ -1080,8 +1082,8 @@ class TestContinuation:
         assert cold.continuation is None
 
     def test_long_renewal_at_160_is_single_level(self):
-        mdp, opts = _shipped_mdp("slow-decay-long-renewal", 160)
-        res = structured_policy_iteration(mdp, opts)
+        mdp = _shipped_mdp("slow-decay-long-renewal", 160)
+        res = structured_policy_iteration(mdp)
         assert res.continuation == ((160, 160, res.iterations),)
 
     @given(
@@ -1139,7 +1141,7 @@ class TestBruteForce:
         )
         bf_gain, _ = brute_force_optimal(mdp)
         rvi = rvi_solve(mdp, SolveOptions(tol=1e-12, max_iter=10**6))
-        spi = structured_policy_iteration(mdp, SolveOptions(tol=1e-12))
+        spi = structured_policy_iteration(mdp)
         assert rvi.gain == pytest.approx(bf_gain, abs=1e-8)
         assert spi.gain == pytest.approx(bf_gain, abs=1e-8)
 
@@ -1181,7 +1183,7 @@ class TestBruteForce:
             if (actions.reshape(mdp.shape)[-1] == Action.RENEW).all():
                 assert_agrees_with_lu(mdp, actions.reshape(mdp.shape))
             try:
-                expected, _ = policy_evaluate(mdp, Policy(actions=actions.reshape(mdp.shape)))
+                expected = policy_evaluate(mdp, Policy(actions=actions.reshape(mdp.shape))).gain
             except EvaluationError:
                 continue
             accepted += 1
@@ -1196,7 +1198,7 @@ class TestBruteForce:
         )
         gain, policy = brute_force_optimal(mdp)
         assert gain == pytest.approx(mdp.mse[0], rel=1e-10)
-        eval_gain, _ = policy_evaluate(mdp, policy)
+        eval_gain = policy_evaluate(mdp, policy).gain
         assert eval_gain == pytest.approx(gain, rel=1e-10)
 
     def test_oracle_policy_confirmed_by_simulation(self, toy):
@@ -1228,7 +1230,7 @@ class TestThresholdHeuristic:
         # is visibly violated; the residual is read off the returned Q.
         res = threshold_heuristic(small_case.mdp)
         assert res.residual > 0
-        assert res.residual == np.abs(res.q.min(axis=2) - res.v - res.gain).max()
+        assert res.residual == np.abs(q_backup(small_case.mdp, res.v).min(axis=2) - res.v - res.gain).max()
 
     def test_invalid_threshold(self, small_case):
         with pytest.raises(DomainError):
@@ -1284,7 +1286,7 @@ class TestBatchedThresholdHeuristic:
     def test_matches_the_reference_on_every_config(self, name):
         # The smallest square grid the config's wear and downtime allow.
         ch = load_config(CONFIG_DIR / f"{name}.yaml").build_channel()
-        mdp, _ = _shipped_mdp(name, max(1 + ch.tau_d, 1 + ch.delta_r))
+        mdp = _shipped_mdp(name, max(1 + ch.tau_d, 1 + ch.delta_r))
         assert_same_result(threshold_heuristic(mdp), reference_threshold_heuristic(mdp))
 
     @pytest.mark.parametrize("beta", [0.9, 0.95, 1.0, 1.05])
@@ -1308,7 +1310,7 @@ class TestBatchedThresholdHeuristic:
         # A batch of eight renewal-closed evaluations works in about 6 MiB.
         # A threshold's best iterate keeps its gain and policy, not its
         # values, so the whole 81-threshold search stays near one batch.
-        mdp, _ = _shipped_mdp("benchmark-marginal", 80)
+        mdp = _shipped_mdp("benchmark-marginal", 80)
         solvers.load_evaluator()  # scipy's import is not the search's memory
         tracemalloc.start()
         try:

@@ -17,6 +17,7 @@ from wearsched import (
     check_value_monotone,
     full_region,
     interior_region,
+    q_backup,
     threshold_frontier,
 )
 from wearsched.cli import _report_dict
@@ -119,7 +120,7 @@ class TestSubmodular:
 
     def test_information_age_axis_clean_on_solved_instances(self, benchmark_cases):
         for name, case in benchmark_cases.items():
-            report = check_submodular(case.rvi.q, "aoi", region_of(case))
+            report = check_submodular(q_backup(case.mdp, case.rvi.v), "aoi", region_of(case))
             assert report.passed, f"{name}: {report.count()} violations"
 
     def test_channel_age_axis_reports_known_discrepancy(self, case_stable):
@@ -128,14 +129,14 @@ class TestSubmodular:
         # probability), so this check genuinely reports violations; the
         # checker itself is exercised here. See the acceptance suite for the
         # claim as stated.
-        report = check_submodular(case_stable.rvi.q, "aoc", region_of(case_stable))
+        report = check_submodular(q_backup(case_stable.mdp, case_stable.rvi.v), "aoc", region_of(case_stable))
         assert report.count() > 0
         assert all(v.magnitude > 0 for v in report.violations)
 
     def test_renew_action_excluded(self, case_stable):
         # Violations are computed from the idle/transmit pair only; crank the
         # renew column and nothing changes.
-        q = case_stable.rvi.q.copy()
+        q = q_backup(case_stable.mdp, case_stable.rvi.v).copy()
         region = region_of(case_stable)
         before = check_submodular(q, "aoi", region).count()
         q[:, :, 2] = 1e9
@@ -221,7 +222,7 @@ class TestMatchesScalarLists:
     def test_counts_read_the_masks(self, case_stable):
         # verify counts the full-grid violations only; the count and the
         # verdict must not build the list, and must agree with it.
-        q = case_stable.rvi.q
+        q = q_backup(case_stable.mdp, case_stable.rvi.v)
         report = check_submodular(q, "aoc", full_region(case_stable.mdp.trunc))
         assert report.count() > 1000 and not report.passed
         assert "violations" not in vars(report)
@@ -230,7 +231,7 @@ class TestMatchesScalarLists:
     def test_solved_instance(self, case_stable):
         # Thousands of listed violations on a real Q grid (see the
         # channel-age discrepancy above), full grid and interior.
-        q = case_stable.rvi.q
+        q = q_backup(case_stable.mdp, case_stable.rvi.v)
         for region in (region_of(case_stable), full_region(case_stable.mdp.trunc)):
             report = check_submodular(q, "aoc", region)
             assert report.count() > 1000
