@@ -300,37 +300,59 @@ def _dense_condition(border: np.ndarray) -> float:
 
 
 # Bound on the working set of one batch of renewal-closed evaluations
-# (``_eval_batch_size``). On benchmark-marginal that is 8 policies at
-# 80 x 80, 2 at 160 x 160 and one from 165 x 165 on.
+# (``_eval_batch_size``). On benchmark-marginal that is 12 policies at
+# 80 x 80, 3 at 160 x 160 and one from 197 x 197 on.
 EVAL_BATCH_BYTES = 8 * 2**20
 # Arrays of 8-byte entries per cell that a batch member holds besides its
-# row maps: costs, successor indices and probabilities, v, its scratch
-# copy, the three Q grids and the residual's temporaries.
-_EVAL_CELL_ARRAYS = 12
+# row maps: costs, v, the three Q grids and the gate residual's two
+# temporaries.
+_EVAL_CELL_ARRAYS = 7
 
 
 def _eval_batch_size(mdp: MdpSpec) -> int:
     """How many renewal-closed policies one ``_evaluate_stack`` call takes:
-    as many as keep the batch's working set, the row maps of
+    as many as keep the batch's working set, the ring of row maps of
     ``_renewal_closed_solve`` at the largest ring the kernel allows and the
-    gate's backup and residual, under EVAL_BATCH_BYTES. Only the threshold
-    heuristic's table that never renews is evaluated alone, by
-    ``_threshold_evaluate``."""
+    gate's backup and residual, under EVAL_BATCH_BYTES. The identity map
+    the members share, their one-byte cell kinds and the run table read
+    off them are small beside those. Only the threshold heuristic's table
+    that never renews is evaluated alone, by ``_threshold_evaluate``."""
     t_max, d_max = mdp.shape
     reach = int((np.maximum(mdp.tau_idle, mdp.tau_tx) - np.arange(t_max)).max())
-    ring = max(1, reach) + 2
+    ring = max(1, reach) + 1
     width = d_max - int(mdp.delta_renew[0]) + 2
     per_policy = 8 * d_max * (ring * width + _EVAL_CELL_ARRAYS * t_max)
     return max(1, EVAL_BATCH_BYTES // per_policy)
 
 
-def _members(mask: np.ndarray) -> slice | np.ndarray:
-    """The batch members ``mask`` selects: a slice if they are consecutive,
-    else their indices."""
-    sel = np.flatnonzero(mask)
-    if sel[-1] - sel[0] == len(sel) - 1:
-        return slice(sel[0], sel[-1] + 1)
-    return sel
+def _row_runs(kinds: np.ndarray, shift: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+    """The run table of a (B, rows, D) grid of cell kinds: for each row t,
+    a list of (b0, b1, kind, a, cut, e), one per maximal stretch a <= d < e
+    of cells of one kind in the row t that the consecutive members
+    b0 <= b < b1 have alike. Cell d of a run reads age d + shift[kind]
+    below ``cut`` and the last age from ``cut`` on, as a clamped age shift
+    min(d + shift, D - 1) does."""
+    n, rows, d_max = kinds.shape
+    by_row = np.ascontiguousarray(kinds.transpose(1, 0, 2))
+    lead = np.ones((rows, n), dtype=bool)  # a member whose row differs from the previous member's
+    lead[:, 1:] = (by_row[:, 1:] != by_row[:, :-1]).any(axis=2)
+    start = np.ones((rows, n, d_max), dtype=bool)
+    np.not_equal(by_row[:, :, 1:], by_row[:, :, :-1], out=start[:, :, 1:])
+    start &= lead[:, :, None]
+    at = np.flatnonzero(start)
+    kind = by_row.reshape(-1)[at]
+    t, at = np.divmod(at, n * d_max)
+    b, a = np.divmod(at, d_max)
+    first = np.ones(len(t), dtype=bool)  # the first run of a (row, lead member)
+    first[1:] = (t[1:] != t[:-1]) | (b[1:] != b[:-1])
+    e = np.where(np.append(first[1:], True), d_max, np.append(a[1:], 0))
+    lead_t, lead_b = np.nonzero(lead)
+    lead_end = np.where(np.append(lead_t[1:] == lead_t[:-1], False), np.append(lead_b[1:], 0), n)
+    b1 = lead_end[np.cumsum(first) - 1]
+    cut = np.clip(d_max - np.asarray(shift)[kind], a, e)
+    table = list(zip(b.tolist(), b1.tolist(), kind.tolist(), a.tolist(), cut.tolist(), e.tolist()))
+    ptr = np.searchsorted(t, np.arange(rows + 1)).tolist()
+    return [table[i:j] for i, j in zip(ptr[:-1], ptr[1:])]
 
 
 def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray, cost: np.ndarray):
@@ -357,6 +379,15 @@ def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray, cost: np.ndarray):
     v(1, .) only at the information ages renew reaches, so its columns below
     the first of them are exactly +0.0 and are not kept.
 
+    A row is built run by run (``_row_runs``): an idle or transmit run
+    copies a slice of the map of the row it moves to, a renew run a slice of
+    the identity map of row 1, and a transmit run then scales its slice by
+    1 - theta and adds theta times the map of (tau_tx, 1), one vector per
+    member row. Where a renew cell's slot still holds the map of the same
+    member and age from row t + k, the identity row, the run resets only the
+    gain and constant columns. The recovery pass adds row 1's values to
+    every renew cell at once and walks the same runs for the others.
+
     The D equations of row 1, those of v(tau_max, 1) and of the clamped
     corner v(tau_max, delta_max) for an open stack, and v(1, 1) = 0 close a
     dense (D + 1)- or (D + 3)-square border system; a second pass down the
@@ -366,7 +397,7 @@ def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray, cost: np.ndarray):
     costs, and the correction is recovered the same way.
     """
     n, (t_max, d_max) = len(actions), mdp.shape
-    idle, tx, renew = (actions == u for u in (Action.IDLE, Action.TRANSMIT, Action.RENEW))
+    renew = actions == Action.RENEW
     # 1 for an open stack, whose last row adds two unknowns, else 0.
     open_ = int(not renew[:, -1].all())
     # Rows from r on renew everywhere, and read only v(1, .).
@@ -377,63 +408,49 @@ def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray, cost: np.ndarray):
     k, top = int(w.max()) + 1, int(own_top.max())
     # Row t's map is built for the members from skip[t] on: those before it
     # have their own top at or below t, and none of their rows reads row t.
-    skip = np.logical_and.accumulate(own_top <= np.arange(top)[:, None], axis=1).sum(axis=1)
-    # Cell (t, d) moves to (succ_t, succ_d), or with probability hit[t, d]
-    # (transmit cells only) to (tau_tx[t], 1).
-    idle, tx, renew = idle[:, :top], tx[:, :top], renew[:, :top]
-    succ_t = np.where(idle, mdp.tau_idle[:top, None], np.where(tx, mdp.tau_tx[:top, None], 0))
-    succ_d = np.where(renew, mdp.delta_renew, mdp.delta_up)
-    hit = np.where(tx, mdp.theta[:top, None], 0.0)
-    miss = 1.0 - hit
-    # The members with a transmit cell in row t (a slice when they are
-    # consecutive, as a window of ascending thresholds makes them) and the
-    # information ages from the first to the last such cell. Outside the
-    # transmit cells of that span hit is 0 and miss 1, so updating the
-    # whole span changes no bit of a finite map, which holds no -0.0.
-    tx_rows, tx_ages = tx.any(axis=2).T, tx.any(axis=0)
-    first, stop = tx_ages.argmax(axis=1), d_max - tx_ages[:, ::-1].argmax(axis=1)
-    tx_span = [
-        (_members(m), slice(a, b)) if m.any() else None for m, a, b in zip(tx_rows, first.tolist(), stop.tolist())
-    ]
-    members = np.arange(n)[:, None, None]
-    # Flat indices of the successors into the ring of maps below, and into v.
-    src = (np.where(renew, k, succ_t % k) * n + members) * d_max + succ_d
-    succ = (members * t_max + succ_t) * d_max + succ_d
-    # A renew cell's map is the identity row of v(1, delta_renew[d]) but
-    # for its gain and constant columns. Where row t's slot still holds a
-    # renew cell's map of the same member and age, from row t + k, only those
-    # two columns are reset (``kept``), and the rest of the row is gathered.
+    skip = np.logical_and.accumulate(own_top <= np.arange(top)[:, None], axis=1).sum(axis=1).tolist()
     ring_top = top - open_  # the ring loop builds rows below it
-    built = np.arange(n) >= skip[:, None]
-    held = np.zeros((n, top + k, d_max), dtype=bool)
-    held[:, :ring_top] = renew[:, :ring_top] & built[:ring_top].T[:, :, None]
+    # Cell kinds: the actions, and ``kept`` for a renew cell whose slot
+    # still holds a renew cell's map of the same member and age, from row
+    # t + k or from an open stack's last row.
+    kept = len(Action)
+    built = renew[:, :ring_top] & (np.arange(n)[:, None] >= np.array(skip[:ring_top]))[:, :, None]
+    held = np.zeros_like(built)
+    held[:, : max(0, ring_top - k)] = built[:, k:]
+    if open_ and t_max - 1 - k >= 0:
+        held[:, t_max - 1 - k, :-1] = renew[:, -1, :-1]
+    kinds = actions[:, :ring_top].astype(np.int8)
+    kinds[built & held] = kept
+    up, c0 = int(mdp.delta_up[0]), int(mdp.delta_renew[0])
+    runs = _row_runs(kinds, (up, up, c0, c0))
+    del renew, built, held, kinds
     if open_:
-        held[:, -1 - k, :-1] = renew[:, -1, :-1]
-    kept = renew[:, :ring_top] & held[:, k : k + ring_top] & built[:ring_top].T[:, :, None]
-    plan = [None] * ring_top
-    for t in np.flatnonzero(kept.any(axis=(0, 2))):
-        fresh = np.flatnonzero(built[t][:, None] & ~kept[:, t])
-        plan[t] = fresh, src[:, t].reshape(-1)[fresh], np.flatnonzero(kept[:, t])
-    del idle, tx, renew, succ_t, succ_d, held, kept
+        # The last row's cells, solved one by one: which renew, and their
+        # chance of a delivery.
+        last_renew = actions[:, -1] == Action.RENEW
+        last_hit = np.where(actions[:, -1] == Action.TRANSMIT, mdp.theta[-1], 0.0)
+        last_miss = 1.0 - last_hit
 
     # A map keeps the columns of v(1, c0:), then those of v(tau_max, 1) and
     # v(tau_max, delta_max) for an open stack, the gain and the constant.
-    c0 = int(mdp.delta_renew[0])
     a_col = d_max - c0
     g_col = a_col + 2 * open_
     size = d_max + 2 * open_  # border unknowns besides the gain
+    tau_idle, tau_tx, theta = mdp.tau_idle.tolist(), mdp.tau_tx.tolist(), mdp.theta.tolist()
+    delta_up, delta_renew = mdp.delta_up.tolist(), mdp.delta_renew.tolist()
 
     def row_maps(costs, width):
         """Row 1's maps and those of the last row's two equations, for the
         cell costs ``costs``: all ``width`` = g_col + 2 columns, or only the
         constant one (width 1). maps[t % k, b] is member b's map of row t
-        while the rows below it need it; maps[k] is the map of row 1, the
+        while the rows below it need it; ``ident`` is the map of row 1, the
         identity, which renew cells read."""
         whole = width > 1
-        maps = np.zeros((k + 1, n, d_max, width))
+        maps = np.zeros((k, n, d_max, width))
+        ident = np.zeros((d_max, width))
         if whole:
-            maps[k, :, c0:, :a_col] = np.eye(d_max - c0)
-        flat = maps.reshape(-1, width)
+            ident[c0:, :a_col] = np.eye(a_col)
+        reset = slice(-2 if whole else -1, None)  # the gain and constant columns
         eqs = np.zeros((n, 2 * open_, width))
         if open_:
             last = maps[(t_max - 1) % k]
@@ -443,56 +460,85 @@ def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray, cost: np.ndarray):
             # every other cell's map is its value.
             outs = [eqs[:, 1]] + [last[:, d] for d in range(d_max - 2, -1, -1)]
             for d, out in zip(range(d_max - 1, -1, -1), outs):
-                np.multiply(flat[src[:, -1, d]], miss[:, -1, d, None], out=out)
+                nxt = np.where(last_renew[:, d, None], ident[delta_renew[d]], last[:, delta_up[d]])
+                np.multiply(nxt, last_miss[:, d, None], out=out)
                 if whole:
-                    out[:, a_col] += hit[:, -1, d]
+                    out[:, a_col] += last_hit[:, d]
                     out[:, g_col] -= 1.0
                 out[:, -1] += costs[:, -1, d]
             eqs[:, 0] = last[:, 0]
         for t in range(ring_top - 1, -1, -1):
             slot, lo = maps[t % k], skip[t]
+            idle_src, tx_src = maps[tau_idle[t] % k], maps[tau_tx[t] % k]
+            miss, lift_at = 1.0 - theta[t], -1
+            for b0, b1, kind, a, cut, e in runs[t]:
+                if b1 <= lo:
+                    continue
+                b0 = max(b0, lo)
+                out = slot[b0:b1]
+                if kind == kept:
+                    out[:, a:e, reset] = 0.0
+                elif kind == Action.TRANSMIT:
+                    src = tx_src[b0:b1]
+                    if cut > a:
+                        np.multiply(src[:, a + up : cut + up], miss, out=out[:, a:cut])
+                    if e > cut:
+                        np.multiply(src[:, -1:], miss, out=out[:, cut:e])
+                    if lift_at != b0:
+                        lift, lift_at = theta[t] * src[:, :1], b0
+                    out[:, a:e] += lift
+                else:
+                    src, s = (ident, c0) if kind == Action.RENEW else (idle_src[b0:b1], up)
+                    if cut > a:
+                        out[:, a:cut] = src[..., a + s : cut + s, :]
+                    if e > cut:
+                        out[:, cut:e] = src[..., -1:, :]
             out = slot[lo:]
-            if plan[t] is None:
-                np.take(flat, src[lo:, t], axis=0, out=out)
-            else:
-                fresh, fresh_src, kept = plan[t]
-                rows = slot.reshape(-1, width)
-                rows[fresh] = flat[fresh_src]
-                rows[kept, -1] = 0.0
-                if whole:
-                    rows[kept, g_col] = 0.0
-            if tx_span[t] is not None:
-                sel, span = tx_span[t]
-                slot[sel, span] *= miss[sel, t, span, None]
-                slot[sel, span] += hit[sel, t, span, None] * maps[mdp.tau_tx[t] % k, sel, :1]
             if whole:
                 out[:, :, g_col] -= 1.0
             out[:, :, -1] += costs[lo:, t]
         return maps[0], eqs
 
-    # Every member renews everywhere from row max(r) on; a member's own rows
-    # from its r up to there go through the loop as renew rows, to the same
-    # bits.
+    # Every member renews everywhere from row max(r) on, where the row loop
+    # of ``values`` has nothing left to do.
     r_max = int(r.max())
 
     def values(costs, x):
-        """v from the border solution x, for the cell costs ``costs``."""
-        gain = x[:, size, None]
-        v = np.empty(actions.shape)
+        """v from the border solution x, for the cell costs ``costs``: each
+        cell's cost less the gain, plus the value it moves to, read from
+        row 1 by the renew cells at once and row by row by the others."""
+        gain = x[:, size]
+        v = costs - gain[:, None, None]
         v[:, 0] = x[:, :d_max]
-        v[:, r_max:] = costs[:, r_max:] - gain[:, :, None] + v[:, :1, mdp.delta_renew]
-        v_flat = v.reshape(-1)
+        inner = slice(1, t_max - open_)  # the rows below an open stack's last
+        np.add(v[:, inner], v[:, :1, mdp.delta_renew], out=v[:, inner], where=actions[:, inner] == Action.RENEW)
         if open_ and t_max > 1:
             v[:, -1, -1] = x[:, d_max + 1]
-            for d in range(d_max - 2, -1, -1):
-                nxt = v_flat[succ[:, -1, d]] * miss[:, -1, d] + hit[:, -1, d] * x[:, d_max]
-                v[:, -1, d] = costs[:, -1, d] - gain[:, 0] + nxt
+            for b in range(n):  # in Python floats, to the same bits
+                row, first, x_tau = v[b, -1].tolist(), v[b, 0].tolist(), float(x[b, d_max])
+                renews, hit, miss = last_renew[b].tolist(), last_hit[b].tolist(), last_miss[b].tolist()
+                for d in range(d_max - 2, -1, -1):
+                    nxt = first[delta_renew[d]] if renews[d] else row[delta_up[d]]
+                    row[d] += nxt * miss[d] + hit[d] * x_tau
+                v[b, -1] = row
         for t in range(r_max - 1 - open_, 0, -1):
-            nxt = v_flat[succ[:, t]] * miss[:, t]
-            if tx_span[t] is not None:
-                sel, span = tx_span[t]
-                nxt[sel, span] += hit[sel, t, span] * v[sel, mdp.tau_tx[t], :1]
-            v[:, t] = costs[:, t] - gain + nxt
+            row, idle_src, tx_src = v[:, t], v[:, tau_idle[t]], v[:, tau_tx[t]]
+            miss, lift_at = 1.0 - theta[t], -1
+            for b0, b1, kind, a, cut, e in runs[t]:
+                if kind == Action.IDLE:
+                    out, src = row[b0:b1], idle_src[b0:b1]
+                    if cut > a:
+                        out[:, a:cut] += src[:, a + up : cut + up]
+                    if e > cut:
+                        out[:, cut:e] += src[:, -1:]
+                elif kind == Action.TRANSMIT:
+                    out, src = row[b0:b1], tx_src[b0:b1]
+                    if lift_at != b0:
+                        lift, lift_at = theta[t] * src[:, :1], b0
+                    if cut > a:
+                        out[:, a:cut] += src[:, a + up : cut + up] * miss + lift
+                    if e > cut:
+                        out[:, cut:e] += src[:, -1:] * miss + lift
         return v
 
     # Row 1 reads v(1, .) = M[:, :D] v(1, .) + M[:, D] gain + M[:, D + 1],
@@ -524,8 +570,15 @@ def _renewal_closed_solve(mdp: MdpSpec, actions: np.ndarray, cost: np.ndarray):
     v = values(cost, x)
     if open_:
         # The residual c + P v - v - gain is the cost of the correction.
-        v_flat = v.reshape(-1)
-        resid = cost - x[:, size, None, None] + v_flat[succ] * miss + hit * v[:, mdp.tau_tx, :1] - v
+        # Cell (t, d) moves to succ, or with probability hit (transmit
+        # cells only) to (tau_tx[t], 1).
+        renew, tx = actions == Action.RENEW, actions == Action.TRANSMIT
+        hit = np.where(tx, mdp.theta[:, None], 0.0)
+        succ_t = np.where(renew, 0, np.where(tx, mdp.tau_tx[:, None], mdp.tau_idle[:, None]))
+        succ = (np.arange(n)[:, None, None] * t_max + succ_t) * d_max + np.where(renew, mdp.delta_renew, mdp.delta_up)
+        del renew, tx, succ_t
+        resid = cost - x[:, size, None, None] + v.reshape(-1)[succ] * (1.0 - hit) + hit * v[:, mdp.tau_tx, :1] - v
+        del hit, succ
         m1, eqs = row_maps(resid, 1)
         rhs = np.zeros((n, size + 1))
         rhs[:, :d_max], rhs[:, d_max:size] = m1[:, :, 0], eqs[:, :, 0]
@@ -543,20 +596,37 @@ def _border_lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     only the rows and columns where the pivot's column and row are nonzero,
     so a sparse border costs a few numpy calls per row; and it runs on the
     calling thread, where a multithreaded LAPACK factorization can stall for
-    a scheduler period. A zero pivot raises ``LinAlgError``."""
-    order = np.arange(len(a))
-    for j in range(len(a)):
+    a scheduler period. A step whose column has no nonzero below the
+    diagonal only checks its pivot: ``busy`` marks the columns that may
+    have one, set where a swap or an elimination puts a nonzero under a
+    column's diagonal, and the steps between two busy columns are checked
+    at once. A zero pivot raises ``LinAlgError``."""
+    n = len(a)
+    order = np.arange(n)
+    busy = np.tril(a != 0.0, -1).any(axis=0)
+    j = 0
+    while True:
+        ahead = np.flatnonzero(busy[j:])
+        stop = j + int(ahead[0]) if len(ahead) else n
+        if (a.diagonal()[j:stop] == 0.0).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        if stop == n:
+            return a, order
+        j = stop
         p = j + int(np.abs(a[j:, j]).argmax())
         if a[p, j] == 0.0:
             raise np.linalg.LinAlgError("Singular matrix")
         if p != j:
+            # Row j moves under the diagonal of the columns between j and p.
+            busy[j + 1 : p] |= a[j, j + 1 : p] != 0.0
             a[[j, p]], order[[j, p]] = a[[p, j]], order[[p, j]]
         rows = j + 1 + np.flatnonzero(a[j + 1 :, j])
         if len(rows):
             a[rows, j] /= a[j, j]
             cols = j + 1 + np.flatnonzero(a[j, j + 1 :])
             a[np.ix_(rows, cols)] -= a[rows, j, None] * a[j, cols]
-    return a, order
+            busy[cols[cols < rows[-1]]] = True
+        j += 1
 
 
 def _border_lu_solve(lu: np.ndarray, order: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -737,12 +807,12 @@ def _policy_iteration(mdp: MdpSpec, actions: np.ndarray) -> SolveResult:
         if new_actions.tobytes() in seen:
             if not np.array_equal(new_actions, actions):
                 actions = best[1]
-                del ev  # not alive while the earlier policy is refactorized
+                del ev  # not alive while the earlier policy is evaluated again
                 ev = policy_evaluate(mdp, Policy(actions=actions))
             return _finish(ev.gain, ev.v, Policy(actions=actions), sweep, ev.q, skipped_q_evals=skipped)
         actions = new_actions
-        # No Q grid outlives its improvement step, so none is alive during
-        # the next factorization.
+        # No Q grid outlives its improvement step, so none is alive while
+        # the next policy's row maps are built.
         del ev
     raise ConvergenceError(
         f"policy iteration did not terminate within {_SWEEP_CAP} sweeps",

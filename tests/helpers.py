@@ -42,6 +42,7 @@ from wearsched.solvers import (
     _SWEEP_CAP,
     FLOAT_FLOOR_ULPS,
     RVI_DAMPING,
+    _border_lu_solve,
     _bracket,
     _evaluate_stack,
     _finish,
@@ -255,61 +256,125 @@ def reference_rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> So
     raise AssertionError(f"reference RVI did not converge in {opts.max_iter} iterations")
 
 
-def reference_renewal_closed_evaluate(mdp: MdpSpec, actions: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Reference back-substitution over the channel age for one policy that
-    renews at every cell of the last channel age: (gain, v, q), with q the
-    three Q grids at v that its residual gate reads. Its maps keep every
-    column of v(1, .), and its ring and block top are the policy's own; the
-    batched ``_renewal_closed_solve`` must give every member these bits."""
+def reference_border_lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference LU factorization of a border: Gaussian elimination with
+    partial pivoting in place, one pivot step per column, each step
+    updating only the rows and columns where the pivot's column and row are
+    nonzero. ``_border_lu`` must give these factors and this ``order`` bit
+    for bit, and raise where this raises."""
+    order = np.arange(len(a))
+    for j in range(len(a)):
+        p = j + int(np.abs(a[j:, j]).argmax())
+        if a[p, j] == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        if p != j:
+            a[[j, p]], order[[j, p]] = a[[p, j]], order[[p, j]]
+        rows = j + 1 + np.flatnonzero(a[j + 1 :, j])
+        if len(rows):
+            a[rows, j] /= a[j, j]
+            cols = j + 1 + np.flatnonzero(a[j, j + 1 :])
+            a[np.ix_(rows, cols)] -= a[rows, j, None] * a[j, cols]
+    return a, order
+
+
+def reference_backsub_evaluate(mdp: MdpSpec, actions: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Reference back-substitution over the channel age for one policy:
+    (gain, v, q), with q the three Q grids at v that its residual gate
+    reads. Its maps keep every column of v(1, .), its ring and block top are
+    the policy's own, and each row is built whole, by gathering every
+    cell's successor map. A policy that renews at every cell of the last
+    channel age solves its (D + 1)-square border by LAPACK. Any other solves
+    its last row first, in descending information age from the clamped
+    corner, factors its (D + 3)-square border by ``reference_border_lu`` and
+    takes one step of iterative refinement. ``_renewal_closed_solve`` must
+    give every member of a stack these bits."""
     t_max, d_max = mdp.shape
     idle, tx, renew = (actions == u for u in (Action.IDLE, Action.TRANSMIT, Action.RENEW))
     cost = reference_costs(mdp, actions)
+    open_ = int(not renew[-1].all())
     r = max(1, int(np.count_nonzero(~np.logical_and.accumulate(renew.all(axis=1)[::-1]))))
     w = max(1, int((np.maximum(mdp.tau_idle[:r], mdp.tau_tx[:r]) - np.arange(r)).max()))
     k, top = w + 1, min(r + w, t_max)
-    succ_t = np.where(idle[:top], mdp.tau_idle[:top, None], np.where(tx[:top], mdp.tau_tx[:top, None], 0))
-    succ_d = np.where(renew[:top], mdp.delta_renew, mdp.delta_up)
-    hit = np.where(tx[:top], mdp.theta[:top, None], 0.0)
+    succ_t = np.where(idle, mdp.tau_idle[:, None], np.where(tx, mdp.tau_tx[:, None], 0))
+    succ_d = np.where(renew, mdp.delta_renew, mdp.delta_up)
+    succ = succ_t * d_max + succ_d
+    hit = np.where(tx, mdp.theta[:, None], 0.0)
     miss = 1.0 - hit
-    has_tx = tx[:top].any(axis=1)
+    has_tx = tx.any(axis=1)
 
-    g_col, c_col = d_max, d_max + 1
-    maps = np.zeros((k + 1, d_max, d_max + 2))
-    maps[k, :, :d_max] = np.eye(d_max)
-    flat = maps.reshape((k + 1) * d_max, d_max + 2)
-    src = np.where(renew[:top], k, succ_t % k) * d_max + succ_d
-    for t in range(top - 1, -1, -1):
-        out = maps[t % k]
-        if has_tx[t]:
-            np.multiply(flat[src[t]], miss[t, :, None], out=out)
-            out += np.multiply.outer(hit[t], maps[mdp.tau_tx[t] % k, 0])
-        else:
-            np.take(flat, src[t], axis=0, out=out)
-        out[:, g_col] -= 1.0
-        out[:, c_col] += cost[t]
+    # z = (v(1, .), v(tau_max, 1) and v(tau_max, delta_max) if open, gain, 1)
+    size = d_max + 2 * open_
+    g_col, c_col = size, size + 1
+    src = np.where(renew, k, succ_t % k) * d_max + succ_d
 
-    border = np.zeros((d_max + 1, d_max + 1))
-    np.negative(maps[0, :, : g_col + 1], out=border[:d_max])
-    border[np.arange(d_max), np.arange(d_max)] += 1.0
-    border[d_max, 0] = 1.0
-    rhs = np.append(maps[0, :, c_col], 0.0)
+    def row_maps(costs):
+        maps = np.zeros((k + 1, d_max, size + 2))
+        maps[k, :, :d_max] = np.eye(d_max)
+        flat = maps.reshape((k + 1) * d_max, size + 2)
+        eqs = np.zeros((2 * open_, size + 2))
+        if open_:
+            last = maps[(t_max - 1) % k]
+            last[-1, d_max + 1] = 1.0
+            for d in range(d_max - 1, -1, -1):
+                out = eqs[1] if d == d_max - 1 else last[d]
+                np.multiply(flat[src[-1, d]], miss[-1, d], out=out)
+                out[d_max] += hit[-1, d]
+                out[g_col] -= 1.0
+                out[c_col] += costs[-1, d]
+            eqs[0] = last[0]
+        for t in range(top - open_ - 1, -1, -1):
+            out = maps[t % k]
+            if has_tx[t]:
+                np.multiply(flat[src[t]], miss[t, :, None], out=out)
+                out += np.multiply.outer(hit[t], maps[mdp.tau_tx[t] % k, 0])
+            else:
+                np.take(flat, src[t], axis=0, out=out)
+            out[:, g_col] -= 1.0
+            out[:, c_col] += costs[t]
+        return maps[0].copy(), eqs
+
+    def values(costs, x):
+        gain = x[size]
+        v = np.empty(mdp.shape)
+        v_flat = v.reshape(-1)
+        v[0] = x[:d_max]
+        v[r:] = costs[r:] - gain + v[0, mdp.delta_renew]
+        if open_ and t_max > 1:
+            v[-1, -1] = x[d_max + 1]
+            for d in range(d_max - 2, -1, -1):
+                v[-1, d] = costs[-1, d] - gain + (v_flat[succ[-1, d]] * miss[-1, d] + hit[-1, d] * x[d_max])
+        for t in range(r - 1 - open_, 0, -1):
+            nxt = v_flat[succ[t]] * miss[t]
+            if has_tx[t]:
+                nxt += hit[t] * v[mdp.tau_tx[t], 0]
+            v[t] = costs[t] - gain + nxt
+        return v
+
+    m1, eqs = row_maps(cost)
+    c0 = int(mdp.delta_renew[0])
+    border = np.zeros((size + 1, size + 1))
+    np.negative(m1[:, : size + 1], out=border[:d_max])
+    np.negative(eqs[:, c0 : size + 1], out=border[d_max:size, c0:])
+    border[np.arange(size), np.arange(size)] += 1.0
+    border[size, 0] = 1.0
+    rhs = np.concatenate([m1[:, c_col], eqs[:, c_col], [0.0]])
     try:
-        x = np.linalg.solve(border, rhs)
+        if open_:
+            factors = reference_border_lu(border.copy())
+            x = _border_lu_solve(*factors, rhs)
+        else:
+            x = np.linalg.solve(border, rhs)
     except np.linalg.LinAlgError as exc:
         raise EvaluationError(f"singular: {exc}", condition_estimate=float("inf")) from exc
-
-    gain = float(x[d_max])
-    v = np.empty(mdp.shape)
-    v_flat = v.reshape(-1)
-    v[0] = x[:d_max]
-    v[r:] = cost[r:] - gain + v[0, mdp.delta_renew]
-    succ = succ_t * d_max + succ_d
-    for t in range(r - 1, 0, -1):
-        nxt = v_flat[succ[t]] * miss[t]
-        if has_tx[t]:
-            nxt += hit[t] * v[mdp.tau_tx[t], 0]
-        v[t] = cost[t] - gain + nxt
-    v -= v_flat[0]
+    v = values(cost, x)
+    if open_:
+        resid = cost - x[size] + v.reshape(-1)[succ] * miss + hit * v[mdp.tau_tx, :1] - v
+        m1, eqs = row_maps(resid)
+        dx = _border_lu_solve(*factors, np.concatenate([m1[:, c_col], eqs[:, c_col], [0.0]]))
+        v += values(resid, dx)
+        x[size] += dx[size]
+    gain = float(x[size])
+    v -= v.reshape(-1)[0]
 
     q = np.moveaxis(q_backup(mdp, v), 2, 0)
     rel = float(np.abs(np.choose(actions, q) - v - gain).max() / (1.0 + np.abs(cost).max()))
@@ -391,8 +456,8 @@ def reference_exact_evaluate(mdp: MdpSpec, actions: np.ndarray) -> tuple[Fractio
 def reference_threshold_candidate(mdp: MdpSpec, tau: int) -> tuple[float, np.ndarray, Policy, int]:
     """Reference run of the threshold heuristic at the renewal threshold
     ``tau``: its sweeps run to the end, every policy is evaluated alone
-    (``reference_renewal_closed_evaluate``, or the sparse path for the table
-    that never renews) and backed up again for its improvement step. Returns
+    (``reference_backsub_evaluate``, or the sparse path for the table that
+    never renews) and backed up again for its improvement step. Returns
     the best iterate's gain, values, policy and sweep."""
     t_max, d_max = mdp.shape
     thresholds = [1] * t_max
@@ -401,7 +466,7 @@ def reference_threshold_candidate(mdp: MdpSpec, tau: int) -> tuple[float, np.nda
         seen.add(tuple(thresholds))
         actions = threshold_actions(d_max, tau, thresholds)
         if tau < t_max:
-            gain, v, _ = reference_renewal_closed_evaluate(mdp, actions)
+            gain, v, _ = reference_backsub_evaluate(mdp, actions)
         else:
             gain, v, _ = reference_lu_evaluate(mdp, actions)
         if best is None or gain < best[0]:

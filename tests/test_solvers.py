@@ -21,11 +21,12 @@ from helpers import (
     brute_force_optimal,
     eventually_reachable,
     policy_gains,
+    reference_backsub_evaluate,
+    reference_border_lu,
     reference_evaluation_matrix,
     reference_exact_evaluate,
     reference_lu_evaluate,
     reference_q_actions,
-    reference_renewal_closed_evaluate,
     reference_rvi_solve,
     reference_threshold_candidate,
     reference_threshold_heuristic,
@@ -57,6 +58,7 @@ from wearsched import solvers
 from wearsched.artifacts import write_policy_csv
 from wearsched.config import load_config
 from wearsched.solvers import (
+    _border_lu,
     _continuation_grids,
     _evaluate_stack,
     _float_floor,
@@ -574,42 +576,49 @@ class TestPolicyEvaluate:
             policy_evaluate(small_case.mdp, Policy(actions=np.zeros((3, 3), dtype=np.int8)))
 
 
-def assert_agrees_with_lu(mdp, actions):
-    """``policy_evaluate`` of a renewal-closed policy refuses what the sparse
-    LU path refuses, and otherwise agrees with it to 1e-12 relative: the
-    gain, and v against max|v|."""
+def assert_agrees_with_exact(mdp, actions):
+    """``policy_evaluate`` refuses a policy whose evaluation system is
+    exactly singular (``reference_exact_evaluate``), and otherwise agrees
+    with the exact solution to 1e-12 of max|v| + |gain|, in the gain and in
+    every value, unless it refuses a system that is singular to float64:
+    a multichain policy's, made regular only by the rounding of 1 - theta,
+    has a 1-norm condition number beyond 1 / eps."""
+    exact = reference_exact_evaluate(mdp, actions)
     try:
-        lu = reference_lu_evaluate(mdp, actions)
+        ev = policy_evaluate(mdp, Policy(actions=actions))
     except EvaluationError:
-        with pytest.raises(EvaluationError):
-            policy_evaluate(mdp, Policy(actions=actions))
+        if exact is not None:
+            kappa = np.linalg.cond(reference_evaluation_matrix(mdp, actions).toarray(), 1)
+            assert kappa * np.finfo(float).eps > 1.0
         return
-    ev = policy_evaluate(mdp, Policy(actions=actions))
-    assert abs(ev.gain - lu.gain) <= 1e-12 * abs(lu.gain)
-    assert np.abs(ev.v - lu.v).max() <= 1e-12 * np.abs(lu.v).max()
+    assert exact is not None
+    gain, v = exact
+    scale = abs(gain) + max(map(abs, v))
+    err = max(abs(Fraction(x) - y) for x, y in zip([ev.gain, *ev.v.reshape(-1).tolist()], [gain, *v]))
+    assert err <= Fraction(1e-12) * scale
     assert ev.v[0, 0] == 0.0
 
 
 class TestRenewalClosedEvaluation:
     """Policies that renew at every cell of the last channel age are
-    evaluated by back-substitution over the channel age; the sparse LU path
-    is the reference."""
+    evaluated by back-substitution over the channel age; the exact solution
+    of the evaluation system is the reference."""
 
     @given(
-        tau_max=st.integers(8, 40),
-        delta_max=st.integers(8, 40),
+        tau_max=st.integers(1, 8),
+        delta_max=st.integers(1, 8),
         theta=st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.99, 0.0), (0.95, 0.3)]),
         beta=st.sampled_from([0.9, 1.0]),
         restricted=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_lu_path(self, tau_max, delta_max, theta, beta, restricted, data):
+    def test_matches_the_exact_solution(self, tau_max, delta_max, theta, beta, restricted, data):
         # Wear and downtime are drawn small or near the grid bounds, where the
         # age shifts clamp. The policies are the heuristic's threshold tables,
         # or columns that idle, then transmit, then renew down the channel
         # age, as structured policy iteration's improvement step makes them.
-        # With theta = 1 some are multichain: both paths must refuse those.
+        # With theta = 1 some are multichain: those must be refused.
         tau_d = data.draw(st.one_of(st.integers(2, 6), st.integers(max(2, tau_max - 2), tau_max + 2)))
         delta_r = data.draw(
             st.one_of(st.integers(2, 6), st.integers(max(2, delta_max - 2), delta_max + 2))
@@ -633,7 +642,7 @@ class TestRenewalClosedEvaluation:
         else:
             thresholds = np.sort(rng.integers(1, delta_max + 2, size=tau_max))[::-1]
             actions = threshold_actions(delta_max, tau_renew, thresholds)
-        assert_agrees_with_lu(mdp, actions)
+        assert_agrees_with_exact(mdp, actions)
 
     def test_multichain_policy_raises(self):
         # A perfect channel with two closed cycles of different cost: the
@@ -662,7 +671,8 @@ class TestRenewalClosedEvaluation:
             actions[:-1] = Action.IDLE
         with pytest.raises(EvaluationError, match="relative residual nan"):
             policy_evaluate(mdp, Policy(actions=actions))
-        assert_agrees_with_lu(mdp, actions)
+        with pytest.raises(EvaluationError):
+            reference_lu_evaluate(mdp, actions)
 
     def test_memory_at_320(self):
         # The ring buffer holds tau_d + 1 row maps of 320 x 322 floats (about
@@ -729,14 +739,15 @@ def _never_renewing_policy(rng, shape, family):
 class TestOpenRenewalEvaluation:
     """A policy that does not renew at every cell of the last channel age,
     renewing somewhere or nowhere, is solved by back-substitution with the
-    last row's recursion; the sparse LU path is the reference."""
+    last row's recursion; the exact solution of the evaluation system and
+    the single-policy back-substitution are the references."""
 
     @given(
         shape=st.one_of(
-            st.tuples(st.just(1), st.integers(1, 12)),
-            st.tuples(st.integers(1, 12), st.sampled_from([1, 2])),
-            st.tuples(st.sampled_from([1, 2]), st.integers(1, 12)),
-            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+            st.tuples(st.just(1), st.integers(1, 8)),
+            st.tuples(st.integers(1, 8), st.sampled_from([1, 2])),
+            st.tuples(st.sampled_from([1, 2]), st.integers(1, 8)),
+            st.tuples(st.integers(1, 8), st.integers(1, 8)),
         ),
         theta=st.one_of(
             st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.99, 0.0)]),
@@ -747,10 +758,10 @@ class TestOpenRenewalEvaluation:
         data=st.data(),
     )
     @settings(max_examples=600)
-    def test_matches_the_lu_path(self, shape, theta, restricted, family, data):
+    def test_matches_the_exact_solution(self, shape, theta, restricted, family, data):
         # On a one-row grid the last row is row 1; on a one-column grid the
         # last row's two unknowns are one cell. theta = 0 and 1 make many
-        # draws multichain: both paths must refuse those. Besides the open
+        # draws multichain: those must be refused. Besides the open
         # policies, which renew somewhere, the draws take policies that
         # renew nowhere, as structured policy iteration starts from.
         mdp = _drawn_mdp(*shape, theta, 1.0, restricted, False, data)
@@ -759,17 +770,40 @@ class TestOpenRenewalEvaluation:
             actions = _open_policy(rng, shape)
         else:
             actions = _never_renewing_policy(rng, shape, family)
+        assert_agrees_with_exact(mdp, actions)
+
+    @given(
+        shape=st.tuples(st.integers(1, 14), st.integers(1, 14)),
+        theta=st.one_of(
+            st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.99, 0.0)]),
+            st.floats(0.01, 0.99).map(lambda x: (x, x)),
+        ),
+        restricted=st.booleans(),
+        drawn_costs=st.booleans(),
+        family=st.sampled_from(["open"] * 3 + ["idle", "transmit", "never"]),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_matches_the_reference_bit_for_bit(self, shape, theta, restricted, drawn_costs, family, data):
+        # The last row's recursion, the border's factors and the refinement
+        # step give the bits of the single-policy back-substitution, which
+        # builds every row whole; and both refuse the same policies.
+        mdp = _drawn_mdp(*shape, theta, 1.0, restricted, drawn_costs, data)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if family == "open":
+            actions = _open_policy(rng, shape)
+        else:
+            actions = _never_renewing_policy(rng, shape, family)
         try:
-            lu = reference_lu_evaluate(mdp, actions)
+            gain, v, q = reference_backsub_evaluate(mdp, actions)
         except EvaluationError:
             with pytest.raises(EvaluationError):
                 policy_evaluate(mdp, Policy(actions=actions))
             return
         ev = policy_evaluate(mdp, Policy(actions=actions))
-        scale = np.abs(lu.v).max() + abs(lu.gain)
-        assert abs(ev.gain - lu.gain) <= 1e-12 * scale
-        assert np.abs(ev.v - lu.v).max() <= 1e-12 * scale
-        assert ev.v[0, 0] == 0.0
+        assert np.float64(ev.gain).tobytes() == np.float64(gain).tobytes()
+        assert ev.v.tobytes() == v.tobytes()
+        assert ev.q.tobytes() == q.tobytes()
 
     def test_never_renewing_multichain_policy_is_refused_by_both_paths(self):
         # On a perfect channel (4, 1) transmits onto itself and the rest of
@@ -785,7 +819,7 @@ class TestOpenRenewalEvaluation:
         with pytest.raises(EvaluationError):
             policy_evaluate(mdp, Policy(actions=actions))
 
-    def test_spi_policy_at_320_matches_the_lu_path(self, tmp_path):
+    def test_spi_policy_at_320_matches_the_lu_path(self, tmp_path, spi_marginal_320):
         # The final policy of benchmark-marginal renews at 316 of the 320
         # cells of its last channel age. Its digest is the one the benchmark
         # pins; cell (311, 1) of it is a tie of 0.02 units in the last place
@@ -793,7 +827,7 @@ class TestOpenRenewalEvaluation:
         # the exact one as sparse LU's (0.4 units in the last place, against
         # 10 without the step).
         mdp = _shipped_mdp("benchmark-marginal", 320)
-        actions = structured_policy_iteration(mdp).policy.actions
+        actions = spi_marginal_320[0].policy.actions
         assert not (actions[-1] == Action.RENEW).all()
         write_policy_csv(tmp_path / "policy.csv", Policy(actions=actions))
         digest = hashlib.sha256((tmp_path / "policy.csv").read_bytes()).hexdigest()
@@ -864,6 +898,52 @@ class TestOpenRenewalEvaluation:
         assert ev.q.tobytes() == expected.q.tobytes()
 
 
+def _assert_same_lu(a):
+    """``_border_lu`` of ``a`` gives the factors and order of
+    ``reference_border_lu`` bit for bit, or raises its error."""
+    try:
+        lu, order = reference_border_lu(a.copy())
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+            _border_lu(a.copy())
+        return
+    got, got_order = _border_lu(a.copy())
+    assert got.tobytes() == lu.tobytes()
+    assert got_order.tolist() == order.tolist()
+
+
+class TestBorderLu:
+    """The border factorization skips the pivot steps with nothing below
+    the diagonal; the pivot loop that takes every step is the reference."""
+
+    @given(
+        n=st.integers(1, 24),
+        density=st.sampled_from([0.05, 0.15, 0.4]),
+        diagonal=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=300)
+    def test_matches_the_reference_on_sparse_matrices(self, n, density, diagonal, data):
+        # Small dyadic entries make eliminations cancel to exact zeros; the
+        # sparsity pattern makes rows swap and fill in. Without a diagonal
+        # added many draws are exactly singular, often at a zero pivot
+        # among the steps skipped at once: both must raise the same error.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        entries = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0], (n, n))
+        a = np.where(rng.random((n, n)) < density, entries, 0.0)
+        if diagonal:
+            a[np.arange(n), np.arange(n)] += rng.choice([0.0, 0.25, 1.0], n)
+        _assert_same_lu(a)
+
+    def test_matches_the_reference_on_spi_borders(self, spi_marginal_320):
+        # Every border SPI factors on benchmark-marginal, on its 80 x 80,
+        # 160 x 160 and 320 x 320 levels.
+        borders = spi_marginal_320[1]
+        assert {len(b) for b in borders} == {83, 163, 323}
+        for border in borders:
+            _assert_same_lu(border)
+
+
 class TestExactReference:
     """``policy_evaluate`` against the exact rational solution of the float
     evaluation system (``reference_exact_evaluate``) on grids of 1 to 5 ages."""
@@ -912,7 +992,8 @@ class TestExactReference:
 
 class TestBatchedRenewalClosedEvaluation:
     """One call evaluates a stack of renewal-closed policies; each member
-    gets the bits of the single-policy reference."""
+    gets the bits of the single-policy reference, which builds every row
+    whole."""
 
     @given(
         tau_max=st.integers(8, 32),
@@ -927,13 +1008,29 @@ class TestBatchedRenewalClosedEvaluation:
     def test_members_match_the_reference(self, tau_max, delta_max, theta, beta, restricted, drawn_costs, data):
         # Each member draws its own renewal threshold, so the members' all-
         # renew blocks start at different rows and the batch's shared ring
-        # and block top exceed most members' own.
+        # and block top exceed most members' own. Below its block a member
+        # takes the heuristic's or SPI's tables, or actions drawn cell by
+        # cell: many short runs per row, from the first information age to
+        # the last, with renew cells whose slot holds a renew cell's map of
+        # the same age and renew cells whose slot does not. Such a member
+        # may repeat the previous member's cells, so that members share
+        # their runs in the rows below both blocks.
         mdp = _drawn_mdp(tau_max, delta_max, theta, beta, restricted, drawn_costs, data)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         taus = data.draw(st.lists(st.integers(0, tau_max - 1), min_size=1, max_size=6))
-        stack = np.stack([_renewal_closed_policy(rng, tau_max, delta_max, tau) for tau in taus])
+        cells = data.draw(st.booleans())
+        stack = []
+        for tau in taus:
+            if cells:
+                repeat = stack and rng.random() < 0.5
+                actions = stack[-1].copy() if repeat else rng.integers(0, 3, size=(tau_max, delta_max)).astype(np.int8)
+                actions[tau:] = Action.RENEW
+            else:
+                actions = _renewal_closed_policy(rng, tau_max, delta_max, tau)
+            stack.append(actions)
+        stack = np.stack(stack)
         try:
-            expected = [reference_renewal_closed_evaluate(mdp, a) for a in stack]
+            expected = [reference_backsub_evaluate(mdp, a) for a in stack]
         except EvaluationError:
             with pytest.raises(EvaluationError):
                 _evaluate_stack(mdp, stack, _renewal_closed_solve)
@@ -964,9 +1061,10 @@ class TestBatchedRenewalClosedEvaluation:
         assert exc_info.value.condition_estimate > 1e8
 
     def test_batch_size_bounds_the_working_set(self):
-        # Eight policies at 80 x 80; at 320 x 320 the row maps of one policy
-        # alone take about 6 MB, so it goes alone.
-        assert solvers._eval_batch_size(_shipped_mdp("benchmark-marginal", 80)) == 8
+        # Twelve policies at 80 x 80 and three at 160 x 160; at 320 x 320 the
+        # row maps of one policy alone take about 5.5 MB, so it goes alone.
+        assert solvers._eval_batch_size(_shipped_mdp("benchmark-marginal", 80)) == 12
+        assert solvers._eval_batch_size(_shipped_mdp("benchmark-marginal", 160)) == 3
         assert solvers._eval_batch_size(_shipped_mdp("benchmark-marginal", 320)) == 1
 
 
@@ -1049,6 +1147,23 @@ def _shipped_mdp(name, grid):
         overrides=[f"truncation.tau_max={grid}", f"truncation.delta_max={grid}"],
     )
     return build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
+
+
+@pytest.fixture(scope="module")
+def spi_marginal_320():
+    """SPI's result on benchmark-marginal at 320 x 320, continued from
+    80 x 80 and 160 x 160, and a copy of every border it factored."""
+    borders = []
+    factor = solvers._border_lu
+
+    def recording(a):
+        borders.append(a.copy())
+        return factor(a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_border_lu", recording)
+        res = structured_policy_iteration(_shipped_mdp("benchmark-marginal", 320))
+    return res, borders
 
 
 class TestContinuation:
@@ -1181,7 +1296,7 @@ class TestBruteForce:
         accepted = 0
         for actions, gain in zip(assignments, gains):
             if (actions.reshape(mdp.shape)[-1] == Action.RENEW).all():
-                assert_agrees_with_lu(mdp, actions.reshape(mdp.shape))
+                assert_agrees_with_exact(mdp, actions.reshape(mdp.shape))
             try:
                 expected = policy_evaluate(mdp, Policy(actions=actions.reshape(mdp.shape))).gain
             except EvaluationError:
