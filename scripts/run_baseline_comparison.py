@@ -31,7 +31,7 @@ def main() -> int:
     args = parser.parse_args()
 
     cfg = load_config(CONFIG)
-    model, channel, trunc = cfg.build_system(), cfg.build_channel(), cfg.build_truncation()
+    model, channel, trunc = cfg.system, cfg.channel, cfg.truncation
     mdp = build_mdp(model, channel, trunc)
     res = rvi_solve(mdp)
 

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .linear_model import (
     StabilityReport,
-    SteadyState,
     SystemModel,
     mse_table,
     spectral_radius,
@@ -77,7 +76,6 @@ __all__ = [
     "SolveOptions",
     "SolveResult",
     "StabilityReport",
-    "SteadyState",
     "SystemModel",
     "ThresholdFrontier",
     "Truncation",

@@ -206,10 +206,12 @@ def _read_grid(path: str | Path, header: str, value_dtype: type) -> np.ndarray:
     return grid.reshape(t_max, d_max, -1)
 
 
-def _reject_nan(path: str | Path, grid: np.ndarray) -> None:
-    bad = np.argwhere(np.isnan(grid))
+def _reject_non_finite(path: str | Path, grid: np.ndarray) -> None:
+    bad = np.argwhere(~np.isfinite(grid))
     if len(bad):
-        raise ArtifactParseError(f"{path}: NaN at state ({bad[0][0] + 1},{bad[0][1] + 1})")
+        x = grid[tuple(bad[0])]
+        name = "NaN" if np.isnan(x) else f"{x:g}"
+        raise ArtifactParseError(f"{path}: {name} at state ({bad[0][0] + 1},{bad[0][1] + 1})")
 
 
 def read_policy_csv(path: str | Path) -> Policy:
@@ -222,13 +224,13 @@ def read_policy_csv(path: str | Path) -> Policy:
 
 def read_value_csv(path: str | Path) -> np.ndarray:
     v = _read_grid(path, VALUE_HEADER, np.float64)[:, :, 0]
-    _reject_nan(path, v)
+    _reject_non_finite(path, v)
     return v
 
 
 def read_q_csv(path: str | Path) -> np.ndarray:
     q = _read_grid(path, Q_HEADER, np.float64)
-    _reject_nan(path, q)
+    _reject_non_finite(path, q)
     return q
 
 

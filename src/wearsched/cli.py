@@ -73,20 +73,16 @@ def _tool_info() -> dict:
     return {"name": "wearsched", "version": __version__}
 
 
-def _build(cfg: ExperimentConfig) -> MdpSpec:
-    return build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
-
-
 def _solve(cfg: ExperimentConfig, mdp: MdpSpec) -> SolveResult:
-    if cfg.solver.method == "rvi":
+    if cfg.method == "rvi":
         return rvi_solve(mdp)
-    if cfg.solver.method == "spi":
+    if cfg.method == "spi":
         return structured_policy_iteration(mdp)
     return threshold_heuristic(mdp)
 
 
 def _stability_dict(cfg: ExperimentConfig) -> dict:
-    rep = stability_report(cfg.build_system(), cfg.build_channel())
+    rep = stability_report(cfg.system, cfg.channel)
     if rep.stable_region_all:
         bound = "all"
     elif rep.stable_tau_bound is None:
@@ -139,7 +135,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, emit_q: bool = False) -> dic
     """Solve per the configured method and write policy/value grids plus a
     JSON summary. Returns the summary payload."""
     t_start = time.perf_counter()
-    mdp = _build(cfg)
+    mdp = build_mdp(cfg.system, cfg.channel, cfg.truncation)
     t_build = time.perf_counter()
     res = _solve(cfg, mdp)
     t_solve = time.perf_counter()
@@ -156,7 +152,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, emit_q: bool = False) -> dic
     summary = {
         "tool": _tool_info(),
         "command": "solve",
-        "config": cfg.echo(),
+        "config": cfg.echo,
         "result": _result_dict(res),
         "stability": _stability_dict(cfg),
         "frontier": _frontier_dict(res.policy),
@@ -198,7 +194,7 @@ def run_verify(
     otherwise the instance is solved first.
     """
     t_start = time.perf_counter()
-    mdp = _build(cfg)
+    mdp = build_mdp(cfg.system, cfg.channel, cfg.truncation)
     if policy_path or value_path or q_path:
         if not (policy_path and value_path):
             raise MissingArtifactError("verification from artifacts needs both --policy and --value")
@@ -223,7 +219,7 @@ def run_verify(
     report = {
         "tool": _tool_info(),
         "command": "verify",
-        "config": cfg.echo(),
+        "config": cfg.echo,
         "lambda": lam,
         "checks": [_report_dict(c) for c in checks],
         "all_passed": all(c.passed for c in checks),
@@ -245,7 +241,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, policy_path: str | None =
     assembling the report and creating the output directory (``write``);
     like every command's ``total``, it ends before the JSON's own write."""
     t_start = time.perf_counter()
-    mdp = _build(cfg)
+    mdp = build_mdp(cfg.system, cfg.channel, cfg.truncation)
     t_build = time.perf_counter()
     lam = None
     if policy_path:
@@ -288,7 +284,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, policy_path: str | None =
     payload = {
         "tool": _tool_info(),
         "command": "simulate",
-        "config": cfg.echo(),
+        "config": cfg.echo,
         "policy_source": source,
         "lambda": lam,
         "replications": reps,
@@ -371,9 +367,9 @@ def run_sweep(
     point_dirs = {v: out_dir / f"{axis}={label[v]}" for v in values}
 
     workers = min(jobs, len(values))
-    args = (repeat(cfg.echo()), repeat(axis), values, [str(point_dirs[v]) for v in values])
+    args = (repeat(cfg.echo), repeat(axis), values, [str(point_dirs[v]) for v in values])
     if workers > 1:
-        if cfg.solver.method == "threshold-heuristic":
+        if cfg.method == "threshold-heuristic":
             # Loaded once here, the heuristic's sparse factorization reaches
             # every forked worker; no other method factorizes.
             load_evaluator()
@@ -401,7 +397,7 @@ def run_sweep(
         "command": "sweep",
         "axis": axis,
         "values": list(values),
-        "base_config": cfg.echo(),
+        "base_config": cfg.echo,
         "points": {
             label[v]: (
                 {
@@ -454,7 +450,7 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="experiment configuration file (YAML)")
-        p.add_argument("--out", default=None, help="output directory (default: config/env)")
+        p.add_argument("--out", default="out", type=Path, help="output directory (default: out)")
         p.add_argument(
             "--set",
             dest="overrides",
@@ -490,22 +486,21 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, overrides=args.overrides)
-        out_dir = cfg.output.resolve_directory(args.out)
         if args.command == "solve":
-            payload = run_solve(cfg, out_dir, args.emit_q)
+            payload = run_solve(cfg, args.out, args.emit_q)
             code = EXIT_OK
         elif args.command == "verify":
-            payload = run_verify(cfg, out_dir, args.policy, args.value, args.q)
+            payload = run_verify(cfg, args.out, args.policy, args.value, args.q)
             code = EXIT_OK
         elif args.command == "simulate":
-            payload = run_simulate(cfg, out_dir, args.policy)
+            payload = run_simulate(cfg, args.out, args.policy)
             code = EXIT_OK
         else:
             try:
                 values = [float(x) for x in args.values.split(",") if x.strip()]
             except ValueError as exc:
                 raise ConfigError(field="sweep.values", message=str(exc)) from exc
-            payload, code = run_sweep(cfg, out_dir, args.axis, values, args.jobs)
+            payload, code = run_sweep(cfg, args.out, args.axis, values, args.jobs)
     except Exception as exc:  # noqa: BLE001 - classified and reported below
         code, kind = _classify(exc)
         print(json.dumps(_error_payload(code, kind, exc)))

@@ -1,17 +1,16 @@
 """Experiment configuration: YAML files with strict validation, dotted-path
-overrides, and constructors for the model objects they describe.
+overrides, and the model objects they describe.
 
 Sections: ``system`` (explicit matrices, or the two-dimensional benchmark
 family selected by ``beta``), ``channel``, ``truncation``, ``solver``,
-``simulate``, ``output``. Unknown keys are rejected so typos cannot silently
-change an experiment.
+``simulate``. Unknown keys are rejected so typos cannot silently change an
+experiment.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +21,7 @@ from .errors import ConfigError, WearschedError
 from .linear_model import SystemModel
 from .mdp import Truncation
 
-OUTPUT_DIR_ENV = "WEARSCHED_OUT"
-
 SOLVER_METHODS = ("rvi", "spi", "threshold-heuristic")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    method: str = "rvi"
 
 
 @dataclass(frozen=True)
@@ -39,47 +31,19 @@ class SimulateConfig:
     replications: int = 1
 
 
-@dataclass(frozen=True)
-class OutputConfig:
-    directory: str = ""
-
-    def resolve_directory(self, override: str | None = None) -> Path:
-        if override:
-            return Path(override)
-        if self.directory:
-            return Path(self.directory)
-        return Path(os.environ.get(OUTPUT_DIR_ENV, "out"))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    system: dict
-    channel: dict
-    truncation: dict
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    simulate: SimulateConfig = field(default_factory=SimulateConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
-    raw: dict = field(default_factory=dict)
+    """A validated configuration: the models it describes, each built once,
+    the solver method, the simulation settings, and ``echo``, the normalized
+    configuration, which loads again to this run. Two configs are the same
+    experiment when their echoes are equal."""
 
-    def build_system(self) -> SystemModel:
-        return _build_system(self.system)
-
-    def build_channel(self) -> ChannelModel:
-        c = self.channel
-        return ChannelModel(
-            theta_max=c["theta_max"],
-            theta_min=c["theta_min"],
-            alpha=c["alpha"],
-            tau_d=c["tau_d"],
-            delta_r=c["delta_r"],
-        )
-
-    def build_truncation(self) -> Truncation:
-        return Truncation(tau_max=self.truncation["tau_max"], delta_max=self.truncation["delta_max"])
-
-    def echo(self) -> dict:
-        """The normalized configuration; loading it again reproduces this run."""
-        return self.raw
+    system: SystemModel
+    channel: ChannelModel
+    truncation: Truncation
+    method: str
+    simulate: SimulateConfig
+    echo: dict
 
 
 def _field_error(path: str, message: str) -> ConfigError:
@@ -191,7 +155,7 @@ def _validate_solver(section, path="solver") -> dict:
     if not isinstance(section, dict):
         raise _field_error(path, "expected a mapping")
     _require_keys(section, path, {"method"}, set())
-    method = section.get("method", SolverConfig.method)
+    method = section.get("method", "rvi")
     if method not in SOLVER_METHODS:
         raise _field_error(f"{path}.method", f"must be one of {SOLVER_METHODS}, got {method!r}")
     return {"method": method}
@@ -215,31 +179,19 @@ def _validate_simulate(section, path="simulate") -> dict:
     }
 
 
-def _validate_output(section, path="output") -> dict:
-    if section is None:
-        section = {}
-    if not isinstance(section, dict):
-        raise _field_error(path, "expected a mapping")
-    _require_keys(section, path, {"directory"}, set())
-    directory = section.get("directory", OutputConfig.directory)
-    if not isinstance(directory, str):
-        raise _field_error(f"{path}.directory", f"expected a string, got {directory!r}")
-    return {"directory": directory}
-
-
 def validate_config_dict(data: dict) -> ExperimentConfig:
-    """Validate a raw configuration mapping and produce the typed config.
+    """Validate a raw configuration mapping and build the models it describes.
 
     Each section validator returns its section normalized, and together
     they are the config echo. The channel and truncation validators check
     every invariant of ``ChannelModel`` and ``Truncation``; the system model
-    is constructed once here, and the grid's headroom for one wear step and
-    one renewal downtime is checked here. So every invalid configuration
-    fails with a field-annotated error before any work starts.
+    is built here, and the grid's headroom for one wear step and one renewal
+    downtime is checked here. So every invalid configuration fails with a
+    field-annotated error before any work starts.
     """
     if not isinstance(data, dict):
         raise ConfigError(field="<root>", message="configuration must be a mapping")
-    known = {"system", "channel", "truncation", "solver", "simulate", "output"}
+    known = {"system", "channel", "truncation", "solver", "simulate"}
     for k in data:
         if k not in known:
             raise _field_error(k, "unknown section")
@@ -247,25 +199,15 @@ def validate_config_dict(data: dict) -> ExperimentConfig:
         if k not in data:
             raise _field_error(k, "missing required section")
 
-    raw = {
+    echo = {
         "system": _validate_system(data["system"]),
         "channel": _validate_channel(data["channel"]),
         "truncation": _validate_truncation(data["truncation"]),
         "solver": _validate_solver(data.get("solver")),
         "simulate": _validate_simulate(data.get("simulate")),
-        "output": _validate_output(data.get("output")),
     }
-    channel, truncation = raw["channel"], raw["truncation"]
-    cfg = ExperimentConfig(
-        system=raw["system"],
-        channel=channel,
-        truncation=truncation,
-        solver=SolverConfig(**raw["solver"]),
-        simulate=SimulateConfig(**raw["simulate"]),
-        output=OutputConfig(**raw["output"]),
-        raw=raw,
-    )
-    cfg.build_system()
+    system = _build_system(echo["system"])
+    channel, truncation = echo["channel"], echo["truncation"]
     # Headroom: every action has an in-range successor before clamping dominates.
     headroom = (("tau_max", "tau_d", "wear per transmission"), ("delta_max", "delta_r", "the renewal downtime"))
     for bound, step, what in headroom:
@@ -274,7 +216,14 @@ def validate_config_dict(data: dict) -> ExperimentConfig:
                 f"truncation.{bound}",
                 f"{bound}={truncation[bound]} leaves no headroom for {what} (need >= {1 + channel[step]})",
             )
-    return cfg
+    return ExperimentConfig(
+        system=system,
+        channel=ChannelModel(**channel),
+        truncation=Truncation(**truncation),
+        method=echo["solver"]["method"],
+        simulate=SimulateConfig(**echo["simulate"]),
+        echo=echo,
+    )
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:

@@ -17,6 +17,10 @@ from .errors import ConvergenceError, DomainError, InvalidModelError, NumericalO
 # Singular values below this fraction of the largest one count as zero in
 # rank tests.
 RANK_RTOL = 1e-9
+# Stopping rule of ``steady_state``: the Frobenius step below which the
+# covariance recursion has converged, and the most steps it may take.
+STEADY_STATE_TOL = 1e-12
+STEADY_STATE_MAX_ITER = 100_000
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -111,20 +115,6 @@ class SystemModel:
         return self.A.shape[0]
 
 
-@dataclass(frozen=True)
-class SteadyState:
-    """Steady-state posterior error covariance and the spectral radius of A."""
-
-    p_bar: np.ndarray
-    rho: float
-
-    def __post_init__(self):
-        p = _as_matrix(self.p_bar, "p_bar")
-        object.__setattr__(self, "p_bar", p)
-        if self.rho < 0:
-            raise InvalidModelError("rho must be nonnegative")
-
-
 def riccati_step(model: SystemModel, p: np.ndarray) -> np.ndarray:
     """One measurement-updated covariance recursion step.
 
@@ -137,37 +127,35 @@ def riccati_step(model: SystemModel, p: np.ndarray) -> np.ndarray:
     return (np.eye(model.state_dim) - gain @ model.C) @ prior
 
 
-def steady_state(model: SystemModel, tol: float = 1e-12, max_iter: int = 100_000) -> SteadyState:
-    """Fixed point of the measurement-updated covariance recursion.
+def steady_state(model: SystemModel) -> np.ndarray:
+    """Read-only fixed point P̄ of the measurement-updated covariance
+    recursion.
 
     Iterates from the zero matrix until the Frobenius norm of successive
-    iterates falls below ``tol``.
+    iterates falls below ``STEADY_STATE_TOL``, for at most
+    ``STEADY_STATE_MAX_ITER`` steps.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    if max_iter < 1:
-        raise DomainError("max_iter must be a positive integer")
     p = np.zeros((model.state_dim, model.state_dim))
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(STEADY_STATE_MAX_ITER):
         nxt = riccati_step(model, p)
         residual = float(np.linalg.norm(nxt - p, "fro"))
         p = nxt
-        if residual < tol:
+        if residual < STEADY_STATE_TOL:
             p = (p + p.T) / 2.0
             p.flags.writeable = False
-            return SteadyState(p_bar=p, rho=spectral_radius(model.A))
+            return p
     raise ConvergenceError(
-        f"covariance recursion did not converge in {max_iter} iterations "
+        f"covariance recursion did not converge in {STEADY_STATE_MAX_ITER} iterations "
         f"(last residual {residual:.3e})",
         residual=residual,
     )
 
 
-def mse_table(model: SystemModel, ss: SteadyState, delta_max: int) -> np.ndarray:
+def mse_table(model: SystemModel, p_bar: np.ndarray, delta_max: int) -> np.ndarray:
     """MSE-versus-age table via the covariance recurrence P -> A P A' + Q.
 
-    Starts from the steady-state posterior covariance; entry ``k`` of the
+    Starts from the steady-state posterior covariance ``p_bar``; entry ``k`` of the
     returned read-only array is the MSE at information age k+1, the trace
     after k+1 recurrence steps. Raises on overflow to non-finite values,
     naming the first offending age.
@@ -175,7 +163,7 @@ def mse_table(model: SystemModel, ss: SteadyState, delta_max: int) -> np.ndarray
     if delta_max < 1:
         raise DomainError("delta_max must be >= 1")
     values = np.empty(delta_max)
-    p = ss.p_bar
+    p = p_bar
     with np.errstate(over="ignore", invalid="ignore"):
         for d in range(1, delta_max + 1):
             p = model.A @ p @ model.A.T + model.Q

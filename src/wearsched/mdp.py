@@ -104,35 +104,14 @@ class MdpSpec:
         return hit.reshape(-1), miss.reshape(-1), p_hit.reshape(-1)
 
     def restrict(self, tau_max: int, delta_max: int) -> MdpSpec:
-        """The MDP on the sub-grid [1, tau_max] x [1, delta_max]: the same
-        reliabilities and costs, cut to the sub-grid, with every age shift
-        re-clamped to its new boundary.
-
-        It equals ``build_mdp`` at the sub-grid except in the renewal costs
-        of the last ``delta_r`` information ages: those keep the lump sums
-        of this grid's MSE instead of clamping the summands at the sub-grid's
-        last entry.
-        """
+        """The MDP on the sub-grid [1, tau_max] x [1, delta_max]: this grid's
+        MSE and reliabilities cut to the sub-grid and assembled as
+        ``build_mdp`` assembles them, so it equals ``build_mdp`` at the
+        sub-grid."""
         trunc = Truncation(tau_max, delta_max)
         if trunc.tau_max > self.trunc.tau_max or trunc.delta_max > self.trunc.delta_max:
             raise DomainError(f"sub-grid {(tau_max, delta_max)} exceeds grid {self.shape}")
-        t, d = trunc.tau_max, trunc.delta_max
-        shifts = {
-            "tau_idle": np.minimum(self.tau_idle[:t], t - 1),
-            "tau_tx": np.minimum(self.tau_tx[:t], t - 1),
-            "delta_up": np.minimum(self.delta_up[:d], d - 1),
-            "delta_renew": np.minimum(self.delta_renew[:d], d - 1),
-        }
-        for arr in shifts.values():
-            arr.flags.writeable = False
-        return MdpSpec(
-            trunc=trunc,
-            channel=self.channel,
-            mse=self.mse[:d],
-            renew_cost=self.renew_cost[:d],
-            theta=self.theta[:t],
-            **shifts,
-        )
+        return _assemble(trunc, self.channel, self.mse[: trunc.delta_max], self.theta[: trunc.tau_max])
 
 
 def build_mdp(model: SystemModel, channel: ChannelModel, trunc: Truncation) -> MdpSpec:
@@ -141,18 +120,22 @@ def build_mdp(model: SystemModel, channel: ChannelModel, trunc: Truncation) -> M
     A configuration also needs headroom, tau_max >= 1 + tau_d and
     delta_max >= 1 + delta_r, so that every action has an in-range successor
     before clamping dominates; ``validate_config_dict`` checks it, and a
-    smaller grid is a deliberately degenerate one. Renewal lump-sum summands
-    beyond the grid clamp to the last table entry, consistent with the
-    clamped dynamics.
+    smaller grid is a deliberately degenerate one.
     """
     t_max, d_max = trunc.tau_max, trunc.delta_max
     f = mse_table(model, steady_state(model), d_max)  # f[j] = MSE at information age j+1
-
     theta = np.asarray(channel.reliability(np.arange(1, t_max + 1)), dtype=float).reshape(t_max)
+    return _assemble(trunc, channel, f, theta)
 
-    # Costs: idle and transmit pay the current-age MSE; renewal pays the MSE
-    # lump sum over its delta_r-slot downtime, entries clamped to the grid.
-    f_pad = np.concatenate([f, np.full(channel.delta_r, f[-1])])
+
+def _assemble(trunc: Truncation, channel: ChannelModel, mse: np.ndarray, theta: np.ndarray) -> MdpSpec:
+    """The MDP on ``trunc``'s grid from its MSE and reliability vectors:
+    the renewal lump sums, the clamped age shifts, every array read-only."""
+    t_max, d_max = trunc.tau_max, trunc.delta_max
+    # Renewal pays the MSE lump sum over its delta_r-slot downtime, summands
+    # beyond the grid clamped to the last entry, consistent with the clamped
+    # dynamics.
+    f_pad = np.concatenate([mse, np.full(channel.delta_r, mse[-1])])
     csum = np.concatenate([[0.0], np.cumsum(f_pad)])
     renew_cost = csum[channel.delta_r : channel.delta_r + d_max] - csum[:d_max]
 
@@ -162,12 +145,12 @@ def build_mdp(model: SystemModel, channel: ChannelModel, trunc: Truncation) -> M
     delta_up = np.minimum(np.arange(d_max) + 1, d_max - 1)
     delta_renew = np.minimum(np.arange(d_max) + channel.delta_r, d_max - 1)
 
-    for arr in (f, renew_cost, theta, tau_idle, tau_tx, delta_up, delta_renew):
+    for arr in (mse, renew_cost, theta, tau_idle, tau_tx, delta_up, delta_renew):
         arr.flags.writeable = False
     return MdpSpec(
         trunc=trunc,
         channel=channel,
-        mse=f,
+        mse=mse,
         renew_cost=renew_cost,
         theta=theta,
         tau_idle=tau_idle,

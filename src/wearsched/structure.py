@@ -100,6 +100,8 @@ def _check_region(region: Region, shape: tuple[int, int]) -> None:
         raise DomainError(f"region {region} has bounds below 1")
     if region.tau_hi > t_max or region.delta_hi > d_max:
         raise DomainError(f"region {region} exceeds grid {shape}")
+    if region.tau_hi < region.tau_lo or region.delta_hi < region.delta_lo:
+        raise DomainError(f"region {region} has an upper bound below its lower bound")
 
 
 def _adjacent(arr: np.ndarray, region: Region, axis: str) -> tuple[np.ndarray, np.ndarray]:

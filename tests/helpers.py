@@ -7,6 +7,7 @@ exhaustive references that the package is checked against.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -94,6 +95,17 @@ def benchmark_channel(
     return ChannelModel(
         theta_max=theta_max, theta_min=theta_min, alpha=alpha, tau_d=tau_d, delta_r=delta_r
     )
+
+
+def assert_same_mdp(got: MdpSpec, want: MdpSpec) -> None:
+    """Every field of two MdpSpecs equal, every array read-only and equal
+    bit for bit."""
+    assert got.trunc == want.trunc and got.channel == want.channel
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+            assert not a.flags.writeable, f.name
 
 
 def benchmark_mdp(

@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -349,12 +350,18 @@ def test_mutated_files_read_or_raise_parse_error(tmp_path_factory, edits):
     [
         (read_value_csv, "tau,delta,value\n1,1,0.5\n1,2,nan\n"),
         (read_q_csv, "tau,delta,q_idle,q_transmit,q_renew\n1,1,1,2,3\n1,2,1,nan,3\n"),
+        (read_value_csv, "tau,delta,value\n1,1,0.5\n1,2,inf\n"),
+        (read_q_csv, "tau,delta,q_idle,q_transmit,q_renew\n1,1,1,2,3\n1,2,1,inf,3\n"),
+        (read_value_csv, "tau,delta,value\n1,1,0.5\n1,2,-inf\n"),
+        (read_q_csv, "tau,delta,q_idle,q_transmit,q_renew\n1,1,1,2,3\n1,2,-inf,2,3\n"),
     ],
 )
 def test_nan_rejected(tmp_path, read, text):
+    # NaN and either infinity are named by the first state holding one.
+    entry = next(x for x in text.splitlines()[-1].split(",")[2:] if not math.isfinite(float(x)))
     p = tmp_path / "g.csv"
     p.write_text(text)
-    with pytest.raises(ArtifactParseError, match=r"NaN at state \(1,2\)"):
+    with pytest.raises(ArtifactParseError, match=rf": {'NaN' if entry == 'nan' else entry} at state \(1,2\)"):
         read(p)
 
 

@@ -67,6 +67,15 @@ def run_cli(capsys, *argv) -> tuple[int, dict]:
 
 
 class TestSolve:
+    def test_output_directory_defaults_to_out(self, cfg_path, tmp_path, capsys, monkeypatch):
+        # --out alone sets the directory; the environment does not.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("WEARSCHED_OUT", str(tmp_path / "env"))
+        code, _ = run_cli(capsys, "solve", "--config", cfg_path)
+        assert code == 0
+        assert (tmp_path / "out" / "summary.json").exists()
+        assert not (tmp_path / "env").exists()
+
     def test_writes_artifacts(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "run"
         code, payload = run_cli(capsys, "solve", "--config", cfg_path, "--out", out, "--emit-q")
@@ -164,16 +173,20 @@ class TestSolve:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "override", ["solver.ref_state=[1, 1]", "output.formats=[csv]", "solver.tol=1e-9", "solver.max_iter=10"]
+        "override",
+        ["solver.ref_state=[1, 1]", "output.formats=[csv]", "output.directory=x", "solver.tol=1e-9", "solver.max_iter=10"],
     )
     def test_removed_keys_exit_2(self, cfg_path, tmp_path, capsys, override):
         # Relative values are anchored at (1, 1), the CSVs always written,
-        # and RVI stops at SolveOptions' defaults.
+        # RVI stops at SolveOptions' defaults, and --out alone sets the
+        # output directory, so the output section is gone.
+        key = override.split("=")[0]
+        field, message = ("output", "unknown section") if key.startswith("output.") else (key, "unknown key")
         code, payload = run_cli(capsys, "solve", "--config", cfg_path, "--out", tmp_path / "x", "--set", override)
         assert code == 2
         assert payload["error"]["kind"] == "config"
-        assert payload["error"]["field"] == override.split("=")[0]
-        assert payload["error"]["message"].endswith("unknown key")
+        assert payload["error"]["field"] == field
+        assert payload["error"]["message"].endswith(message)
 
 
 class TestVerify:
@@ -267,7 +280,7 @@ def test_q_factors_are_derived_from_the_values(name, method, tmp_path, capsys):
     code, _ = run_cli(capsys, "solve", *common, "--out", run, "--emit-q")
     assert code == 0
     cfg = load_config(config, overrides)
-    mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
+    mdp = build_mdp(cfg.system, cfg.channel, cfg.truncation)
     write_q_csv(tmp_path / "q.csv", q_backup(mdp, read_value_csv(run / "value.csv")))
     assert (run / "q.csv").read_bytes() == (tmp_path / "q.csv").read_bytes()
     reports = []
@@ -677,7 +690,7 @@ class TestColdStart:
             "from wearsched.config import load_config\n"
             "from wearsched.solvers import _threshold_candidates\n"
             "cfg = load_config(sys.argv[1])\n"
-            "mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())\n"
+            "mdp = build_mdp(cfg.system, cfg.channel, cfg.truncation)\n"
             "_threshold_candidates(mdp, list(range(mdp.shape[0])))\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         )

@@ -3,8 +3,8 @@ import pytest
 import yaml
 
 from helpers import ECHO_CONFIGS
-from wearsched import ConfigError
-from wearsched.config import OUTPUT_DIR_ENV, load_config, validate_config_dict
+from wearsched import ChannelModel, ConfigError, SystemModel, Truncation
+from wearsched.config import SimulateConfig, load_config, validate_config_dict
 
 BASE = """
 system:
@@ -29,17 +29,17 @@ def write(tmp_path, text):
 
 def test_minimal_config_defaults(tmp_path):
     cfg = load_config(write(tmp_path, BASE))
-    assert cfg.solver.method == "rvi"
+    assert cfg.method == "rvi"
     assert cfg.simulate.epochs == 100_000
 
 
 def test_benchmark_family_matrices(tmp_path):
     cfg = load_config(write(tmp_path, BASE))
-    model = cfg.build_system()
+    model = cfg.system
     np.testing.assert_array_equal(model.A, [[0.9, 0.5], [0.0, 0.8]])
     np.testing.assert_array_equal(model.C, [[1.0, 1.0]])
     np.testing.assert_array_equal(model.Q, np.eye(2))
-    ch = cfg.build_channel()
+    ch = cfg.channel
     assert ch.tau_d == 6 and ch.delta_r == 15
 
 
@@ -54,7 +54,7 @@ channel: {theta_max: 0.9, theta_min: 0.1, alpha: 0.2, tau_d: 3, delta_r: 4}
 truncation: {tau_max: 10, delta_max: 10}
 """
     cfg = load_config(write(tmp_path, text))
-    assert cfg.build_system().A[0, 1] == 0.1
+    assert cfg.system.A[0, 1] == 0.1
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -87,8 +87,9 @@ def test_overrides(tmp_path):
         write(tmp_path, BASE),
         overrides=["channel.alpha=0.05", "system.beta=1.1"],
     )
-    assert cfg.build_channel().alpha == 0.05
-    assert cfg.system["beta"] == 1.1
+    assert cfg.channel.alpha == 0.05
+    assert cfg.echo["system"]["beta"] == 1.1
+    assert cfg.system.A[0, 0] == 1.1
 
 
 def test_bad_override_shape(tmp_path):
@@ -114,7 +115,7 @@ def test_grid_without_headroom_names_its_bound(tmp_path, override, field, need):
 
 def test_grid_with_exact_headroom_is_accepted(tmp_path):
     cfg = load_config(write(tmp_path, BASE), overrides=["truncation.tau_max=7", "truncation.delta_max=16"])
-    assert cfg.build_truncation().n_states == 7 * 16
+    assert cfg.truncation.n_states == 7 * 16
 
 
 @pytest.mark.parametrize("method", ["rvi", "spi", "threshold-heuristic"])
@@ -135,30 +136,29 @@ def test_solver_method_validated(tmp_path):
 
 def test_config_echo_revalidates(tmp_path):
     cfg = load_config(write(tmp_path, BASE), overrides=["channel.alpha=5e-2"])
-    again = validate_config_dict(cfg.echo())
-    assert again.echo() == cfg.echo()
+    again = validate_config_dict(cfg.echo)
+    assert again.echo == cfg.echo
 
 
 @pytest.mark.parametrize("config", ECHO_CONFIGS, ids=lambda p: p.stem)
 def test_config_echo_revalidates_on_every_config(config):
     cfg = load_config(config)
-    again = validate_config_dict(yaml.safe_load(yaml.safe_dump(cfg.echo())))
-    assert again.echo() == cfg.echo()
-    assert again == cfg
+    again = validate_config_dict(yaml.safe_load(yaml.safe_dump(cfg.echo)))
+    assert again.echo == cfg.echo
 
 
 def test_every_optional_key_is_echoed_as_written():
     config = ECHO_CONFIGS[-1]
-    assert load_config(config).echo() == yaml.safe_load(config.read_text())
+    assert load_config(config).echo == yaml.safe_load(config.read_text())
 
 
-def test_output_dir_resolution(tmp_path, monkeypatch):
-    cfg = load_config(write(tmp_path, BASE))
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-    assert str(cfg.output.resolve_directory()) == "out"
-    monkeypatch.setenv(OUTPUT_DIR_ENV, "/tmp/envout")
-    assert str(cfg.output.resolve_directory()) == "/tmp/envout"
-    assert str(cfg.output.resolve_directory("explicit")) == "explicit"
+def test_load_config_returns_the_built_models(tmp_path):
+    cfg = load_config(write(tmp_path, BASE), overrides=["simulate.seed=3"])
+    assert type(cfg.system) is SystemModel
+    np.testing.assert_array_equal(cfg.system.R, [[1.0]])
+    assert cfg.channel == ChannelModel(theta_max=0.99, theta_min=0.0, alpha=0.1, tau_d=6, delta_r=15)
+    assert cfg.truncation == Truncation(30, 30)
+    assert cfg.simulate == SimulateConfig(seed=3)
 
 
 def test_missing_file():

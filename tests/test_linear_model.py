@@ -14,6 +14,7 @@ from wearsched import (
     stability_report,
     steady_state,
 )
+from wearsched import linear_model
 from wearsched.linear_model import riccati_step
 
 
@@ -73,7 +74,7 @@ class TestSystemModelValidation:
         # Zero process noise is fine when A is strictly stable: the filter
         # recursion from zero still converges (to zero).
         model = SystemModel(A=[[0.5]], C=[[1]], Q=[[0.0]], R=[[1]])
-        assert steady_state(model).p_bar[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert steady_state(model)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidModelError):
@@ -85,32 +86,38 @@ class TestSteadyState:
         # a=0: a single update gives the fixed point K = q/(q+r),
         # pbar = (1-K) q = 2/3.
         model = scalar_model(a=0.0, q=2.0, r=1.0)
-        ss = steady_state(model)
-        assert ss.p_bar[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert ss.rho == 0.0
+        p_bar = steady_state(model)
+        assert p_bar[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert not p_bar.flags.writeable
 
     def test_benchmark_beta_09_matches_oracle(self):
-        ss = steady_state(benchmark_system(0.9), tol=1e-12)
-        np.testing.assert_allclose(ss.p_bar, PBAR_BETA_09, atol=1e-9)
+        np.testing.assert_allclose(steady_state(benchmark_system(0.9)), PBAR_BETA_09, atol=1e-9)
 
     def test_fixed_point_residual(self):
         model = benchmark_system(1.1)
-        ss = steady_state(model, tol=1e-12)
-        assert np.linalg.norm(riccati_step(model, ss.p_bar) - ss.p_bar, "fro") < 1e-11
+        p_bar = steady_state(model)
+        assert np.linalg.norm(riccati_step(model, p_bar) - p_bar, "fro") < 1e-11
 
-    def test_non_convergence_raises(self):
-        with pytest.raises(ConvergenceError) as exc_info:
-            steady_state(benchmark_system(0.9), tol=1e-12, max_iter=2)
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(linear_model, "STEADY_STATE_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match="in 2 iterations") as exc_info:
+            steady_state(benchmark_system(0.9))
         assert exc_info.value.residual > 0
+
+    def test_stops_at_the_first_step_below_the_tolerance(self, monkeypatch):
+        # Any step is below an infinite tolerance: one update from zero.
+        model = benchmark_system(0.9)
+        monkeypatch.setattr(linear_model, "STEADY_STATE_TOL", np.inf)
+        np.testing.assert_array_equal(steady_state(model), riccati_step(model, np.zeros((2, 2))))
 
 
 class TestMseTable:
     def test_scalar_random_walk(self):
         # a=1, q=1: the covariance recurrence adds one per step.
         model = scalar_model(a=1.0, q=1.0, r=1.0)
-        ss = steady_state(model)
-        p = ss.p_bar[0, 0]
-        table = mse_table(model, ss, delta_max=20)
+        p_bar = steady_state(model)
+        table = mse_table(model, p_bar, delta_max=20)
+        p = p_bar[0, 0]
         np.testing.assert_allclose(table, p + np.arange(1, 21), rtol=1e-12)
 
     def test_zero_dynamics_constant_mse(self):
@@ -120,17 +127,16 @@ class TestMseTable:
 
     def test_benchmark_first_entry_matches_oracle(self):
         model = benchmark_system(0.9)
-        ss = steady_state(model, tol=1e-12)
-        table = mse_table(model, ss, delta_max=5)
+        table = mse_table(model, steady_state(model), delta_max=5)
         assert table[0] == pytest.approx(F1_BETA_09, abs=1e-9)
         expected = np.trace(model.A @ PBAR_BETA_09 @ model.A.T + model.Q)
         assert table[0] == pytest.approx(expected, abs=1e-9)
 
     def test_overflow_names_offending_age(self):
         model = scalar_model(a=2.0, q=1.0, r=1.0)
-        ss = steady_state(model)
+        p_bar = steady_state(model)
         with pytest.raises(NumericalOverflowError) as exc_info:
-            mse_table(model, ss, delta_max=2000)
+            mse_table(model, p_bar, delta_max=2000)
         assert exc_info.value.first_offending_index is not None
         assert 1 <= exc_info.value.first_offending_index <= 2000
 

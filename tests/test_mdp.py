@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     AgeState,
     aoc_next,
+    assert_same_mdp,
     aoi_next,
     benchmark_channel,
     benchmark_mdp,
@@ -19,6 +21,10 @@ from helpers import (
     states,
 )
 from wearsched import Action, DomainError, Truncation, build_mdp
+from wearsched.config import load_config
+from wearsched.solvers import _continuation_grids
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +70,7 @@ class TestCost:
     @pytest.mark.parametrize("shape", [(40, 40), (25, 30), (7, 40), (40, 16)])
     def test_costs_match_the_mse_and_the_lump_sum(self, mdp, shape):
         # Every cell and action, on the built grid and on restricted ones,
-        # whose lump sums keep the summands of the built grid's MSE.
+        # whose lump sums clamp their summands at the sub-grid's last entry.
         grid = mdp.restrict(*shape)
         stack = np.random.default_rng(3).integers(0, 3, size=(4, *shape)).astype(np.int8)
         stack[0], stack[1], stack[2] = Action.IDLE, Action.TRANSMIT, Action.RENEW
@@ -75,7 +81,7 @@ class TestCost:
             for s in states(grid):
                 cost, u = got[b, s.tau - 1, s.delta - 1], actions[s.tau - 1, s.delta - 1]
                 if u == Action.RENEW:
-                    assert cost == pytest.approx(_lump_sum(mdp.mse, mdp.channel.delta_r, s.delta), rel=1e-13)
+                    assert cost == pytest.approx(_lump_sum(grid.mse, mdp.channel.delta_r, s.delta), rel=1e-13)
                 else:
                     assert cost == mdp.mse[s.delta - 1]
 
@@ -281,18 +287,15 @@ class TestRestrict:
     @pytest.mark.parametrize("shape", [(25, 30), (40, 16), (7, 40), (40, 40)])
     def test_matches_build_mdp_at_the_sub_grid(self, mdp, shape):
         sub = mdp.restrict(*shape)
-        built = build_mdp(benchmark_system(0.9), mdp.channel, Truncation(*shape))
-        assert sub.shape == built.shape == shape
-        for name in ("theta", "tau_idle", "tau_tx", "delta_up", "delta_renew"):
-            np.testing.assert_array_equal(getattr(sub, name), getattr(built, name), err_msg=name)
-        np.testing.assert_array_equal(sub.mse, built.mse)
-        # A renewal lump sum on the sub-grid keeps the summands of the larger
-        # grid's MSE where build_mdp clamps them at its last entry, so the
-        # two differ only in the last delta_r information ages, and there the
-        # restricted sums are the larger ones.
-        keep = shape[1] - mdp.channel.delta_r
-        np.testing.assert_array_equal(sub.renew_cost[:keep], built.renew_cost[:keep])
-        assert (sub.renew_cost[keep:] >= built.renew_cost[keep:]).all()
+        assert sub.shape == shape
+        assert_same_mdp(sub, build_mdp(benchmark_system(0.9), mdp.channel, Truncation(*shape)))
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_equals_build_mdp_at_every_continuation_level(self, config):
+        cfg = load_config(config, overrides=["truncation.tau_max=320", "truncation.delta_max=320"])
+        mdp = build_mdp(cfg.system, cfg.channel, cfg.truncation)
+        for shape in _continuation_grids(mdp):
+            assert_same_mdp(mdp.restrict(*shape), build_mdp(cfg.system, cfg.channel, Truncation(*shape)))
 
     def test_rejects_a_larger_grid(self, mdp):
         with pytest.raises(DomainError, match="exceeds"):

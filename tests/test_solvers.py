@@ -15,6 +15,7 @@ from helpers import (
     AgeState,
     BRUTE_FORCE_MAX_STATES,
     action_at,
+    assert_same_mdp,
     benchmark_channel,
     benchmark_mdp,
     benchmark_system,
@@ -230,7 +231,7 @@ class TestSliceBackup:
         # slow-decay-long-renewal's downtime of 40 leaves no headroom at 40².
         cfg = load_config(CONFIG_DIR / f"{name}.yaml")
         mdp = build_mdp(
-            cfg.build_system(), cfg.build_channel(), Truncation(40, 40)
+            cfg.system, cfg.channel, Truncation(40, 40)
         )
         res, ref = rvi_solve(mdp), reference_rvi_solve(mdp)
         for field in dataclasses.fields(SolveResult):
@@ -362,7 +363,7 @@ class TestRvi:
             CONFIG_DIR / "benchmark-marginal.yaml",
             overrides=["truncation.tau_max=160", "truncation.delta_max=160"],
         )
-        mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
+        mdp = build_mdp(cfg.system, cfg.channel, cfg.truncation)
         res = rvi_solve(mdp)
         write_policy_csv(tmp_path / "policy.csv", res.policy)
         digest = hashlib.sha256((tmp_path / "policy.csv").read_bytes()).hexdigest()
@@ -462,7 +463,7 @@ class TestPolicyEvaluate:
             CONFIG_DIR / "benchmark-marginal.yaml",
             overrides=["truncation.tau_max=120", "truncation.delta_max=120"],
         )
-        mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
+        mdp = build_mdp(cfg.system, cfg.channel, cfg.truncation)
         policy = Policy(actions=np.full(mdp.shape, action, dtype=np.int8))
         splu = scipy.sparse.linalg.splu
         calls = []
@@ -559,7 +560,7 @@ class TestPolicyEvaluate:
             CONFIG_DIR / "benchmark-marginal.yaml",
             overrides=["truncation.tau_max=120", "truncation.delta_max=120"],
         )
-        mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
+        mdp = build_mdp(cfg.system, cfg.channel, cfg.truncation)
         actions = np.full(mdp.shape, action, dtype=np.int8)
         solvers._evaluation_matrix(mdp, actions)  # warm the imports
         tracemalloc.start()
@@ -681,7 +682,7 @@ class TestRenewalClosedEvaluation:
             CONFIG_DIR / "benchmark-marginal.yaml",
             overrides=["truncation.tau_max=320", "truncation.delta_max=320"],
         )
-        mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
+        mdp = build_mdp(cfg.system, cfg.channel, cfg.truncation)
         policy = Policy(actions=threshold_actions(320, 319, [10] * 320))
         tracemalloc.start()
         try:
@@ -1146,7 +1147,7 @@ def _shipped_mdp(name, grid):
         CONFIG_DIR / f"{name}.yaml",
         overrides=[f"truncation.tau_max={grid}", f"truncation.delta_max={grid}"],
     )
-    return build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
+    return build_mdp(cfg.system, cfg.channel, cfg.truncation)
 
 
 @pytest.fixture(scope="module")
@@ -1220,6 +1221,25 @@ class TestContinuation:
         gain = _solve_from_idle(mdp).gain
         assert abs(res.gain - gain) <= 1e-12 * abs(gain)
         assert res.gain - res.lambda_bounds[0] <= 1e-9 * abs(res.gain)
+
+    def test_every_level_is_build_mdp_at_its_grid(self, monkeypatch):
+        cfg = load_config(
+            CONFIG_DIR / "benchmark-unstable.yaml",
+            overrides=["truncation.tau_max=320", "truncation.delta_max=320"],
+        )
+        levels = []
+        iterate = solvers._policy_iteration
+
+        def recording(mdp, actions):
+            levels.append(mdp)
+            return iterate(mdp, actions)
+
+        monkeypatch.setattr(solvers, "_policy_iteration", recording)
+        res = structured_policy_iteration(build_mdp(cfg.system, cfg.channel, cfg.truncation))
+        assert [level.shape for level in levels] == [(80, 80), (160, 160), (320, 320)]
+        assert [c[:2] for c in res.continuation] == [level.shape for level in levels]
+        for level in levels:
+            assert_same_mdp(level, build_mdp(cfg.system, cfg.channel, Truncation(*level.shape)))
 
     @pytest.mark.parametrize("failing_grid", [16, 32])
     def test_evaluation_failure_at_any_level_propagates(self, monkeypatch, failing_grid):
@@ -1400,14 +1420,14 @@ class TestBatchedThresholdHeuristic:
     @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.yaml")))
     def test_matches_the_reference_on_every_config(self, name):
         # The smallest square grid the config's wear and downtime allow.
-        ch = load_config(CONFIG_DIR / f"{name}.yaml").build_channel()
+        ch = load_config(CONFIG_DIR / f"{name}.yaml").channel
         mdp = _shipped_mdp(name, max(1 + ch.tau_d, 1 + ch.delta_r))
         assert_same_result(threshold_heuristic(mdp), reference_threshold_heuristic(mdp))
 
     @pytest.mark.parametrize("beta", [0.9, 0.95, 1.0, 1.05])
     def test_matches_the_reference_on_the_benchmark_sweep(self, beta):
         cfg = load_config(CONFIG_DIR / "benchmark-marginal.yaml", overrides=[f"system.beta={beta}"])
-        mdp = build_mdp(cfg.build_system(), cfg.build_channel(), cfg.build_truncation())
+        mdp = build_mdp(cfg.system, cfg.channel, cfg.truncation)
         assert mdp.shape == (80, 80)
         assert_same_result(threshold_heuristic(mdp), reference_threshold_heuristic(mdp))
 

@@ -280,3 +280,21 @@ class TestRegions:
 
     def test_full_region(self, case_stable):
         assert full_region(case_stable.mdp.trunc) == Region(1, 80, 1, 80)
+
+    @pytest.mark.parametrize("region", [Region(1, -1, 1, 5), Region(3, 2, 1, 5), Region(1, 4, 5, 4)])
+    def test_inverted_region_is_rejected_by_every_check(self, region):
+        # A grid that decreases everywhere: slicing an inverted region would
+        # wrap and report violations where the region holds no state. The
+        # first region is the interior of a 5 x 20 grid when tau_d = 6.
+        v = -np.arange(20.0).reshape(4, 5)
+        policy = Policy(actions=np.full((4, 5), 2, dtype=np.int8))
+        q = np.stack([v, -v, v], axis=-1)
+        checks = [
+            lambda: check_value_monotone(v, region),
+            *(lambda axis=axis: check_policy_monotone(policy, axis, region) for axis in ("aoi", "aoc")),
+            *(lambda axis=axis: check_submodular(q, axis, region) for axis in ("aoi", "aoc")),
+        ]
+        for check in checks:
+            with pytest.raises(DomainError, match="upper bound below its lower bound"):
+                check()
+
