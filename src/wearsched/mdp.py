@@ -79,28 +79,45 @@ class MdpSpec:
     def shape(self) -> tuple[int, int]:
         return (self.trunc.tau_max, self.trunc.delta_max)
 
-    def costs(self, actions: np.ndarray) -> np.ndarray:
+    def costs(self, actions: np.ndarray, states: np.ndarray | None = None) -> np.ndarray:
         """The cost of each cell's action, for one action grid or a stack
-        of them."""
-        return np.where(np.asarray(actions) == Action.RENEW, self.renew_cost, self.mse)
+        of them; given flat ``states``, of those states alone under one
+        action grid."""
+        if states is None:
+            return np.where(np.asarray(actions) == Action.RENEW, self.renew_cost, self.mse)
+        t, d = np.divmod(states, self.trunc.delta_max)
+        return np.where(np.asarray(actions)[t, d] == Action.RENEW, self.renew_cost[d], self.mse[d])
 
-    def successors(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat successor indices of every state under an action grid.
+    def successors(
+        self, actions: np.ndarray, states: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat successor indices of every state under an action grid, or of
+        the flat ``states`` alone.
 
-        Returns ``(hit, miss, p_hit)``, each of length ``n_states``: the chain
-        moves to ``hit`` with probability ``p_hit`` and to ``miss``
+        Returns ``(hit, miss, p_hit)``, each with one entry per state: the
+        chain moves to ``hit`` with probability ``p_hit`` and to ``miss``
         otherwise. Only transmit branches; idle and renew put their sole
         successor in both slots with ``p_hit`` 1.
         """
         d_max = self.trunc.delta_max
         actions = np.asarray(actions)
-        tx = actions == Action.TRANSMIT
-        renew = actions == Action.RENEW
-        tau = np.where(renew, 0, np.where(tx, self.tau_tx[:, None], self.tau_idle[:, None]))
-        delta = np.where(renew, self.delta_renew[None, :], self.delta_up[None, :])
+        if states is None:
+            tau_tx, tau_idle, theta = self.tau_tx[:, None], self.tau_idle[:, None], self.theta[:, None]
+            delta_up, delta_renew = self.delta_up[None, :], self.delta_renew[None, :]
+        else:
+            t, d = np.divmod(states, d_max)
+            actions = actions[t, d]
+            tau_tx, tau_idle, theta = self.tau_tx[t], self.tau_idle[t], self.theta[t]
+            delta_up, delta_renew = self.delta_up[d], self.delta_renew[d]
+        # Plain ints: numpy compares an array with an IntEnum member several
+        # times slower.
+        tx = actions == int(Action.TRANSMIT)
+        renew = actions == int(Action.RENEW)
+        tau = np.where(renew, 0, np.where(tx, tau_tx, tau_idle))
+        delta = np.where(renew, delta_renew, delta_up)
         miss = tau * d_max + delta
         hit = np.where(tx, tau * d_max, miss)
-        p_hit = np.where(tx, self.theta[:, None], 1.0)
+        p_hit = np.where(tx, theta, 1.0)
         return hit.reshape(-1), miss.reshape(-1), p_hit.reshape(-1)
 
     def restrict(self, tau_max: int, delta_max: int) -> MdpSpec:

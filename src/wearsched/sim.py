@@ -16,6 +16,12 @@ they meet (they couple), so a segment walked from a guessed start is
 re-run from its true start only until the re-run meets it; the stitched
 segments are the serial trajectory bit for bit. A chain that does not
 couple is walked serially, one epoch at a time, as are short windows.
+
+Only the states reachable from (1, 1) under the policy are walked: a
+breadth-first search finds them, and the walk's tables, costs and visit
+counts have one entry per reachable state. A one-byte mask of the states
+seen is the only array with an entry per grid state, so memory and set-up
+time grow with the reachable set, not with the grid.
 """
 
 from __future__ import annotations
@@ -272,6 +278,28 @@ def _walk(hit: list, miss: list, threshold: list, rng: np.random.Generator, size
         yield states
 
 
+def _reachable(mdp: MdpSpec, actions: np.ndarray) -> np.ndarray:
+    """Flat indices of the states the walk can reach from (1, 1) under
+    ``actions``, sorted, so (1, 1) comes first.
+
+    A breadth-first search asks ``mdp.successors`` for the successors of
+    each level's frontier alone; the one-byte mask of states seen is its
+    only array with an entry per grid state.
+    """
+    seen = np.zeros(mdp.n_states, dtype=bool)
+    seen[0] = True
+    frontier, levels = np.zeros(1, dtype=np.int64), []
+    while frontier.size:
+        levels.append(frontier)
+        hit, miss, p_hit = mdp.successors(actions, frontier)
+        # A draw u in [0, 1) takes the hit if u < p_hit: never when p_hit
+        # is 0, always when it is 1.
+        nxt = np.unique(np.concatenate([hit[p_hit > 0.0], miss[p_hit < 1.0]]))
+        frontier = nxt[~seen[nxt]]
+        seen[frontier] = True
+    return np.sort(np.concatenate(levels))
+
+
 def simulate(
     mdp: MdpSpec,
     policy: Policy,
@@ -286,6 +314,11 @@ def simulate(
     channel age; ages advance exactly as in the MDP kernel (clamped at the
     grid bounds). Identical ``(mdp, policy, epochs, seed, stream)``
     reproduce identical statistics.
+
+    Only the states reachable from (1, 1) are walked (``_reachable``), and
+    the histograms, action counts and boundary fraction are rebuilt from
+    their coordinates. Memory is O(CHUNK + epochs / BATCH_COUNT + reachable
+    states) plus one byte per grid state.
     """
     epochs = check_integer("epochs", epochs)
     if epochs < 1:
@@ -294,14 +327,19 @@ def simulate(
         raise DomainError(f"policy grid {policy.shape} does not match MDP grid {mdp.shape}")
     rng = replication_rng(seed, stream)
 
-    n = mdp.n_states
-    act_flat = policy.actions.reshape(-1).astype(np.int64)
-    cost_flat = mdp.costs(policy.actions).reshape(-1)
-    succ_hit, succ_miss, p_hit = mdp.successors(policy.actions)
+    # The walk runs over the states reachable from (1, 1), each labelled by
+    # its rank in ``reach``, so (1, 1) is 0. A branch of probability 0 leads
+    # outside ``reach`` and gets a meaningless label: the walk never takes it.
+    reach = _reachable(mdp, policy.actions)
+    t_max, d_max = mdp.shape
+    tau, delta = np.divmod(reach, d_max)
+    act = policy.actions[tau, delta]
+    cost = mdp.costs(policy.actions, reach)
+    succ_hit, succ_miss, p_hit = mdp.successors(policy.actions, reach)
 
-    hit = succ_hit.tolist()
-    miss = succ_miss.tolist()
-    threshold = np.where(act_flat == Action.TRANSMIT, p_hit, -1.0).tolist()
+    hit = np.searchsorted(reach, succ_hit).tolist()
+    miss = np.searchsorted(reach, succ_miss).tolist()
+    threshold = np.where(act == Action.TRANSMIT, p_hit, -1.0).tolist()
     # The batch-means batches, sized as np.array_split would cut the run.
     batches = min(BATCH_COUNT, epochs)
     size, extra = divmod(epochs, batches)
@@ -312,26 +350,29 @@ def simulate(
 
     # One batch of visited states is held at a time: its visits and its mean
     # cost are all the statistics need.
-    visits = np.zeros(n, dtype=np.int64)
+    visits = np.zeros(reach.size, dtype=np.int64)
     means = []
     # The exactly-rounded total below decides whether the run's cost
     # overflows; these batch statistics follow it without numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for states in walk(rng):
-            visits += np.bincount(states, minlength=n)
-            means.append(cost_flat[states].mean())
+            visits += np.bincount(states, minlength=reach.size)
+            means.append(cost[states].mean())
         std_error = float(np.std(means, ddof=1) / np.sqrt(batches)) if batches >= 2 else 0.0
-    grid_visits = visits.reshape(mdp.shape)
-    action_counts = np.array([visits[act_flat == u].sum() for u in Action], dtype=np.int64)
+    aoi_histogram = np.zeros(d_max, dtype=np.int64)
+    np.add.at(aoi_histogram, delta, visits)
+    aoc_histogram = np.zeros(t_max, dtype=np.int64)
+    np.add.at(aoc_histogram, tau, visits)
+    action_counts = np.array([visits[act == u].sum() for u in Action], dtype=np.int64)
     slots = action_counts.sum() + (mdp.channel.delta_r - 1) * action_counts[Action.RENEW]
-    boundary = grid_visits[-1, :].sum() + grid_visits[:-1, -1].sum()
+    boundary = visits[(tau == t_max - 1) | (delta == d_max - 1)].sum()
 
     # Exactly-rounded summation: with constant costs and a power-of-two epoch
     # count the average is bit-exact. Its fallback to fsum replays the run.
     total_cost = _fsum_counted(
-        cost_flat,
+        cost,
         visits,
-        lambda: (c for states in walk(replication_rng(seed, stream)) for c in cost_flat[states].tolist()),
+        lambda: (c for states in walk(replication_rng(seed, stream)) for c in cost[states].tolist()),
     )
     per_epoch = total_cost / epochs
     per_slot = total_cost / int(slots)
@@ -341,8 +382,8 @@ def simulate(
         per_epoch_avg_cost=per_epoch,
         per_slot_avg_cost=per_slot,
         std_error=std_error,
-        aoi_histogram=grid_visits.sum(axis=0),
-        aoc_histogram=grid_visits.sum(axis=1),
+        aoi_histogram=aoi_histogram,
+        aoc_histogram=aoc_histogram,
         action_counts=action_counts,
         boundary_hit_fraction=int(boundary) / epochs,
     )

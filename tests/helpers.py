@@ -227,6 +227,21 @@ def scalar_transitions(mdp: MdpSpec, s: AgeState, u) -> list[tuple[AgeState, flo
     return [(AgeState(int(ti) + 1, int(di) + 1), p) for (ti, di), p in branches if p > 0.0]
 
 
+def reference_reachable(mdp: MdpSpec, policy: Policy) -> set[int]:
+    """Reference for the states ``simulate`` can visit: a depth-first search
+    from (1, 1) over the positive-probability branches of
+    ``scalar_transitions`` under the policy, one state at a time."""
+    start = AgeState(1, 1)
+    seen, stack = {start}, [start]
+    while stack:
+        s = stack.pop()
+        for nxt, _ in scalar_transitions(mdp, s, int(policy.actions[s.tau - 1, s.delta - 1])):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return {state_index(mdp, s) for s in seen}
+
+
 def reference_q_actions(mdp: MdpSpec, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference Q-backup: Q-values of idle, transmit and renew read off the
     age-shift kernel by index gathers, in the order of operations the

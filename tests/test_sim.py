@@ -13,6 +13,7 @@ from helpers import (
     benchmark_channel,
     benchmark_mdp,
     benchmark_system,
+    reference_reachable,
     scalar_boundary_renewal,
     scalar_simulate,
     sim_stats_equal,
@@ -381,6 +382,104 @@ class TestMatchesScalarLoop:
             return
         got = _fsum_counted(values, counts, lambda: sequence)
         assert repr(got) == repr(expected)
+
+
+def _reach_case(kind):
+    """An (MDP, action grid) pair whose reachable set from (1, 1) is a
+    single absorbing state, leaves transmit and renew cells unreached, or
+    is the whole grid."""
+    if kind == "absorbing":
+        # One information age: (1, 1) renews back to itself.
+        mdp = build_mdp(benchmark_system(0.9), benchmark_channel(0.3, 3, 4, 0.95, 0.1), Truncation(8, 1))
+        actions = np.random.default_rng(0).integers(0, 3, size=mdp.shape).astype(np.int8)
+        actions[0, 0] = Action.RENEW
+        return mdp, actions
+    if kind == "partial":
+        mdp = benchmark_mdp(1.0, grid=40)
+        return mdp, structured_policy_iteration(mdp).policy.actions
+    if kind == "whole-2x2":
+        # (1, 1) transmits to (2, 1) or (2, 2), which renews to (1, 2).
+        mdp = build_mdp(benchmark_system(0.9), benchmark_channel(0.3, 2, 2, 0.95, 0.1), Truncation(2, 2))
+        return mdp, np.array([[Action.TRANSMIT, Action.IDLE], [Action.TRANSMIT, Action.RENEW]], dtype=np.int8)
+    # One channel age: idle up to information age 12, transmit there.
+    mdp = build_mdp(benchmark_system(0.9), benchmark_channel(0.3, 2, 2, 0.95, 0.1), Truncation(1, 12))
+    actions = np.zeros(mdp.shape, dtype=np.int8)
+    actions[0, -1] = Action.TRANSMIT
+    return mdp, actions
+
+
+class TestReachableStates:
+    """``simulate`` walks only the states its policy reaches from (1, 1)."""
+
+    @pytest.mark.parametrize("kind", ["absorbing", "partial", "whole-2x2", "whole-1x12"])
+    def test_bit_identical(self, kind):
+        mdp, actions = _reach_case(kind)
+        policy = Policy(actions=actions)
+        reach = sim._reachable(mdp, policy.actions)
+        assert reach.tolist() == sorted(reference_reachable(mdp, policy))
+        if kind == "absorbing":
+            assert reach.tolist() == [0]
+        elif kind == "partial":
+            unreached = np.ones(mdp.n_states, dtype=bool)
+            unreached[reach] = False
+            assert {Action.TRANSMIT, Action.RENEW} <= set(actions.reshape(-1)[unreached].tolist())
+        else:
+            assert reach.size == mdp.n_states
+        for epochs, seed in ((1, 4), (1000, 5), (CHUNK + 3, 6)):
+            got = simulate(mdp, policy, epochs, seed)
+            assert sim_stats_equal(got, scalar_simulate(mdp, policy, epochs, seed)), epochs
+
+    @settings(max_examples=60)
+    @given(
+        tau_max=st.integers(1, 12),
+        delta_max=st.integers(1, 12),
+        tau_d=st.integers(2, 5),
+        delta_r=st.integers(2, 5),
+        curve=st.sampled_from(["dead", "perfect", "decaying"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tables_cover_the_reference_reachable_set(self, tau_max, delta_max, tau_d, delta_r, curve, seed):
+        theta = {"dead": (0.0, 0.0), "perfect": (1.0, 1.0), "decaying": (0.95, 0.1)}[curve]
+        mdp = build_mdp(
+            benchmark_system(0.9),
+            benchmark_channel(0.3, tau_d, delta_r, *theta),
+            Truncation(tau_max, delta_max),
+        )
+        policy = Policy(actions=np.random.default_rng(seed).integers(0, 3, size=mdp.shape).astype(np.int8))
+        expected = reference_reachable(mdp, policy)
+        assert sim._reachable(mdp, policy.actions).tolist() == sorted(expected)
+        walk, sizes = sim._walk, []
+
+        def spy(hit, miss, threshold, rng, batch_sizes):
+            sizes.append((len(hit), len(miss), len(threshold)))
+            return walk(hit, miss, threshold, rng, batch_sizes)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_walk", spy)
+            simulate(mdp, policy, epochs=50, seed=seed)
+        assert sizes == [(len(expected),) * 3]
+
+    def test_memory_independent_of_grid(self):
+        # A perfect channel and a renewing policy: transmit below channel
+        # age 13, renew from it. The chain cycles through (1, 1), (7, 1),
+        # (13, 1) and (1, 16) on either grid; only the one-byte mask of the
+        # states seen grows with the grid.
+        peaks = []
+        for grid in (60, 300):
+            mdp = benchmark_mdp(0.9, grid=grid, theta_max=1.0, theta_min=1.0)
+            actions = np.full(mdp.shape, Action.TRANSMIT, dtype=np.int8)
+            actions[12:] = Action.RENEW
+            policy = Policy(actions=actions)
+            assert sim._reachable(mdp, policy.actions).tolist() == [0, 15, 6 * grid, 12 * grid]
+            simulate(mdp, policy, epochs=20_000, seed=1)
+            tracemalloc.start()
+            try:
+                simulate(mdp, policy, epochs=20_000, seed=1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= 2 * (300**2 - 60**2)
 
 
 class TestTransmitAlways:
