@@ -109,10 +109,8 @@ class MdpSpec:
             actions = actions[t, d]
             tau_tx, tau_idle, theta = self.tau_tx[t], self.tau_idle[t], self.theta[t]
             delta_up, delta_renew = self.delta_up[d], self.delta_renew[d]
-        # Plain ints: numpy compares an array with an IntEnum member several
-        # times slower.
-        tx = actions == int(Action.TRANSMIT)
-        renew = actions == int(Action.RENEW)
+        tx = actions == Action.TRANSMIT
+        renew = actions == Action.RENEW
         tau = np.where(renew, 0, np.where(tx, tau_tx, tau_idle))
         delta = np.where(renew, delta_renew, delta_up)
         miss = tau * d_max + delta

@@ -215,8 +215,10 @@ def _window(lists, succ: np.ndarray, thr: np.ndarray, rng: np.random.Generator, 
             s = _serial(*lists, rng.random(hi - lo), s, out[lo:hi])
         return out, s, serial
     # Draw in epoch order, 64 KiB at a time; a short last segment's steps
-    # past the window are padding whose states are never used.
-    U = np.ones((L, segments))
+    # past the window are padding whose states are never used. Padding
+    # draws are 0, which, like every real draw, lies in [0, 1): it takes
+    # only branches of positive probability.
+    U = np.zeros((L, segments))
     full, short = divmod(w, L)
     per = max(1, (1 << 13) // L)
     for c0 in range(0, full, per):
@@ -328,8 +330,9 @@ def simulate(
     rng = replication_rng(seed, stream)
 
     # The walk runs over the states reachable from (1, 1), each labelled by
-    # its rank in ``reach``, so (1, 1) is 0. A branch of probability 0 leads
-    # outside ``reach`` and gets a meaningless label: the walk never takes it.
+    # its rank in ``reach``, so (1, 1) is 0. A branch of probability 0 may
+    # lead outside ``reach`` and get a meaningless label: every draw the walk
+    # makes, padding included, lies in [0, 1), so it never takes such a branch.
     reach = _reachable(mdp, policy.actions)
     t_max, d_max = mdp.shape
     tau, delta = np.divmod(reach, d_max)

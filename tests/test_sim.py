@@ -408,6 +408,15 @@ def _reach_case(kind):
     return mdp, actions
 
 
+def _perfect_renewing(grid):
+    """A perfect channel on a ``grid`` x ``grid`` MDP and the policy that
+    transmits below channel age 13 and renews from it."""
+    mdp = benchmark_mdp(0.9, grid=grid, theta_max=1.0, theta_min=1.0)
+    actions = np.full(mdp.shape, Action.TRANSMIT, dtype=np.int8)
+    actions[12:] = Action.RENEW
+    return mdp, Policy(actions=actions)
+
+
 class TestReachableStates:
     """``simulate`` walks only the states its policy reaches from (1, 1)."""
 
@@ -459,17 +468,24 @@ class TestReachableStates:
             simulate(mdp, policy, epochs=50, seed=seed)
         assert sizes == [(len(expected),) * 3]
 
+    @pytest.mark.parametrize("epochs", [100_000, CHUNK - 300])
+    def test_padding_takes_only_reachable_branches(self, epochs):
+        # The last segment of a parallel window is padded past the window's
+        # end. A transmit on a perfect channel misses with probability 0, to
+        # a state outside the reachable set; the padding must not go there.
+        mdp, policy = _perfect_renewing(60)
+        segments, short = divmod(epochs, sim.SEGMENT)
+        assert short and segments >= sim.MIN_SEGMENTS
+        got = simulate(mdp, policy, epochs, seed=1)
+        assert sim_stats_equal(got, scalar_simulate(mdp, policy, epochs, seed=1))
+
     def test_memory_independent_of_grid(self):
-        # A perfect channel and a renewing policy: transmit below channel
-        # age 13, renew from it. The chain cycles through (1, 1), (7, 1),
-        # (13, 1) and (1, 16) on either grid; only the one-byte mask of the
-        # states seen grows with the grid.
+        # The chain cycles through (1, 1), (7, 1), (13, 1) and (1, 16) on
+        # either grid; only the one-byte mask of the states seen grows with
+        # the grid.
         peaks = []
         for grid in (60, 300):
-            mdp = benchmark_mdp(0.9, grid=grid, theta_max=1.0, theta_min=1.0)
-            actions = np.full(mdp.shape, Action.TRANSMIT, dtype=np.int8)
-            actions[12:] = Action.RENEW
-            policy = Policy(actions=actions)
+            mdp, policy = _perfect_renewing(grid)
             assert sim._reachable(mdp, policy.actions).tolist() == [0, 15, 6 * grid, 12 * grid]
             simulate(mdp, policy, epochs=20_000, seed=1)
             tracemalloc.start()
