@@ -36,7 +36,6 @@ from .mdp import Action, MdpSpec, Truncation, build_mdp
 from .sim import SimStats, boundary_renewal, replication_rng, simulate, threshold_policy, transmit_always
 from .solvers import (
     Policy,
-    SolveOptions,
     SolveResult,
     greedy_policy,
     policy_evaluate,
@@ -73,7 +72,6 @@ __all__ = [
     "Policy",
     "Region",
     "SimStats",
-    "SolveOptions",
     "SolveResult",
     "StabilityReport",
     "SystemModel",

@@ -31,6 +31,9 @@ class ConvergenceError(WearschedError, RuntimeError):
     """An iterative routine ran out of iterations.
 
     Carries the last residual and a short tail of the residual history.
+    ``residual`` is the routine's own stopping measure, not
+    ``SolveResult.residual``: RVI's last span of Tv - v, the covariance
+    recursion's last step norm, and nan for policy iteration.
     """
 
     def __init__(self, message: str, residual: float, history: list[float] | None = None):

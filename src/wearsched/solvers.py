@@ -6,6 +6,7 @@ renew-above-a-threshold heuristic.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -21,27 +22,6 @@ if TYPE_CHECKING:
 # place of M: RVI's stopping span is floored, and every lambda* bracket
 # widened, by this many of them.
 FLOAT_FLOOR_ULPS = 2
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """RVI's options: span-seminorm stopping threshold and iteration cap.
-
-    Relative value iteration stops at the first iterate v whose Bellman
-    difference Tv - v has span below ``max(tol, 2 * spacing(max|v|))``: the
-    span cannot shrink much below one unit in the last place of the values,
-    so a tolerance under that float resolution is met at the floor instead.
-    """
-
-    tol: float = 1e-9
-    max_iter: int = 500_000
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
-        object.__setattr__(self, "max_iter", check_integer("max_iter", self.max_iter))
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +65,12 @@ class SolveResult:
     Q-factors at v, widened outward by the float resolution of Tv - v;
     it contains the optimal average cost lambda* (Odoni 1969) whatever
     policy the solver returns, so for the threshold heuristic it also bounds
-    the heuristic's gap to the optimum. ``continuation`` is set by
-    structured policy iteration only: (tau_max, delta_max, sweeps) for each
-    grid it solved, coarsest first. ``skipped_q_evals`` is the paper's count
-    of the comparisons SPI's monotone action sets prune; the backup computes
-    every action's Q-factor anyway, so it counts no work saved.
+    the heuristic's gap to the optimum. ``residual`` is max|Tv - v - gain|
+    for every solver. ``continuation`` is set by structured policy
+    iteration only: (tau_max, delta_max, sweeps) for each grid it solved,
+    coarsest first. ``skipped_q_evals`` is the paper's count of the
+    comparisons SPI's monotone action sets prune; the backup computes every
+    action's Q-factor anyway, so it counts no work saved.
     """
 
     gain: float
@@ -154,11 +135,14 @@ def _bracket(lo: float, hi: float, v: np.ndarray) -> tuple[float, float]:
 
 
 def _finish(gain, v, policy, iterations, q_actions, **extra) -> SolveResult:
-    """Result of a policy-evaluation solver at its final (gain, v): the
-    bracket from the Q-factors at v, and as residual the largest violation
-    of the optimality equation, max |Tv - v - gain|."""
+    """Result of a solver at its final (gain, v): the bracket from the
+    Q-factors at v, and as residual the largest violation of the optimality
+    equation, max |Tv - v - gain|. Tv - v is formed in one buffer, as RVI
+    forms it in its loop."""
     q_idle, q_tx, q_renew = q_actions
-    diff = np.minimum(np.minimum(q_idle, q_tx), q_renew) - v
+    diff = np.minimum(q_idle, q_tx)
+    np.minimum(diff, q_renew, out=diff)
+    diff -= v
     lo, hi = float(diff.min()), float(diff.max())
     return SolveResult(
         gain=gain,
@@ -178,31 +162,37 @@ def greedy_policy(q: np.ndarray) -> Policy:
 
 # Share of the Bellman difference each RVI step applies.
 RVI_DAMPING = 0.9
+# RVI's stopping threshold on the span of Tv - v, and its iteration cap.
+RVI_TOL = 1e-9
+RVI_MAX_ITER = 500_000
 
 
-def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
+def rvi_solve(mdp: MdpSpec) -> SolveResult:
     """Relative value iteration for the optimal average cost.
 
     Repeats: Q-backup, pointwise minimization, the damped step
     v <- v + RVI_DAMPING * (Tv - v) and renormalization by the value at
     (1, 1). Damping is the aperiodicity transform (Schweitzer 1971;
     Puterman 1994, section 8.5.4): it keeps the fixed points and breaks the
-    near-periodic age cycles that slow the undamped iteration. Stops as
-    ``SolveOptions`` describes and returns that iterate, its gain Tv - v at
-    (1, 1) and its bracket on lambda*.
+    near-periodic age cycles that slow the undamped iteration. Stops at the
+    first iterate v whose Bellman difference Tv - v has span below
+    ``max(RVI_TOL, 2 * spacing(max|v|))``: the span cannot shrink much below
+    one unit in the last place of the values, so a tolerance under that
+    float resolution is met at the floor instead. Returns that iterate, its
+    gain Tv - v at (1, 1) and its bracket on lambda*; raises
+    ``ConvergenceError`` after ``RVI_MAX_ITER`` iterations.
     """
     v = np.zeros(mdp.shape)
     # Buffers every iteration reuses.
     q = np.empty((3, *mdp.shape))
     v_up, diff = np.empty(mdp.shape), np.empty(mdp.shape)
-    history: list[float] = []
-    for n in range(1, opts.max_iter + 1):
+    history: deque[float] = deque(maxlen=16)
+    for n in range(1, RVI_MAX_ITER + 1):
         _backup(mdp, v, q, v_up)
         np.minimum(q[0], q[1], out=diff)
         np.minimum(diff, q[2], out=diff)
         diff -= v
-        lo, hi = float(diff.min()), float(diff.max())
-        span = hi - lo
+        span = float(diff.max()) - float(diff.min())
         if not np.isfinite(span):
             raise NumericalOverflowError(
                 "relative value iteration produced non-finite values; the grid "
@@ -210,23 +200,16 @@ def rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
             )
         history.append(span)
         gain = float(diff[0, 0])
-        if span < max(opts.tol, FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max()))):
-            return SolveResult(
-                gain=gain,
-                v=v,
-                policy=greedy_policy(np.moveaxis(q, 0, 2)),
-                iterations=n,
-                residual=span,
-                lambda_bounds=_bracket(lo, hi, v),
-            )
+        if span < max(RVI_TOL, FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max()))):
+            return _finish(gain, v, greedy_policy(np.moveaxis(q, 0, 2)), n, q)
         diff -= gain
         diff *= RVI_DAMPING
         v += diff
     raise ConvergenceError(
-        f"relative value iteration did not reach span < {opts.tol} in "
-        f"{opts.max_iter} iterations (last span {history[-1]:.3e})",
-        residual=history[-1],
-        history=history[-16:],
+        f"relative value iteration did not reach span < {RVI_TOL} in "
+        f"{RVI_MAX_ITER} iterations (last span {span:.3e})",
+        residual=span,
+        history=list(history),
     )
 
 

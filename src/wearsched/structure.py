@@ -9,7 +9,6 @@ interior region that excludes the rows/columns distorted by age clamping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
@@ -52,46 +51,35 @@ class Violation(NamedTuple):
     magnitude: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ViolationReport:
+    """What a check returns: the flagged adjacent-pair masks of the region
+    it checked, each with the amounts it flagged and its age axis. The
+    report counts the flags without listing them, and lists violations only
+    when they are read."""
+
     kind: str
-    violations: tuple[Violation, ...]
     checked_region: Region
+    flags: tuple[tuple[np.ndarray, np.ndarray, str], ...]
 
     @property
     def passed(self) -> bool:
         return self.count() == 0
 
     def count(self) -> int:
-        return len(self.violations)
+        return sum(int(np.count_nonzero(flagged)) for flagged, _, _ in self.flags)
 
-    def head(self, limit: int | None) -> tuple[Violation, ...]:
-        """The first ``limit`` violations (all of them when None)."""
-        return self.violations[:limit]
-
-
-class _FlaggedReport(ViolationReport):
-    """The report a check returns: it keeps the flagged adjacent-pair masks,
-    counts them without listing, and builds violations only when read."""
-
-    def __init__(self, kind: str, region: Region, flags: list[tuple[np.ndarray, np.ndarray, str]]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "checked_region", region)
-        object.__setattr__(self, "_flags", flags)
-
-    @cached_property
+    @property
     def violations(self) -> tuple[Violation, ...]:
         return self.head(None)
 
     def head(self, limit: int | None) -> tuple[Violation, ...]:
+        """The first ``limit`` violations (all of them when None)."""
         listed: list[Violation] = []
-        for flagged, amount, axis in self._flags:
+        for flagged, amount, axis in self.flags:
             rest = None if limit is None else limit - len(listed)
             listed += _listed(flagged, amount, self.checked_region, axis, rest)
         return tuple(listed)
-
-    def count(self) -> int:
-        return sum(int(np.count_nonzero(flagged)) for flagged, _, _ in self._flags)
 
 
 def _check_region(region: Region, shape: tuple[int, int]) -> None:
@@ -134,13 +122,12 @@ def _axis_flags(arr: np.ndarray, region: Region, axis: str, rel_tol: float):
     return drop > tol, drop, axis
 
 
-def check_value_monotone(
-    v: np.ndarray, region: Region, rel_tol: float = VALUE_RTOL
-) -> ViolationReport:
-    """Flag pairs where the relative value decreases in either age."""
+def check_value_monotone(v: np.ndarray, region: Region) -> ViolationReport:
+    """Flag pairs where the relative value decreases in either age by more
+    than ``VALUE_RTOL`` of 1 + the pair's larger magnitude."""
     _check_region(region, v.shape)
-    flags = [_axis_flags(v, region, "aoi", rel_tol), _axis_flags(v, region, "aoc", rel_tol)]
-    return _FlaggedReport("value-monotone", region, flags)
+    flags = (_axis_flags(v, region, "aoi", VALUE_RTOL), _axis_flags(v, region, "aoc", VALUE_RTOL))
+    return ViolationReport("value-monotone", region, flags)
 
 
 def check_policy_monotone(policy: Policy, axis: str, region: Region) -> ViolationReport:
@@ -153,17 +140,16 @@ def check_policy_monotone(policy: Policy, axis: str, region: Region) -> Violatio
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
     _check_region(region, policy.shape)
     acts = policy.actions.astype(np.int64)
-    return _FlaggedReport(f"policy-monotone-{axis}", region, [_axis_flags(acts, region, axis, 0.0)])
+    return ViolationReport(f"policy-monotone-{axis}", region, (_axis_flags(acts, region, axis, 0.0),))
 
 
-def check_submodular(
-    q: np.ndarray, pair_axis: str, region: Region, rel_tol: float = SUBMODULAR_RTOL
-) -> ViolationReport:
+def check_submodular(q: np.ndarray, pair_axis: str, region: Region) -> ViolationReport:
     """Submodularity of the Q-factors in (age, action) for idle vs transmit.
 
     Flags adjacent-age quadruples with
     Q(x+1, transmit) + Q(x, idle) > Q(x+1, idle) + Q(x, transmit) beyond
-    tolerance. The renew action is deliberately excluded: the lump-sum
+    ``SUBMODULAR_RTOL`` of 1 + the larger idle/transmit magnitude of the
+    pair. The renew action is deliberately excluded: the lump-sum
     renewal cost makes the corresponding differences supermodular along the
     information age, so no sign holds for the full action set.
     """
@@ -177,8 +163,8 @@ def check_submodular(
     lo, hi = _adjacent(q[:, :, 1] - q[:, :, 0], region, pair_axis)
     qlo, qhi = _adjacent(np.abs(q[:, :, :2]).max(axis=2), region, pair_axis)
     excess = hi - lo
-    flagged = excess > rel_tol * (1.0 + np.maximum(qlo, qhi))
-    return _FlaggedReport(f"submodular-{pair_axis}", region, [(flagged, excess, pair_axis)])
+    flagged = excess > SUBMODULAR_RTOL * (1.0 + np.maximum(qlo, qhi))
+    return ViolationReport(f"submodular-{pair_axis}", region, ((flagged, excess, pair_axis),))
 
 
 @dataclass(frozen=True)

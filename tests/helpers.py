@@ -14,6 +14,7 @@ from fractions import Fraction
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
+from unittest import mock
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from wearsched import (
     Policy,
     Region,
     SimStats,
-    SolveOptions,
     SolveResult,
     SystemModel,
     Truncation,
@@ -38,11 +38,14 @@ from wearsched import (
     spectral_radius,
     structured_policy_iteration,
 )
+from wearsched import solvers
 from wearsched.sim import BATCH_COUNT
 from wearsched.solvers import (
     _SWEEP_CAP,
     FLOAT_FLOOR_ULPS,
     RVI_DAMPING,
+    RVI_MAX_ITER,
+    RVI_TOL,
     _border_lu_solve,
     _bracket,
     _evaluate_stack,
@@ -133,9 +136,12 @@ class SolvedCase:
     spi: SolveResult
 
 
-def solve_case(beta, alpha=0.1, tau_d=6, delta_r=15, grid=80, tol=1e-9) -> SolvedCase:
+def solve_case(beta, alpha=0.1, tau_d=6, delta_r=15, grid=80, tol=RVI_TOL) -> SolvedCase:
+    """The instance solved by RVI, stopped at span ``tol``, and by SPI."""
     mdp = benchmark_mdp(beta, alpha, tau_d, delta_r, grid)
-    return SolvedCase(mdp=mdp, rvi=rvi_solve(mdp, SolveOptions(tol=tol)), spi=structured_policy_iteration(mdp))
+    with mock.patch.object(solvers, "RVI_TOL", tol):
+        rvi = rvi_solve(mdp)
+    return SolvedCase(mdp=mdp, rvi=rvi, spi=structured_policy_iteration(mdp))
 
 
 def aoc_next(ch: ChannelModel, tau: int, u: int, tau_max: int) -> int:
@@ -255,12 +261,12 @@ def reference_q_actions(mdp: MdpSpec, v: np.ndarray) -> tuple[np.ndarray, np.nda
     return q_idle, q_tx, q_renew
 
 
-def reference_rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> SolveResult:
-    """Reference relative value iteration: ``rvi_solve``'s damped iteration
-    and stopping rule on ``reference_q_actions``, every array allocated
-    afresh in each iteration."""
+def reference_rvi_solve(mdp: MdpSpec, tol: float = RVI_TOL, max_iter: int = RVI_MAX_ITER) -> SolveResult:
+    """Reference relative value iteration: ``rvi_solve``'s damped iteration,
+    stopping rule and result on ``reference_q_actions``, every array
+    allocated afresh in each iteration."""
     v = np.zeros(mdp.shape)
-    for n in range(1, opts.max_iter + 1):
+    for n in range(1, max_iter + 1):
         q_idle, q_tx, q_renew = q = reference_q_actions(mdp, v)
         diff = np.minimum(np.minimum(q_idle, q_tx), q_renew) - v
         lo, hi = float(diff.min()), float(diff.max())
@@ -268,19 +274,19 @@ def reference_rvi_solve(mdp: MdpSpec, opts: SolveOptions = SolveOptions()) -> So
         if not np.isfinite(span):
             raise AssertionError("reference RVI produced non-finite values")
         gain = float(diff[0, 0])
-        if span < max(opts.tol, FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max()))):
+        if span < max(tol, FLOAT_FLOOR_ULPS * float(np.spacing(np.abs(v).max()))):
             return SolveResult(
                 gain=gain,
                 v=v,
                 policy=greedy_policy(np.stack(q, axis=2)),
                 iterations=n,
-                residual=span,
+                residual=max(hi - gain, gain - lo),
                 lambda_bounds=_bracket(lo, hi, v),
             )
         diff -= gain
         diff *= RVI_DAMPING
         v += diff
-    raise AssertionError(f"reference RVI did not converge in {opts.max_iter} iterations")
+    raise AssertionError(f"reference RVI did not converge in {max_iter} iterations")
 
 
 def reference_border_lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,6 @@ from helpers import (
 )
 from wearsched import (
     Policy,
-    SolveOptions,
     Truncation,
     boundary_renewal,
     build_mdp,
@@ -45,6 +44,7 @@ from wearsched import (
     threshold_frontier,
     transmit_always,
 )
+from wearsched import solvers
 from wearsched.cli import main as cli_main
 from wearsched.artifacts import read_policy_csv
 
@@ -122,13 +122,15 @@ def test_criterion_3_aoi_counterexample(case_slow_decay, case_heavy_wear):
     )
 
 
-def test_criterion_4_oracle_equivalence():
+def test_criterion_4_oracle_equivalence(monkeypatch):
+    monkeypatch.setattr(solvers, "RVI_TOL", 1e-12)
+    monkeypatch.setattr(solvers, "RVI_MAX_ITER", 10**6)
     t0 = time.perf_counter()
     mdp = build_mdp(
         benchmark_system(0.9), benchmark_channel(tau_d=2, delta_r=2), Truncation(3, 3)
     )
     bf_gain, _ = brute_force_optimal(mdp)
-    rvi = rvi_solve(mdp, SolveOptions(tol=1e-12, max_iter=10**6))
+    rvi = rvi_solve(mdp)
     spi = structured_policy_iteration(mdp)
     elapsed = time.perf_counter() - t0
     ok = abs(rvi.gain - bf_gain) < 1e-8 and abs(spi.gain - bf_gain) < 1e-8 and elapsed < 5.0
@@ -213,13 +215,14 @@ def test_criterion_7_simulation_consistency(case_stable):
     report(7, ok, "10^6-epoch simulation matches lambda* and baselines never beat it", "; ".join(details))
 
 
-def test_criterion_8_degenerate_channel():
+def test_criterion_8_degenerate_channel(monkeypatch):
+    monkeypatch.setattr(solvers, "RVI_TOL", 1e-12)
     mdp = build_mdp(
         benchmark_system(0.9),
         benchmark_channel(theta_max=1.0, theta_min=1.0),
         Truncation(40, 40),
     )
-    res = rvi_solve(mdp, SolveOptions(tol=1e-12))
+    res = rvi_solve(mdp)
     f1 = mdp.mse[0]
     stats = simulate(mdp, transmit_always(mdp.trunc), epochs=1024, seed=5)
     ok = abs(res.gain - f1) < 1e-9 and stats.per_epoch_avg_cost == f1

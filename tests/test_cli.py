@@ -178,7 +178,7 @@ class TestSolve:
     )
     def test_removed_keys_exit_2(self, cfg_path, tmp_path, capsys, override):
         # Relative values are anchored at (1, 1), the CSVs always written,
-        # RVI stops at SolveOptions' defaults, and --out alone sets the
+        # RVI stops at RVI_TOL and RVI_MAX_ITER, and --out alone sets the
         # output directory, so the output section is gone.
         key = override.split("=")[0]
         field, message = ("output", "unknown section") if key.startswith("output.") else (key, "unknown key")

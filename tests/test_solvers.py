@@ -43,7 +43,6 @@ from wearsched import (
     DomainError,
     EvaluationError,
     Policy,
-    SolveOptions,
     SolveResult,
     Truncation,
     build_mdp,
@@ -294,8 +293,9 @@ class TestVectorisedScans:
 
 
 class TestRvi:
-    def test_perfect_channel_gain_is_first_age_mse(self, perfect_channel_mdp):
-        res = rvi_solve(perfect_channel_mdp, SolveOptions(tol=1e-12))
+    def test_perfect_channel_gain_is_first_age_mse(self, monkeypatch, perfect_channel_mdp):
+        monkeypatch.setattr(solvers, "RVI_TOL", 1e-12)
+        res = rvi_solve(perfect_channel_mdp)
         assert res.gain == pytest.approx(perfect_channel_mdp.mse[0], abs=1e-9)
         # Transmission succeeds surely, so the greedy policy transmits on the
         # recurrent set it induces from the best state.
@@ -305,15 +305,28 @@ class TestRvi:
         ref = small_case.rvi
         assert ref.v[0, 0] == 0.0
 
-    def test_matches_brute_force_on_toy(self, toy):
+    def test_matches_brute_force_on_toy(self, monkeypatch, toy):
         bf_gain, _ = brute_force_optimal(toy)
-        res = rvi_solve(toy, SolveOptions(tol=1e-12, max_iter=10**6))
+        monkeypatch.setattr(solvers, "RVI_TOL", 1e-12)
+        monkeypatch.setattr(solvers, "RVI_MAX_ITER", 10**6)
+        res = rvi_solve(toy)
         assert res.gain == pytest.approx(bf_gain, abs=1e-8)
 
-    def test_non_convergence_carries_history(self, toy):
+    def test_non_convergence_carries_history(self, monkeypatch, toy):
+        monkeypatch.setattr(solvers, "RVI_TOL", 1e-14)
+        monkeypatch.setattr(solvers, "RVI_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as exc_info:
-            rvi_solve(toy, SolveOptions(tol=1e-14, max_iter=3))
+            rvi_solve(toy)
         assert len(exc_info.value.history) == 3
+
+    def test_non_convergence_keeps_the_last_16_spans(self, monkeypatch):
+        # benchmark-marginal at 40x40 needs more than 40 iterations.
+        monkeypatch.setattr(solvers, "RVI_MAX_ITER", 40)
+        with pytest.raises(ConvergenceError, match="in 40 iterations") as exc_info:
+            rvi_solve(benchmark_mdp(1.0, grid=40))
+        history = exc_info.value.history
+        assert len(history) == 16
+        assert history[-1] == exc_info.value.residual
 
     def test_bellman_residual(self, small_case):
         mdp, res = small_case.mdp, small_case.rvi
@@ -380,24 +393,12 @@ class TestRvi:
         mdp = benchmark_mdp(beta, grid=grid)
         rvi = rvi_solve(mdp)
         assert rvi.iterations < 400
-        assert rvi.residual >= SolveOptions.tol
-        assert rvi.residual < 2 * np.spacing(np.abs(rvi.v).max())
+        diff = q_backup(mdp, rvi.v).min(axis=2) - rvi.v
+        span = diff.max() - diff.min()
+        assert span >= solvers.RVI_TOL
+        assert span < 2 * np.spacing(np.abs(rvi.v).max())
         lo, hi = rvi.lambda_bounds
         assert lo <= structured_policy_iteration(mdp).gain <= hi
-
-    def test_options_validation(self):
-        with pytest.raises(DomainError):
-            SolveOptions(tol=0.0)
-        with pytest.raises(DomainError):
-            SolveOptions(max_iter=0)
-
-    def test_integral_float_max_iter_is_the_integer(self, toy):
-        opts = SolveOptions(max_iter=100.0)
-        assert type(opts.max_iter) is int
-        assert rvi_solve(toy, opts).gain == rvi_solve(toy, SolveOptions(max_iter=100)).gain
-        for bad in (100.5, float("nan"), float("inf"), "100", None):
-            with pytest.raises(DomainError, match="^max_iter must be an integer"):
-                SolveOptions(max_iter=bad)
 
 
 class TestPolicyEvaluate:
@@ -1267,7 +1268,7 @@ class TestBruteForce:
         ],
     )
     def test_both_solvers_match_oracle_on_diverse_instances(
-        self, beta, theta_max, theta_min, alpha, tau_d, delta_r, tau_max, delta_max
+        self, monkeypatch, beta, theta_max, theta_min, alpha, tau_d, delta_r, tau_max, delta_max
     ):
         mdp = build_mdp(
             benchmark_system(beta),
@@ -1275,7 +1276,9 @@ class TestBruteForce:
             Truncation(tau_max, delta_max),
         )
         bf_gain, _ = brute_force_optimal(mdp)
-        rvi = rvi_solve(mdp, SolveOptions(tol=1e-12, max_iter=10**6))
+        monkeypatch.setattr(solvers, "RVI_TOL", 1e-12)
+        monkeypatch.setattr(solvers, "RVI_MAX_ITER", 10**6)
+        rvi = rvi_solve(mdp)
         spi = structured_policy_iteration(mdp)
         assert rvi.gain == pytest.approx(bf_gain, abs=1e-8)
         assert spi.gain == pytest.approx(bf_gain, abs=1e-8)
@@ -1342,6 +1345,18 @@ class TestBruteForce:
         assert abs(stats.per_epoch_avg_cost - gain) <= 3 * stats.std_error
 
 
+@pytest.mark.parametrize(
+    "solve", [rvi_solve, structured_policy_iteration, threshold_heuristic], ids=lambda f: f.__name__
+)
+def test_residual_is_bellman_residual(small_case, solve):
+    # Every solver reads its residual, max|Tv - v - gain|, off the Q-factors
+    # at the v it returns. The threshold family misses the optimum, so there
+    # the optimality equation is visibly violated.
+    res = solve(small_case.mdp)
+    assert res.residual > 0
+    assert res.residual == np.abs(q_backup(small_case.mdp, res.v).min(axis=2) - res.v - res.gain).max()
+
+
 class TestThresholdHeuristic:
     def test_never_beats_optimum(self, small_case):
         res = threshold_heuristic(small_case.mdp)
@@ -1359,13 +1374,6 @@ class TestThresholdHeuristic:
         assert np.all(best.policy.actions == 2)
         expected = mdp.channel.delta_r * mdp.mse[-1]
         assert best.gain == pytest.approx(expected, rel=1e-10)
-
-    def test_residual_is_bellman_residual(self, small_case):
-        # The threshold family misses the optimum, so the optimality equation
-        # is visibly violated; the residual is read off the returned Q.
-        res = threshold_heuristic(small_case.mdp)
-        assert res.residual > 0
-        assert res.residual == np.abs(q_backup(small_case.mdp, res.v).min(axis=2) - res.v - res.gain).max()
 
     def test_invalid_threshold(self, small_case):
         with pytest.raises(DomainError):
